@@ -5,7 +5,7 @@
 
 GO ?= go
 
-.PHONY: test vet lint lintsmoke race smoke benchsmoke driftsmoke fabricsmoke ci ckpt-tests bench bench-baseline
+.PHONY: test vet lint lintsmoke race smoke benchsmoke driftsmoke fabricsmoke ci ckpt-tests bench
 
 test:
 	$(GO) build ./...
@@ -152,8 +152,8 @@ smoke:
 # benchsmoke is the CI throughput gate: one cold run of the throughput and
 # figure benchmarks, failed by benchjson unless every headline clears its
 # floor and the streaming figure collectors stay within their allocs/op
-# ceilings. Floors sit at roughly half the committed baselines
-# (BENCH_core.json records ~5.5 Minst/s raw detailed, ~25 sampled, ~21
+# ceilings. Floors sit at or below half the committed baselines
+# (BENCH_core.json records ~5.3 Minst/s raw detailed, ~43 sampled, ~25
 # streaming analysis), so they only trip on large regressions, not noise.
 benchsmoke:
 	$(GO) test -run '^$$' -bench 'BenchmarkSimulatorThroughput|BenchmarkFastForward|BenchmarkSampledThroughput|BenchmarkAnalysisThroughput|BenchmarkFig1SingleUse|BenchmarkFig2Consumers|BenchmarkFig3ReuseDepth' -benchtime 1x -benchmem . | \
@@ -244,9 +244,3 @@ ci: test vet lint lintsmoke race ckpt-tests smoke benchsmoke driftsmoke fabricsm
 bench:
 	$(GO) test -run '^$$' -bench . -benchtime 1x -benchmem . | \
 		$(GO) run ./cmd/benchjson -echo -o BENCH_core.json
-
-# bench-baseline records the quick sweep into results/bench_baseline.txt so
-# future changes can `benchstat results/bench_baseline.txt new.txt`.
-bench-baseline:
-	@mkdir -p results
-	$(GO) test -run '^$$' -bench . -benchtime 1x -benchmem . | tee results/bench_baseline.txt

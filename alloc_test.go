@@ -19,20 +19,11 @@ func TestCoreStepZeroAllocs(t *testing.T) {
 		t.Fatal("dgemm workload missing")
 	}
 	p := w.Program()
-	// One specialized cycle loop per scheme: the zero-alloc guarantee is
-	// asserted against each of them, and the LoopName probe proves the
-	// scheme actually selected the loop we think we are measuring.
-	wantLoop := map[Scheme]string{
-		Baseline:     "stepBaseline",
-		Reuse:        "stepReuse",
-		EarlyRelease: "stepEarly",
-	}
+	// One cycle loop serves every scheme; the zero-alloc guarantee is
+	// asserted under each, since each takes different renamer paths.
 	for _, scheme := range []Scheme{Baseline, Reuse, EarlyRelease} {
 		t.Run(pipeline.Scheme(scheme).String(), func(t *testing.T) {
 			core := pipeline.New(pipeline.DefaultConfig(pipeline.Scheme(scheme)), p)
-			if got := core.LoopName(); got != wantLoop[scheme] {
-				t.Fatalf("specialized loop %q, want %q", got, wantLoop[scheme])
-			}
 			// Warm up: fill the IQ/event pools, grow waiter lists and
 			// checkpoint pools to their steady capacity, fault in the
 			// touched pages.

@@ -75,7 +75,6 @@ func main() {
 		ff     = flag.Uint64("ff", 0, "fast-forward N instructions per sweep job (figures 10-11; 0 = off)")
 		warmup = flag.Uint64("warmup", 0, "cache/bpred warmup instructions replayed at the fast-forward boot")
 		sample = flag.String("sample", "", "interval-sampling plan warmup:detail:interval for the sweep jobs")
-		oracle = flag.Bool("oracle", false, "run figures 1-3 through the reference (memory-unbounded) collector instead of the streaming one")
 	)
 	flag.Parse()
 	outDir = *out
@@ -107,11 +106,7 @@ func main() {
 
 	if all || *fig == 1 || *fig == 2 || *fig == 3 {
 		done := step("figures 1-3 (motivation analysis)")
-		motivate := regreuse.Motivation
-		if *oracle {
-			motivate = regreuse.MotivationOracle
-		}
-		rows, err := motivate(*scale)
+		rows, err := regreuse.Motivation(*scale)
 		if err != nil {
 			fail(err)
 		}

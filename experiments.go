@@ -10,7 +10,6 @@ import (
 	"repro/internal/analysis"
 	"repro/internal/area"
 	"repro/internal/ckpt"
-	"repro/internal/emu"
 	"repro/internal/isa"
 	"repro/internal/par"
 	"repro/internal/pipeline"
@@ -68,26 +67,6 @@ type MotivationRow struct {
 // merges rows by workload index, so the output order is deterministic for
 // any worker count.
 func Motivation(scale int) ([]MotivationRow, error) {
-	return motivation(scale, analysisStream)
-}
-
-// MotivationOracle recomputes the same rows through the reference per-commit
-// collector over emu.Step — the slow path kept as the correctness oracle for
-// the streaming collector. cmd/paper -oracle routes figure generation
-// through it for cross-checking.
-func MotivationOracle(scale int) ([]MotivationRow, error) {
-	return motivation(scale, analysisOracle)
-}
-
-func analysisStream(w workloads.Workload) (analysis.Report, error) {
-	return analysis.AnalyzeProgram(w.Program(), 1<<32)
-}
-
-func analysisOracle(w workloads.Workload) (analysis.Report, error) {
-	return analysis.Analyze(emu.New(w.Program()), 1<<32)
-}
-
-func motivation(scale int, analyze func(workloads.Workload) (analysis.Report, error)) ([]MotivationRow, error) {
 	ws := workloads.All()
 	if scale == 1 {
 		ws = workloads.Small()
@@ -95,7 +74,7 @@ func motivation(scale int, analyze func(workloads.Workload) (analysis.Report, er
 	rows := make([]MotivationRow, len(ws))
 	err := par.ForEachCtx(context.Background(), len(ws), 0, func(i int) error {
 		w := ws[i]
-		rep, err := analyze(w)
+		rep, err := analysis.AnalyzeProgram(w.Program(), 1<<32)
 		if err != nil {
 			return fmt.Errorf("%s: %w", w.Name, err)
 		}

@@ -6,7 +6,7 @@ import (
 	"repro/internal/prog"
 )
 
-// Stream is the streaming, bounded-memory replacement for Collector. It
+// Stream is the streaming, bounded-memory Figure 1-3 collector. It
 // consumes the committed-instruction stream as batches of micro-op table
 // rows (it is an emu.CommitSink) and folds every Report counter
 // incrementally, so there is no per-dynamic-instruction defs slice and no
@@ -28,8 +28,9 @@ import (
 // practice: every member is pinned by one of 64 live slots or already
 // closed, and closed members resolve their group eagerly.
 //
-// Exact Report equality against the Collector oracle over every workload
-// and seeded random programs is pinned by TestStreamMatchesOracle*.
+// Exact Report equality against the test-only reference Collector
+// (collector_test.go) over every workload and seeded random programs is
+// pinned by TestStreamMatchesOracle*.
 type Stream struct {
 	table *prog.UOpTable
 
@@ -70,9 +71,9 @@ type srec struct {
 	seq        uint64 // creation order
 	refs       int32
 	depth      int32 // Figure 3 chain position (valid when depthKnown)
-	consGroup  int32  // group joined at first consumption (noGroup if none)
-	memberIdx  uint8  // index of this rec in consGroup's members
-	consumers  uint8  // saturates at 7 (histogram lumps 6+; sole needs ==1)
+	consGroup  int32 // group joined at first consumption (noGroup if none)
+	memberIdx  uint8 // index of this rec in consGroup's members
+	consumers  uint8 // saturates at 7 (histogram lumps 6+; sole needs ==1)
 	depthKnown bool
 	closed     bool
 }

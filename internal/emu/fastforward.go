@@ -21,9 +21,24 @@ import (
 // when the program halts (not an error) or crashes (the error describes the
 // fault; architectural state is left at the faulting instruction, exactly as
 // Step leaves it).
-func (s *State) StepN(n uint64) (uint64, error) {
+func (s *State) StepN(n uint64) (uint64, error) { return s.run(n, nil) }
+
+// run is the one batch interpreter behind StepN and RunToHaltBatch. It
+// executes up to max instructions and stops early at HALT (which commits)
+// or a crash (which does not). With a nil sink nothing is recorded; with a
+// sink, each committed instruction's micro-op table row is stored into a
+// commitBatchRows buffer that is handed to sink.CommitBatch whenever it
+// fills and once more, for the partial tail, on every exit path. The row
+// store is the only per-instruction difference between the two callers and
+// sits behind one predictable sink != nil branch.
+//
+// The loop keeps its own op switch rather than routing the ALU cases
+// through ExecOps, which was measured at about half the rate (DESIGN.md
+// §14); TestStepNMatchesStep, TestRunToHaltBatchMatchesStep and
+// FuzzInterpretersAgree pin it against Step.
+func (s *State) run(max uint64, sink CommitSink) (uint64, error) {
 	if s.halted {
-		if n == 0 {
+		if max == 0 {
 			return 0, nil
 		}
 		return 0, s.crash("step after halt")
@@ -31,16 +46,27 @@ func (s *State) StepN(n uint64) (uint64, error) {
 	insts := s.prog.UOps().Inst
 	mem := s.Mem
 	pc := s.PC
+	base := s.count
 	var executed uint64
+	var buf []uint32
+	if sink != nil {
+		buf = make([]uint32, commitBatchRows)
+	}
+	fill := 0
 
-	// sync writes the batch-local state back before any exit path; crash
-	// messages and subsequent Step calls both read it.
+	// sync writes the batch-local state back and flushes the pending rows
+	// before any exit path; crash messages and later Step calls read the
+	// synced state, and a sink has then seen exactly the committed prefix.
 	sync := func() {
 		s.PC = pc
-		s.count += executed
+		s.count = base + executed
+		if fill > 0 {
+			sink.CommitBatch(base+executed-uint64(fill), buf[:fill])
+			fill = 0
+		}
 	}
 
-	for executed < n {
+	for executed < max {
 		idx := (pc - prog.TextBase) / isa.InstBytes
 		// pc < TextBase wraps idx around to a huge value, so one bound
 		// check covers both ends of the text section.
@@ -55,8 +81,12 @@ func (s *State) StepN(n uint64) (uint64, error) {
 		case isa.NOP:
 		case isa.HALT:
 			// Step advances PC past the halt like any other straight-line
-			// instruction; match it exactly.
+			// instruction and commits it; match it exactly.
 			s.halted = true
+			if sink != nil {
+				buf[fill] = uint32(idx)
+				fill++
+			}
 			pc = next
 			executed++
 			sync()
@@ -186,6 +216,14 @@ func (s *State) StepN(n uint64) (uint64, error) {
 
 		pc = next
 		executed++
+		if sink != nil {
+			buf[fill] = uint32(idx)
+			fill++
+			if fill == commitBatchRows {
+				sink.CommitBatch(base+executed-commitBatchRows, buf)
+				fill = 0
+			}
+		}
 	}
 	sync()
 	return executed, nil

@@ -1,12 +1,6 @@
 package emu
 
-import (
-	"fmt"
-	"math"
-
-	"repro/internal/isa"
-	"repro/internal/prog"
-)
+import "fmt"
 
 // CommitSink consumes the committed-instruction stream in batches of
 // micro-op table rows. rows[k] is the UOpTable index of dynamic instruction
@@ -19,209 +13,33 @@ type CommitSink interface {
 }
 
 // commitBatchRows is the number of committed rows buffered between sink
-// calls. The buffer lives on RunToHaltBatch's stack (16 KB), so batching
-// costs no heap allocation.
+// calls: one 16 KB buffer per RunToHaltBatch call, so the per-commit cost is
+// one store and the interface call is amortized over 4096 commits.
 const commitBatchRows = 4096
 
 // RunToHaltBatch executes until HALT, failing if the program exceeds max
 // instructions, and streams every committed instruction to sink as batches
 // of micro-op table rows. It is the batched commit-sink analogue of
-// RunToHalt(max, fn): the execution loop is StepN's (pre-decoded
-// instruction column, batch-local PC, memory word fast paths) with one
-// store per commit to record the row, and one interface call per
-// commitBatchRows commits — architecturally it is bit-identical to
-// RunToHalt over Step (pinned by TestRunToHaltBatchMatchesStep).
+// RunToHalt(max, fn) and runs the same interpreter loop as StepN, with the
+// per-commit row store switched on — architecturally it is bit-identical to
+// RunToHalt over Step (pinned by TestRunToHaltBatchMatchesStep and
+// FuzzInterpretersAgree).
 //
 // Like RunToHalt, the faulting instruction of a crash is not reported to
 // the sink, but every instruction committed before it is (the pending
 // partial batch is flushed before the error returns). The HALT instruction
 // itself commits and is streamed, matching Step.
 //
-// Like StepN, the loop is kept allocation-free by construction (stack
-// batch buffer, pre-decoded columns) rather than carrying //repro:hotpath:
-// the once-per-run sync closure and the crash-path fmt formatting are
-// deliberate, and the dynamic gates (TestStreamSteadyStateZeroAllocs, the
-// benchjson -allocs ceilings) pin the property end to end.
+// Like StepN, the loop is kept allocation-free per instruction by
+// construction (pre-decoded columns, one batch buffer per call) rather than
+// carrying //repro:hotpath: the once-per-run sync closure and the
+// crash-path fmt formatting are deliberate, and the dynamic gates
+// (TestStreamSteadyStateZeroAllocs, the benchjson -allocs ceilings) pin the
+// property end to end.
 func (s *State) RunToHaltBatch(max uint64, sink CommitSink) (uint64, error) {
-	if s.halted {
-		if max == 0 {
-			return 0, nil
-		}
-		return 0, s.crash("step after halt")
+	n, err := s.run(max, sink)
+	if err == nil && !s.halted {
+		err = fmt.Errorf("emu: program did not halt within %d instructions", max)
 	}
-	insts := s.prog.UOps().Inst
-	mem := s.Mem
-	pc := s.PC
-	base := s.count
-	var executed uint64
-	var buf [commitBatchRows]uint32
-	fill := 0
-
-	// sync writes the batch-local state back and flushes the pending rows
-	// before any exit path; crash messages and later Step calls read the
-	// synced state, and the sink has then seen exactly the committed prefix.
-	sync := func() {
-		s.PC = pc
-		s.count = base + executed
-		if fill > 0 {
-			sink.CommitBatch(base+executed-uint64(fill), buf[:fill])
-			fill = 0
-		}
-	}
-
-	for executed < max {
-		idx := (pc - prog.TextBase) / isa.InstBytes
-		// pc < TextBase wraps idx around to a huge value, so one bound
-		// check covers both ends of the text section.
-		if idx >= uint64(len(insts)) || pc%isa.InstBytes != 0 {
-			sync()
-			return executed, s.crash("fetch outside text section")
-		}
-		in := &insts[idx]
-		next := pc + isa.InstBytes
-
-		switch in.Op {
-		case isa.NOP:
-		case isa.HALT:
-			s.halted = true
-			buf[fill] = uint32(idx)
-			fill++
-			pc = next
-			executed++
-			sync()
-			return executed, nil
-
-		case isa.ADD:
-			s.setXFast(in.Rd, s.xFast(in.Rs1)+s.xFast(in.Rs2))
-		case isa.SUB:
-			s.setXFast(in.Rd, s.xFast(in.Rs1)-s.xFast(in.Rs2))
-		case isa.AND:
-			s.setXFast(in.Rd, s.xFast(in.Rs1)&s.xFast(in.Rs2))
-		case isa.ORR:
-			s.setXFast(in.Rd, s.xFast(in.Rs1)|s.xFast(in.Rs2))
-		case isa.EOR:
-			s.setXFast(in.Rd, s.xFast(in.Rs1)^s.xFast(in.Rs2))
-		case isa.LSL:
-			s.setXFast(in.Rd, s.xFast(in.Rs1)<<(s.xFast(in.Rs2)&63))
-		case isa.LSR:
-			s.setXFast(in.Rd, s.xFast(in.Rs1)>>(s.xFast(in.Rs2)&63))
-		case isa.ASR:
-			s.setXFast(in.Rd, uint64(int64(s.xFast(in.Rs1))>>(s.xFast(in.Rs2)&63)))
-		case isa.SLT:
-			s.setXFast(in.Rd, b2u(int64(s.xFast(in.Rs1)) < int64(s.xFast(in.Rs2))))
-		case isa.SLTU:
-			s.setXFast(in.Rd, b2u(s.xFast(in.Rs1) < s.xFast(in.Rs2)))
-		case isa.MUL:
-			s.setXFast(in.Rd, s.xFast(in.Rs1)*s.xFast(in.Rs2))
-		case isa.SDIV:
-			s.setXFast(in.Rd, uint64(sdiv(int64(s.xFast(in.Rs1)), int64(s.xFast(in.Rs2)))))
-		case isa.UDIV:
-			s.setXFast(in.Rd, udiv(s.xFast(in.Rs1), s.xFast(in.Rs2)))
-		case isa.REM:
-			s.setXFast(in.Rd, uint64(srem(int64(s.xFast(in.Rs1)), int64(s.xFast(in.Rs2)))))
-
-		case isa.ADDI:
-			s.setXFast(in.Rd, s.xFast(in.Rs1)+uint64(in.Imm))
-		case isa.ANDI:
-			s.setXFast(in.Rd, s.xFast(in.Rs1)&uint64(in.Imm))
-		case isa.ORRI:
-			s.setXFast(in.Rd, s.xFast(in.Rs1)|uint64(in.Imm))
-		case isa.EORI:
-			s.setXFast(in.Rd, s.xFast(in.Rs1)^uint64(in.Imm))
-		case isa.LSLI:
-			s.setXFast(in.Rd, s.xFast(in.Rs1)<<(uint64(in.Imm)&63))
-		case isa.LSRI:
-			s.setXFast(in.Rd, s.xFast(in.Rs1)>>(uint64(in.Imm)&63))
-		case isa.ASRI:
-			s.setXFast(in.Rd, uint64(int64(s.xFast(in.Rs1))>>(uint64(in.Imm)&63)))
-		case isa.SLTI:
-			s.setXFast(in.Rd, b2u(int64(s.xFast(in.Rs1)) < in.Imm))
-		case isa.MOVI:
-			s.setXFast(in.Rd, uint64(in.Imm))
-
-		case isa.LDR, isa.FLDR:
-			addr := s.xFast(in.Rs1) + uint64(in.Imm)
-			if addr%8 != 0 {
-				sync()
-				return executed, s.crash(fmt.Sprintf("misaligned load at %#x", addr))
-			}
-			v := mem.LoadWord64(addr)
-			if in.Op == isa.LDR {
-				s.setXFast(in.Rd, v)
-			} else {
-				s.F[in.Rd] = math.Float64frombits(v)
-			}
-		case isa.STR, isa.FSTR:
-			addr := s.xFast(in.Rs1) + uint64(in.Imm)
-			if addr%8 != 0 {
-				sync()
-				return executed, s.crash(fmt.Sprintf("misaligned store at %#x", addr))
-			}
-			var v uint64
-			if in.Op == isa.STR {
-				v = s.xFast(in.Rs2)
-			} else {
-				v = math.Float64bits(s.F[in.Rs2])
-			}
-			mem.StoreWord64(addr, v)
-
-		case isa.FADD:
-			s.F[in.Rd] = s.F[in.Rs1] + s.F[in.Rs2]
-		case isa.FSUB:
-			s.F[in.Rd] = s.F[in.Rs1] - s.F[in.Rs2]
-		case isa.FMUL:
-			s.F[in.Rd] = s.F[in.Rs1] * s.F[in.Rs2]
-		case isa.FDIV:
-			s.F[in.Rd] = s.F[in.Rs1] / s.F[in.Rs2]
-		case isa.FMIN:
-			s.F[in.Rd] = math.Min(s.F[in.Rs1], s.F[in.Rs2])
-		case isa.FMAX:
-			s.F[in.Rd] = math.Max(s.F[in.Rs1], s.F[in.Rs2])
-		case isa.FNEG:
-			s.F[in.Rd] = -s.F[in.Rs1]
-		case isa.FABS:
-			s.F[in.Rd] = math.Abs(s.F[in.Rs1])
-		case isa.FSQRT:
-			s.F[in.Rd] = math.Sqrt(s.F[in.Rs1])
-		case isa.FCMPLT:
-			s.setXFast(in.Rd, b2u(s.F[in.Rs1] < s.F[in.Rs2]))
-		case isa.FCMPLE:
-			s.setXFast(in.Rd, b2u(s.F[in.Rs1] <= s.F[in.Rs2]))
-		case isa.FCMPEQ:
-			s.setXFast(in.Rd, b2u(s.F[in.Rs1] == s.F[in.Rs2]))
-		case isa.SCVTF:
-			s.F[in.Rd] = float64(int64(s.xFast(in.Rs1)))
-		case isa.FCVTZS:
-			s.setXFast(in.Rd, uint64(fcvtzs(s.F[in.Rs1])))
-		case isa.FMOVI:
-			s.F[in.Rd] = isa.Float64FromBits(in.Imm)
-
-		case isa.B:
-			next = uint64(in.Imm)
-		case isa.BL:
-			s.setXFast(in.Rd, pc+isa.InstBytes)
-			next = uint64(in.Imm)
-		case isa.BR:
-			next = s.xFast(in.Rs1)
-		case isa.BEQ, isa.BNE, isa.BLT, isa.BGE, isa.BLTU, isa.BGEU:
-			if CondTaken(in.Op, s.xFast(in.Rs1), s.xFast(in.Rs2)) {
-				next = uint64(in.Imm)
-			}
-
-		default:
-			sync()
-			return executed, s.crash(fmt.Sprintf("unimplemented op %v", in.Op))
-		}
-
-		buf[fill] = uint32(idx)
-		fill++
-		pc = next
-		executed++
-		if fill == commitBatchRows {
-			sink.CommitBatch(base+executed-uint64(fill), buf[:fill])
-			fill = 0
-		}
-	}
-	sync()
-	return executed, fmt.Errorf("emu: program did not halt within %d instructions", max)
+	return n, err
 }

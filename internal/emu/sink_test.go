@@ -149,3 +149,74 @@ func TestRunToHaltBatchAfterHalt(t *testing.T) {
 		t.Fatal("RunToHaltBatch(1) after halt succeeded, want crash")
 	}
 }
+
+// TestRunToHaltBatchFlushBoundary places the end of the run — HALT, which
+// commits, or a misaligned load, which does not — so the committed stream
+// ends exactly on a commitBatchRows boundary and one row past it. The
+// batches must still partition the stream with no empty or missing batch,
+// and the result must match Step.
+func TestRunToHaltBatchFlushBoundary(t *testing.T) {
+	cases := []struct {
+		name      string
+		committed int  // rows the sink must see
+		crash     bool // end with a misaligned load instead of HALT
+		seqs      []uint64
+	}{
+		{"halt-on-boundary", commitBatchRows, false, []uint64{0}},
+		{"halt-past-boundary", commitBatchRows + 1, false, []uint64{0, commitBatchRows}},
+		{"crash-on-boundary", commitBatchRows, true, []uint64{0}},
+		{"crash-past-boundary", commitBatchRows + 1, true, []uint64{0, commitBatchRows}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			// One movi sets up the misaligned base; HALT commits as the
+			// last row, the faulting load does not.
+			nops := tc.committed - 1
+			if !tc.crash {
+				nops--
+			}
+			src := "\tmovi x2, #3\n" + strings.Repeat("\tnop\n", nops)
+			if tc.crash {
+				src += "\tldr x3, [x2, #0]\n"
+			}
+			src += "\thalt\n"
+			p, err := asm.Assemble(src)
+			if err != nil {
+				t.Fatal(err)
+			}
+
+			ref := New(p)
+			var pcs []uint64
+			_, refErr := ref.RunToHalt(1<<20, func(c Commit) { pcs = append(pcs, c.PC) })
+			if (refErr != nil) != tc.crash || len(pcs) != tc.committed {
+				t.Fatalf("reference: %d commits, err %v", len(pcs), refErr)
+			}
+
+			batched := New(p)
+			var sink recordingSink
+			n, err := batched.RunToHaltBatch(1<<20, &sink)
+			if errText(err) != errText(refErr) {
+				t.Fatalf("err %s, want %s", errText(err), errText(refErr))
+			}
+			if int(n) != tc.committed || len(sink.rows) != tc.committed {
+				t.Fatalf("executed %d, sank %d rows, want %d", n, len(sink.rows), tc.committed)
+			}
+			for i, row := range sink.rows {
+				if got := prog.TextBase + uint64(row)*isa.InstBytes; got != pcs[i] {
+					t.Fatalf("inst %d: row pc %#x, Step committed pc %#x", i, got, pcs[i])
+				}
+			}
+			if len(sink.seqs) != len(tc.seqs) {
+				t.Fatalf("batch startSeqs %v, want %v", sink.seqs, tc.seqs)
+			}
+			for i := range tc.seqs {
+				if sink.seqs[i] != tc.seqs[i] {
+					t.Fatalf("batch startSeqs %v, want %v", sink.seqs, tc.seqs)
+				}
+			}
+			if a, b := ref.Snapshot(), batched.Snapshot(); !a.Equal(b) {
+				t.Fatalf("state diverged:\n ref: %v\nbatched: %v", a, b)
+			}
+		})
+	}
+}

@@ -191,9 +191,6 @@ func (c *Core) takeInterrupt() {
 // state (recovering shadow-cell versions), and restarts fetch at resumePC
 // after the handler cost plus recovery cycles.
 func (c *Core) flushAll(resumePC uint64, handlerCycles uint64) {
-	if traceReg >= 0 {
-		fmt.Printf("[%d] flushAll resume=%#x\n", c.cycle, resumePC)
-	}
 	for i := 0; i < c.robCount; i++ {
 		e := &c.rob[c.robIdxAt(i)]
 		if e.isBranch {

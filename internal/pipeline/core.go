@@ -2,7 +2,6 @@ package pipeline
 
 import (
 	"fmt"
-	"sort"
 
 	"repro/internal/bpred"
 	"repro/internal/emu"
@@ -142,9 +141,9 @@ type Core struct {
 
 	rfInt, rfFP *regfile.File
 	// renI/renF hold the renamers behind the scheme-agnostic interface for
-	// the cold paths (flush, squash, checkpoints, stats). The per-scheme
-	// specialized dispatch loops use the concrete typed fields below so
-	// their per-instruction rename calls are direct and inlinable.
+	// the cold paths (flush, squash, checkpoints, stats). Dispatch and
+	// commit switch on the scheme and use the concrete typed fields below,
+	// so their per-instruction rename calls are direct and inlinable.
 	renI, renF     rename.Renamer
 	baseI, baseF   *rename.BaselineRenamer // non-nil for Scheme == Baseline
 	reuseI, reuseF *rename.ReuseRenamer    // non-nil for Scheme == Reuse
@@ -321,9 +320,10 @@ func (c *Core) tracker(class isa.RegClass) rename.ActivityTracker {
 	return c.trackI
 }
 
-// base/reuse/early return the concrete renamer for a class. The specialized
-// dispatch loops call through these so every per-instruction rename operation
-// is a direct (devirtualized) call on the concrete type.
+// base/reuse/early return the concrete renamer for a class. Dispatch and
+// commit call through these, behind a scheme switch, so every
+// per-instruction rename operation is a direct (devirtualized) call on the
+// concrete type.
 //
 //repro:hotpath
 func (c *Core) base(class isa.RegClass) *rename.BaselineRenamer {
@@ -429,47 +429,17 @@ func (c *Core) StepN(n int) {
 	}
 }
 
-// step advances one cycle by dispatching to the scheme-specialized loop.
-// Stage order within a cycle: writeback events (wakeup/broadcast), commit,
-// issue, rename/dispatch, fetch — so values produced at cycle T can feed
-// instructions issuing at T (back-to-back dependent execution), and younger
-// stages see the machine state left by older ones.
-//
-// Each scheme gets its own loop body so the per-instruction rename calls
-// inside are monomorphic: the specialized renameDispatch variants call the
-// concrete renamer types directly instead of going through the Renamer
-// interface, and scheme-conditional stages (occupancy sampling, speculation-
-// boundary tracking) exist only in the loops that need them.
+// step advances one cycle. Stage order within a cycle: writeback events
+// (wakeup/broadcast), commit, issue, rename/dispatch, fetch — so values
+// produced at cycle T can feed instructions issuing at T (back-to-back
+// dependent execution), and younger stages see the machine state left by
+// older ones. The two scheme-conditional stages are guarded here: the
+// early-release speculation boundary advances before issue so trackers see
+// resolved branches, and the reuse scheme samples Figure 9 occupancy after
+// fetch.
 //
 //repro:hotpath
 func (c *Core) step() {
-	switch c.cfg.Scheme {
-	case Reuse:
-		c.stepReuse()
-	case EarlyRelease:
-		c.stepEarly()
-	default:
-		c.stepBaseline()
-	}
-}
-
-// LoopName reports which specialized step loop this core runs; tests use it
-// to pin each scheme to its monomorphic loop.
-func (c *Core) LoopName() string {
-	switch c.cfg.Scheme {
-	case Reuse:
-		return "stepReuse"
-	case EarlyRelease:
-		return "stepEarly"
-	default:
-		return "stepBaseline"
-	}
-}
-
-// stepBaseline is the specialized cycle loop for the conventional scheme.
-//
-//repro:hotpath
-func (c *Core) stepBaseline() {
 	c.processEvents()
 	if c.halted {
 		c.stepTail()
@@ -480,56 +450,15 @@ func (c *Core) stepBaseline() {
 		c.stepTail()
 		return
 	}
-	c.issue()
-	c.renameDispatchBaseline()
-	c.fetch()
-	c.stepTail()
-}
-
-// stepReuse is the specialized cycle loop for the paper's register-sharing
-// scheme: stolen-source repair in dispatch plus Figure 9 occupancy sampling.
-//
-//repro:hotpath
-func (c *Core) stepReuse() {
-	c.processEvents()
-	if c.halted {
-		c.stepTail()
-		return
-	}
-	c.commit()
-	if c.halted {
-		c.stepTail()
-		return
+	if c.cfg.Scheme == EarlyRelease {
+		c.advanceSpecBoundary()
 	}
 	c.issue()
-	c.renameDispatchReuse()
+	c.renameDispatch()
 	c.fetch()
-	if ival := c.cfg.OccupancySampleInterval; ival > 0 && c.cycle%ival == 0 {
+	if ival := c.cfg.OccupancySampleInterval; ival > 0 && c.cfg.Scheme == Reuse && c.cycle%ival == 0 {
 		c.sampleOccupancy()
 	}
-	c.stepTail()
-}
-
-// stepEarly is the specialized cycle loop for the early-release comparator:
-// the speculation boundary advances before issue so trackers see resolved
-// branches, and dispatch notes pending source slots.
-//
-//repro:hotpath
-func (c *Core) stepEarly() {
-	c.processEvents()
-	if c.halted {
-		c.stepTail()
-		return
-	}
-	c.commit()
-	if c.halted {
-		c.stepTail()
-		return
-	}
-	c.advanceSpecBoundary()
-	c.issue()
-	c.renameDispatchEarly()
-	c.fetch()
 	c.stepTail()
 }
 
@@ -596,41 +525,4 @@ func (c *Core) sampleOccupancy() {
 		}
 		c.stats.Occupancy[k][n]++
 	}
-}
-
-// DebugDump renders the stuck-state diagnostics used while developing the
-// simulator: ROB head, issue queue and queue occupancies.
-func (c *Core) DebugDump() string {
-	s := fmt.Sprintf("cycle=%d committed=%d robCount=%d iq=%d lq=%d sq=%d fetchQ=%d fetchPC=%#x resumeAt=%d halted=%v\n",
-		c.cycle, c.stats.Committed, c.robCount, c.iqCount, c.lqCnt, c.sqCnt, c.fqCount, c.fetchPC, c.fetchResumeAt, c.fetchHalted)
-	for i := 0; i < c.robCount && i < 6; i++ {
-		e := &c.rob[c.robIdxAt(i)]
-		s += fmt.Sprintf("  rob[%d] seq=%d pc=%#x %v completed=%v exc=%d micro=%v\n", i, e.seq, e.pc, c.instAt(e.idx), e.completed, e.exc, e.micro)
-	}
-	var slots []int32
-	for i := range c.iqPool {
-		if c.iqPool[i].active {
-			slots = append(slots, int32(i))
-		}
-	}
-	sort.Slice(slots, func(a, b int) bool { return c.iqPool[slots[a]].seq < c.iqPool[slots[b]].seq })
-	for i, idx := range slots {
-		if i >= 8 {
-			break
-		}
-		ent := &c.iqPool[idx]
-		s += fmt.Sprintf("  iq[%d] seq=%d pc=%#x %v srcs=[%v %v] fu=%v ready=%v\n", i, ent.seq, ent.pc, c.instAt(ent.idx),
-			ent.src[0], ent.src[1], ent.fu, ent.pending == 0)
-	}
-	s += fmt.Sprintf("  freeInt=%d freeFP=%d\n", c.renI.FreeRegs(), c.renF.FreeRegs())
-	if c.cfg.Scheme == Reuse {
-		for l := 0; l < 8; l++ {
-			s += fmt.Sprintf("  int map x%d: %+v\n", l, c.renI.PeekSrc(uint8(l)))
-		}
-	}
-	s += fmt.Sprintf("  events pending: %d\n", c.evPending)
-	for fu, slots := range c.fuBusy {
-		s += fmt.Sprintf("  fu%d busy: %v\n", fu, slots)
-	}
-	return s
 }

@@ -142,6 +142,7 @@ func TestRandomProgramsDifferential(t *testing.T) {
 		for _, scheme := range []Scheme{Baseline, Reuse, EarlyRelease} {
 			cfg := DefaultConfig(scheme)
 			cfg.CheckOracle = true
+			cfg.DebugInvariants = true
 			cfg.MaxCycles = 40_000_000
 			cfg.InterruptEvery = 777         // stress flush/recovery paths
 			cfg.MemSpeculation = seed%2 == 0 // alternate disambiguation modes
@@ -223,6 +224,7 @@ func TestCheckpointResumeEquivalence(t *testing.T) {
 			mkcfg := func() Config {
 				cfg := DefaultConfig(scheme)
 				cfg.CheckOracle = true
+				cfg.DebugInvariants = true
 				cfg.MaxCycles = 40_000_000
 				cfg.InterruptEvery = 777
 				cfg.MemSpeculation = seed%2 == 0

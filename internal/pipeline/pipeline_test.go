@@ -11,8 +11,8 @@ import (
 	"repro/internal/workloads"
 )
 
-// runBoth runs src under the given scheme with the oracle enabled and
-// returns the core.
+// runScheme runs src under the given scheme with the lockstep oracle and
+// the per-dispatch invariant checks enabled and returns the core.
 func runScheme(t *testing.T, src string, scheme Scheme, mut func(*Config)) *Core {
 	t.Helper()
 	p, err := asm.Assemble(src)
@@ -21,6 +21,7 @@ func runScheme(t *testing.T, src string, scheme Scheme, mut func(*Config)) *Core
 	}
 	cfg := DefaultConfig(scheme)
 	cfg.CheckOracle = true
+	cfg.DebugInvariants = true
 	cfg.MaxCycles = 10_000_000
 	if mut != nil {
 		mut(&cfg)

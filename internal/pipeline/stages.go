@@ -69,95 +69,20 @@ func (c *Core) fetch() {
 	}
 }
 
-// The renameDispatch variants below rename and dispatch up to RenameWidth
-// instructions from the fetch queue into the ROB, IQ and LSQ. A blocking
-// condition stalls the whole stage for the cycle (in-order front end). There
-// is one variant per scheme so the per-instruction rename calls are direct
-// calls on the concrete renamer type; the scheme-independent back half
-// (ROB/IQ/LSQ fill) is shared in dispatchFill.
-
-// renameDispatchBaseline is the specialized dispatch loop for the
-// conventional merged-register-file scheme.
+// renameDispatch renames and dispatches up to RenameWidth instructions from
+// the fetch queue into the ROB, IQ and LSQ. A blocking condition stalls the
+// whole stage for the cycle (in-order front end). One body serves every
+// scheme: each renamer call switches on the scheme at the call site and
+// calls the concrete renamer type, so the per-instruction calls stay direct
+// and inlinable, and the scheme-only steps sit behind scheme guards — the
+// reuse scheme's stolen-source repair (§IV-D1) and Read bits, and the
+// early-release scheme's pending-source notes. The scheme-independent back
+// half (ROB/IQ/LSQ fill) is dispatchFill.
 //
 //repro:hotpath
-func (c *Core) renameDispatchBaseline() {
+func (c *Core) renameDispatch() {
 	u := c.uops
-	for slot := 0; slot < c.cfg.RenameWidth && c.fqCount > 0; slot++ {
-		rec := c.fetchQAt(0)
-		if c.robCount == len(c.rob) {
-			c.stats.StallROB++
-			if c.o != nil {
-				c.obsCore(obs.CoreStallROB, 0, 0)
-			}
-			return
-		}
-		idx := rec.idx
-		flags := u.Flags[idx]
-
-		if flags&prog.UFNopOrHalt != 0 {
-			c.dispatchNopHalt(rec)
-			continue
-		}
-		if c.dispatchStructStall(flags) {
-			return
-		}
-
-		// Collect source tags (peek: no side effects yet).
-		in := u.Inst[idx]
-		var srcs [2]iqSrc
-		if flags&prog.UFSrc1Used != 0 {
-			cl := u.Src1Class[idx]
-			srcs[0] = iqSrc{used: true, class: cl, tag: c.base(cl).PeekSrc(in.Rs1).Tag}
-		}
-		if flags&prog.UFSrc2Used != 0 {
-			cl := u.Src2Class[idx]
-			srcs[1] = iqSrc{used: true, class: cl, tag: c.base(cl).PeekSrc(in.Rs2).Tag}
-		}
-
-		destClass := u.DestClass[idx]
-		var destRes rename.DestResult
-		if destClass != isa.NoReg {
-			res, ok := c.base(destClass).RenameDest(rec.pc, u.DestLog[idx], u.Cand[idx][:u.NCand[idx]])
-			if !ok {
-				c.countNoRegStall(destClass)
-				return
-			}
-			destRes = res
-			regs := [2]uint8{in.Rs1, in.Rs2}
-			for i := range srcs {
-				if srcs[i].used && srcs[i].class != destClass {
-					c.base(srcs[i].class).MarkSrcRead(regs[i])
-				}
-			}
-		} else {
-			regs := [2]uint8{in.Rs1, in.Rs2}
-			var first [2]uint8
-			haveFirst := false
-			for i := range srcs {
-				if !srcs[i].used {
-					continue
-				}
-				key := [2]uint8{uint8(srcs[i].class), regs[i]}
-				if haveFirst && key == first {
-					continue
-				}
-				first = key
-				haveFirst = true
-				c.base(srcs[i].class).MarkSrcRead(regs[i])
-			}
-		}
-
-		c.dispatchFill(rec, srcs, destClass, destRes, flags)
-		c.fetchQPop()
-	}
-}
-
-// renameDispatchReuse is the specialized dispatch loop for the paper's
-// register-sharing scheme, including §IV-D1 stolen-source repair micro-ops.
-//
-//repro:hotpath
-func (c *Core) renameDispatchReuse() {
-	u := c.uops
+	scheme := c.cfg.Scheme
 	for slot := 0; slot < c.cfg.RenameWidth && c.fqCount > 0; slot++ {
 		rec := c.fetchQAt(0)
 		if c.robCount == len(c.rob) {
@@ -178,21 +103,23 @@ func (c *Core) renameDispatchReuse() {
 		// Stolen source mappings must be repaired by a move micro-op
 		// before the instruction can read them (§IV-D1).
 		in := u.Inst[idx]
-		if stolenLog, stolenClass, found := c.findStolenSrc(idx, in); found {
-			if c.iqCount >= c.cfg.IQSize {
-				c.stats.StallIQ++
-				if c.o != nil {
-					c.obsCore(obs.CoreStallIQ, 0, 0)
+		if scheme == Reuse {
+			if stolenLog, stolenClass, found := c.findStolenSrc(idx, in); found {
+				if c.iqCount >= c.cfg.IQSize {
+					c.stats.StallIQ++
+					if c.o != nil {
+						c.obsCore(obs.CoreStallIQ, 0, 0)
+					}
+					return
 				}
-				return
+				rep, ok := c.reuse(stolenClass).RepairSteal(stolenLog)
+				if !ok {
+					c.countNoRegStall(stolenClass)
+					return
+				}
+				c.dispatchMicro(rec.pc, stolenClass, rep)
+				continue // retry the same instruction in the next slot
 			}
-			rep, ok := c.reuse(stolenClass).RepairSteal(stolenLog)
-			if !ok {
-				c.countNoRegStall(stolenClass)
-				return
-			}
-			c.dispatchMicro(rec.pc, stolenClass, rep)
-			continue // retry the same instruction in the next slot
 		}
 
 		if c.dispatchStructStall(flags) {
@@ -203,137 +130,78 @@ func (c *Core) renameDispatchReuse() {
 		var srcs [2]iqSrc
 		if flags&prog.UFSrc1Used != 0 {
 			cl := u.Src1Class[idx]
-			srcs[0] = iqSrc{used: true, class: cl, tag: c.reuse(cl).PeekSrc(in.Rs1).Tag}
+			var tag rename.Tag
+			switch scheme {
+			case Reuse:
+				tag = c.reuse(cl).PeekSrc(in.Rs1).Tag
+			case EarlyRelease:
+				tag = c.early(cl).PeekSrc(in.Rs1).Tag
+			default:
+				tag = c.base(cl).PeekSrc(in.Rs1).Tag
+			}
+			srcs[0] = iqSrc{used: true, class: cl, tag: tag}
 		}
 		if flags&prog.UFSrc2Used != 0 {
 			cl := u.Src2Class[idx]
-			srcs[1] = iqSrc{used: true, class: cl, tag: c.reuse(cl).PeekSrc(in.Rs2).Tag}
-		}
-
-		// Rename the destination (reuse decision + allocation).
-		destClass := u.DestClass[idx]
-		var destRes rename.DestResult
-		if destClass != isa.NoReg {
-			res, ok := c.reuse(destClass).RenameDest(rec.pc, u.DestLog[idx], u.Cand[idx][:u.NCand[idx]])
-			if !ok {
-				c.countNoRegStall(destClass)
-				return
+			var tag rename.Tag
+			switch scheme {
+			case Reuse:
+				tag = c.reuse(cl).PeekSrc(in.Rs2).Tag
+			case EarlyRelease:
+				tag = c.early(cl).PeekSrc(in.Rs2).Tag
+			default:
+				tag = c.base(cl).PeekSrc(in.Rs2).Tag
 			}
-			destRes = res
-			regs := [2]uint8{in.Rs1, in.Rs2}
+			srcs[1] = iqSrc{used: true, class: cl, tag: tag}
+		}
+		if scheme == EarlyRelease {
+			// Register the pending source slots before the destination
+			// rename can unmap one of them.
+			c.earlyI.NoteRenamed(c.seqNext)
+			c.earlyF.NoteRenamed(c.seqNext)
 			for i := range srcs {
-				if srcs[i].used && srcs[i].class != destClass {
-					c.reuse(srcs[i].class).MarkSrcRead(regs[i])
+				if srcs[i].used {
+					c.early(srcs[i].class).NoteSrcSlot(srcs[i].tag)
 				}
-			}
-		} else {
-			regs := [2]uint8{in.Rs1, in.Rs2}
-			var first [2]uint8
-			haveFirst := false
-			for i := range srcs {
-				if !srcs[i].used {
-					continue
-				}
-				key := [2]uint8{uint8(srcs[i].class), regs[i]}
-				if haveFirst && key == first {
-					continue
-				}
-				first = key
-				haveFirst = true
-				c.reuse(srcs[i].class).MarkSrcRead(regs[i])
-			}
-		}
-
-		c.dispatchFill(rec, srcs, destClass, destRes, flags)
-		c.fetchQPop()
-	}
-}
-
-// renameDispatchEarly is the specialized dispatch loop for the early-release
-// comparator: pending source slots are noted with the activity trackers
-// before the destination rename so a redefining consumer cannot release its
-// own source prematurely.
-//
-//repro:hotpath
-func (c *Core) renameDispatchEarly() {
-	u := c.uops
-	for slot := 0; slot < c.cfg.RenameWidth && c.fqCount > 0; slot++ {
-		rec := c.fetchQAt(0)
-		if c.robCount == len(c.rob) {
-			c.stats.StallROB++
-			if c.o != nil {
-				c.obsCore(obs.CoreStallROB, 0, 0)
-			}
-			return
-		}
-		idx := rec.idx
-		flags := u.Flags[idx]
-
-		if flags&prog.UFNopOrHalt != 0 {
-			c.dispatchNopHalt(rec)
-			continue
-		}
-		if c.dispatchStructStall(flags) {
-			return
-		}
-
-		// Collect source tags (peek: no side effects yet).
-		in := u.Inst[idx]
-		var srcs [2]iqSrc
-		if flags&prog.UFSrc1Used != 0 {
-			cl := u.Src1Class[idx]
-			srcs[0] = iqSrc{used: true, class: cl, tag: c.early(cl).PeekSrc(in.Rs1).Tag}
-		}
-		if flags&prog.UFSrc2Used != 0 {
-			cl := u.Src2Class[idx]
-			srcs[1] = iqSrc{used: true, class: cl, tag: c.early(cl).PeekSrc(in.Rs2).Tag}
-		}
-		// Register the pending source slots before the destination rename
-		// can unmap one of them.
-		c.earlyI.NoteRenamed(c.seqNext)
-		c.earlyF.NoteRenamed(c.seqNext)
-		for i := range srcs {
-			if srcs[i].used {
-				c.early(srcs[i].class).NoteSrcSlot(srcs[i].tag)
 			}
 		}
 
 		destClass := u.DestClass[idx]
 		var destRes rename.DestResult
 		if destClass != isa.NoReg {
-			res, ok := c.early(destClass).RenameDest(rec.pc, u.DestLog[idx], u.Cand[idx][:u.NCand[idx]])
+			cand := u.Cand[idx][:u.NCand[idx]]
+			var ok bool
+			switch scheme {
+			case Reuse:
+				destRes, ok = c.reuse(destClass).RenameDest(rec.pc, u.DestLog[idx], cand)
+			case EarlyRelease:
+				destRes, ok = c.early(destClass).RenameDest(rec.pc, u.DestLog[idx], cand)
+			default:
+				destRes, ok = c.base(destClass).RenameDest(rec.pc, u.DestLog[idx], cand)
+			}
 			if !ok {
-				// Abandon the noted slots; the retry re-notes them.
-				for i := range srcs {
-					if srcs[i].used {
-						c.early(srcs[i].class).NoteSrcConsumed(srcs[i].tag)
+				if scheme == EarlyRelease {
+					// Abandon the noted slots; the retry re-notes them.
+					for i := range srcs {
+						if srcs[i].used {
+							c.early(srcs[i].class).NoteSrcConsumed(srcs[i].tag)
+						}
 					}
 				}
 				c.countNoRegStall(destClass)
 				return
 			}
-			destRes = res
-			regs := [2]uint8{in.Rs1, in.Rs2}
-			for i := range srcs {
-				if srcs[i].used && srcs[i].class != destClass {
-					c.early(srcs[i].class).MarkSrcRead(regs[i])
-				}
+		}
+		if scheme == Reuse {
+			// Set the Read bits. RenameDest has already marked same-class
+			// sources of an instruction with a destination; without a
+			// destination, a register read twice counts as one read.
+			if srcs[0].used && srcs[0].class != destClass {
+				c.reuse(srcs[0].class).MarkSrcRead(in.Rs1)
 			}
-		} else {
-			regs := [2]uint8{in.Rs1, in.Rs2}
-			var first [2]uint8
-			haveFirst := false
-			for i := range srcs {
-				if !srcs[i].used {
-					continue
-				}
-				key := [2]uint8{uint8(srcs[i].class), regs[i]}
-				if haveFirst && key == first {
-					continue
-				}
-				first = key
-				haveFirst = true
-				c.early(srcs[i].class).MarkSrcRead(regs[i])
+			if srcs[1].used && srcs[1].class != destClass &&
+				!(destClass == isa.NoReg && srcs[0].used && srcs[0].class == srcs[1].class && in.Rs1 == in.Rs2) {
+				c.reuse(srcs[1].class).MarkSrcRead(in.Rs2)
 			}
 		}
 
@@ -399,10 +267,6 @@ func (c *Core) dispatchFill(rec *fetchRec, srcs [2]iqSrc, destClass isa.RegClass
 	if c.o != nil {
 		c.obsRenamed(rec, e.seq, destRes, destClass)
 	}
-	if traceReg >= 0 && destClass != isa.NoReg && destRes.Tag.Reg == rename.PhysReg(traceReg) {
-		//repro:allow hotpath traceReg debug path, off by default
-		fmt.Printf("[%d] seq=%d pc=%#x %v -> dest %+v\n", c.cycle, e.seq, rec.pc, u.Inst[idx], destRes)
-	}
 	if destClass != isa.NoReg {
 		e.hasDest = true
 		e.destClass = destClass
@@ -448,11 +312,6 @@ func (c *Core) dispatchFill(rec *fetchRec, srcs [2]iqSrc, destClass isa.RegClass
 		if c.cfg.DebugInvariants && ent.src[i].used && !ent.src[i].ready {
 			c.assertInFlightProducer(ent.src[i], rec.pc, idx, e.seq)
 		}
-	}
-	if traceSeqLo < traceSeqHi && e.seq >= traceSeqLo && e.seq < traceSeqHi {
-		//repro:allow hotpath trace-window debug path, off by default
-		fmt.Printf("[cyc %d] seq=%d %v srcs=[%v,%v] dest=%v\n",
-			c.cycle, e.seq, u.Inst[idx], ent.src[0], ent.src[1], destRes)
 	}
 	c.finishDispatch(iqSlot)
 	if isLoad {
@@ -662,16 +521,3 @@ func (c *Core) assertInFlightProducer(s iqSrc, pc uint64, idx int32, seq uint64)
 	panic(fmt.Sprintf("pipeline: cycle %d seq %d pc=%#x %v waits on %v tag %+v with no in-flight producer",
 		c.cycle, seq, pc, c.instAt(idx), s.class, s.tag))
 }
-
-// traceReg enables targeted debug tracing of one physical integer register
-// (-1 = off).
-var traceReg = -1
-
-// traceSeqLo/Hi bound a sequence-number window for rename tracing (0,0=off).
-var traceSeqLo, traceSeqHi uint64
-
-// TraceSeqWindow enables rename tracing for seq in [lo, hi).
-func TraceSeqWindow(lo, hi uint64) { traceSeqLo, traceSeqHi = lo, hi }
-
-// TraceReg turns on debug tracing for one physical integer register.
-func TraceReg(p int) { traceReg = p }

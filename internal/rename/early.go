@@ -2,7 +2,6 @@ package rename
 
 import (
 	"fmt"
-	"os"
 
 	"repro/internal/regfile"
 )
@@ -108,10 +107,6 @@ type EarlyRenamer struct {
 	// EarlyReleases counts successful early releases.
 	EarlyReleases uint64
 }
-
-// TraceEarlyReg enables stderr tracing of one register's release events
-// (-1 = off); debug aid.
-var TraceEarlyReg = -1
 
 type armedRelease struct {
 	reg     PhysReg
@@ -220,10 +215,6 @@ func (e *EarlyRenamer) alloc() (PhysReg, Ver, bool) {
 		return 0, 0, false
 	}
 	p, _ := e.freeLists[best].pop()
-	if int(p) == TraceEarlyReg {
-		//repro:allow hotpath TraceEarlyReg debug path, off by default
-		fmt.Fprintf(os.Stderr, "[early] alloc P%d ctr=%d refs=%d curSeq=%d\n", p, e.ctr[p], e.retireRefs[p], e.curSeq)
-	}
 	e.inRing[p] = false
 	e.pending[p] = 0
 	e.unmapped[p] = false
@@ -312,10 +303,6 @@ func (e *EarlyRenamer) NoteSpecBoundary(boundary uint64) {
 			!e.committedSet[a.reg] || e.committedVer[a.reg] != e.ctr[a.reg] {
 			continue
 		}
-		if int(a.reg) == TraceEarlyReg {
-			//repro:allow hotpath TraceEarlyReg debug path, off by default
-			fmt.Fprintf(os.Stderr, "[early] release P%d unmapOp=%d boundary=%d ctr=%d\n", a.reg, a.unmapOp, boundary, e.ctr[a.reg])
-		}
 		e.freeLists[e.rf.ShadowCells(a.reg)].push(a.reg)
 		e.inRing[a.reg] = true
 		e.suppress[a.reg]++
@@ -357,10 +344,6 @@ func (e *EarlyRenamer) Commit(r DestResult) {
 	e.retireMap[r.Log] = r.Tag
 	e.retireRefs[old.Reg]--
 	if e.retireRefs[old.Reg] == 0 {
-		if int(old.Reg) == TraceEarlyReg {
-			//repro:allow hotpath TraceEarlyReg debug path, off by default
-			fmt.Fprintf(os.Stderr, "[early] commit-displace P%d.%d suppress=%d ctr=%d\n", old.Reg, old.Ver, e.suppress[old.Reg], e.ctr[old.Reg])
-		}
 		if e.suppress[old.Reg] > 0 {
 			e.suppress[old.Reg]--
 		} else {

@@ -425,8 +425,7 @@ func FastForwardWorkload(name string, scale int) (uint64, error) {
 // AnalyzeWorkload runs the functional emulator over a workload and returns
 // the single-use / consumer-count / reuse-chain report (Figures 1-3). It
 // rides the streaming collector on the batched commit-sink path; the
-// per-commit reference collector (analysis.Analyze) produces an identical
-// report, pinned by test.
+// analysis package tests pin it against a per-commit reference collector.
 func AnalyzeWorkload(name string, scale int) (analysis.Report, error) {
 	w, ok := workloads.ByName(name, scale)
 	if !ok {
