@@ -42,11 +42,12 @@ race:
 	$(GO) test -race ./internal/...
 
 # ckpt-tests names the fast-forward correctness gates explicitly: the
-# checkpoint store round-trip, the snapshot round-trip, and the strongest
-# check — checkpoint-booted runs reproduce an uninterrupted run's committed
-# stream and final architectural state bit-exactly.
+# checkpoint store round-trip, the program-digest golden values that keep
+# checkpoint stores on disk valid, the snapshot round-trip, and the
+# strongest check — checkpoint-booted runs reproduce an uninterrupted run's
+# committed stream and final architectural state bit-exactly.
 ckpt-tests:
-	$(GO) test -run 'TestStoreRoundTrip|TestPrepare|TestSampleFunctional' ./internal/ckpt/
+	$(GO) test -run 'TestStoreRoundTrip|TestProgramDigestGolden|TestPrepare|TestSampleFunctional' ./internal/ckpt/
 	$(GO) test -run 'TestSnapshotRestoreRoundTrip|TestStepNMatchesStep' ./internal/emu/
 	$(GO) test -run 'TestCheckpointResumeEquivalence' ./internal/pipeline/
 
@@ -153,7 +154,7 @@ smoke:
 # figure benchmarks, failed by benchjson unless every headline clears its
 # floor and the streaming figure collectors stay within their allocs/op
 # ceilings. Floors sit at or below half the committed baselines
-# (BENCH_core.json records ~5.3 Minst/s raw detailed, ~43 sampled, ~25
+# (BENCH_core.json records ~5.3 Minst/s raw detailed, ~47 sampled, ~33
 # streaming analysis), so they only trip on large regressions, not noise.
 benchsmoke:
 	$(GO) test -run '^$$' -bench 'BenchmarkSimulatorThroughput|BenchmarkFastForward|BenchmarkSampledThroughput|BenchmarkAnalysisThroughput|BenchmarkFig1SingleUse|BenchmarkFig2Consumers|BenchmarkFig3ReuseDepth' -benchtime 1x -benchmem . | \

@@ -259,7 +259,9 @@ func BenchmarkSimulatorThroughput(b *testing.B) {
 // BenchmarkFastForward measures the functional fast-forward interpreter
 // (emu.StepN's batched dispatch) end to end on the same workload as
 // BenchmarkSimulatorThroughput; the ratio of the two Minst/s figures is the
-// fast-forward speedup that cmd/benchjson records in BENCH_core.json.
+// fast-forward speedup that cmd/benchjson records in BENCH_core.json. Each
+// iteration times emu.New as well (booting memory from the program's data
+// runs), as every ckpt.FastForward caller pays it.
 func BenchmarkFastForward(b *testing.B) {
 	w, _ := workloads.ByName("dgemm", 1)
 	p := w.Program()

@@ -196,11 +196,12 @@ func (a *assembler) dataSize(st *statement) (int, error) {
 
 func (a *assembler) pass2() (*prog.Program, error) {
 	var insts []isa.Inst
-	data := make(map[uint64]byte)
+	var data []prog.DataSeg
 	for i := range a.stmts {
 		st := &a.stmts[i]
 		if st.isData {
-			if err := a.emitData(st, data); err != nil {
+			var err error
+			if data, err = a.emitData(st, data); err != nil {
 				return nil, err
 			}
 			continue
@@ -217,39 +218,36 @@ func (a *assembler) pass2() (*prog.Program, error) {
 	return prog.New(insts, data, a.labels)
 }
 
-func (a *assembler) emitData(st *statement, data map[uint64]byte) error {
-	addr := st.addr
-	switch st.mnem {
-	case ".word":
-		for _, arg := range st.args {
-			v, err := parseIntArg(arg)
+// emitData appends the bytes st initializes to data. Pass 1 only ever raises
+// dataPos, so statements arrive in ascending address order: one that starts
+// where the last run ends extends it, and a .space or .align gap starts a
+// new run.
+func (a *assembler) emitData(st *statement, data []prog.DataSeg) ([]prog.DataSeg, error) {
+	if st.mnem == ".space" {
+		return data, nil // Uninitialized; memory reads as zero.
+	}
+	if n := len(data); n == 0 || data[n-1].Addr+uint64(len(data[n-1].Bytes)) != st.addr {
+		data = append(data, prog.DataSeg{Addr: st.addr})
+	}
+	seg := &data[len(data)-1]
+	for _, arg := range st.args {
+		var v uint64
+		if st.mnem == ".word" {
+			iv, err := parseIntArg(arg)
 			if err != nil {
-				return a.errf(st.line, "bad .word value %q", arg)
+				return nil, a.errf(st.line, "bad .word value %q", arg)
 			}
-			var buf [8]byte
-			binary.LittleEndian.PutUint64(buf[:], uint64(v))
-			for i, b := range buf {
-				data[addr+uint64(i)] = b
-			}
-			addr += 8
-		}
-	case ".double":
-		for _, arg := range st.args {
+			v = uint64(iv)
+		} else {
 			f, err := strconv.ParseFloat(arg, 64)
 			if err != nil {
-				return a.errf(st.line, "bad .double value %q", arg)
+				return nil, a.errf(st.line, "bad .double value %q", arg)
 			}
-			var buf [8]byte
-			binary.LittleEndian.PutUint64(buf[:], math.Float64bits(f))
-			for i, b := range buf {
-				data[addr+uint64(i)] = b
-			}
-			addr += 8
+			v = math.Float64bits(f)
 		}
-	case ".space":
-		// Uninitialized; memory reads as zero.
+		seg.Bytes = binary.LittleEndian.AppendUint64(seg.Bytes, v)
 	}
-	return nil
+	return data, nil
 }
 
 func validLabel(s string) bool {

@@ -1,6 +1,9 @@
 package asm
 
 import (
+	"bytes"
+	"encoding/binary"
+	"math"
 	"math/rand"
 	"strings"
 	"testing"
@@ -100,6 +103,54 @@ func TestAlignDirective(t *testing.T) {
 	b, _ := p.Symbol("b")
 	if b%64 != 0 {
 		t.Errorf("b at %#x, not 64-aligned", b)
+	}
+}
+
+// TestDataRuns: back-to-back .word/.double statements, across text/data
+// switches and a .space 0, form one run; .space and .align gaps split runs.
+func TestDataRuns(t *testing.T) {
+	p, err := Assemble(`
+	.data
+	a:    .word 1, 2
+	      .double 0.5
+	      .space 0
+	.text
+		halt
+	.data
+	      .word 3
+	gap:  .space 16
+	b:    .word 4
+	.align 64
+	c:    .double 1.5
+	`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, _ := p.Symbol("b")
+	c, _ := p.Symbol("c")
+	le := func(vs ...uint64) []byte {
+		var out []byte
+		for _, v := range vs {
+			out = binary.LittleEndian.AppendUint64(out, v)
+		}
+		return out
+	}
+	want := []prog.DataSeg{
+		{Addr: prog.DataBase, Bytes: le(1, 2, math.Float64bits(0.5), 3)},
+		{Addr: b, Bytes: le(4)},
+		{Addr: c, Bytes: le(math.Float64bits(1.5))},
+	}
+	got := p.DataSegments()
+	if len(got) != len(want) {
+		t.Fatalf("%d runs, want %d: %v", len(got), len(want), got)
+	}
+	for i := range want {
+		if got[i].Addr != want[i].Addr || !bytes.Equal(got[i].Bytes, want[i].Bytes) {
+			t.Errorf("run %d = %#x % x, want %#x % x", i, got[i].Addr, got[i].Bytes, want[i].Addr, want[i].Bytes)
+		}
+	}
+	if p.DataLen() != 6*8 {
+		t.Errorf("DataLen = %d, want 48", p.DataLen())
 	}
 }
 

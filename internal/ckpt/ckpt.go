@@ -14,7 +14,6 @@ import (
 	"crypto/sha256"
 	"encoding/binary"
 	"fmt"
-	"sort"
 
 	"repro/internal/emu"
 	"repro/internal/prog"
@@ -52,32 +51,27 @@ func ProgramDigest(p *prog.Program) Digest {
 		u64(uint64(in.Rd) | uint64(in.Rs1)<<8 | uint64(in.Rs2)<<16)
 		u64(uint64(in.Imm))
 	}
-	// InitialData iterates in unspecified order; serialize sorted.
-	addrs, bytes := sortedData(p)
-	u64(uint64(len(addrs)))
-	for i, a := range addrs {
-		u64(a)
-		h.Write([]byte{bytes[i]})
+	// The data image hashes as (address, byte) pairs in ascending address
+	// order. The runs are already in that order, so they stream through
+	// recs, one Write per full buffer.
+	u64(uint64(p.DataLen()))
+	const rec = 9
+	var recs [rec * 512]byte
+	n := 0
+	for _, seg := range p.DataSegments() {
+		for i, b := range seg.Bytes {
+			binary.LittleEndian.PutUint64(recs[n:], seg.Addr+uint64(i))
+			recs[n+8] = b
+			if n += rec; n == len(recs) {
+				h.Write(recs[:])
+				n = 0
+			}
+		}
 	}
+	h.Write(recs[:n])
 	var d Digest
 	h.Sum(d[:0])
 	return d
-}
-
-func sortedData(p *prog.Program) ([]uint64, []byte) {
-	type kv struct {
-		a uint64
-		b byte
-	}
-	pairs := make([]kv, 0, p.DataLen())
-	p.InitialData(func(a uint64, b byte) { pairs = append(pairs, kv{a, b}) })
-	sort.Slice(pairs, func(i, j int) bool { return pairs[i].a < pairs[j].a })
-	addrs := make([]uint64, len(pairs))
-	bs := make([]byte, len(pairs))
-	for i, p := range pairs {
-		addrs[i], bs[i] = p.a, p.b
-	}
-	return addrs, bs
 }
 
 // FastForward functionally executes p from reset to exactly n instructions

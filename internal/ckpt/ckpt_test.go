@@ -51,6 +51,43 @@ func TestProgramDigestSensitivity(t *testing.T) {
 	}
 }
 
+// TestProgramDigestGolden pins ProgramDigest to values computed before
+// program data moved from a per-byte map to address-ordered runs. Stored
+// checkpoints are keyed by this digest, so a change here orphans every
+// checkpoint store on disk. The cases cover multi-page data at two scales,
+// a kernel with no data, and a hand-written program whose data falls into
+// three runs.
+func TestProgramDigestGolden(t *testing.T) {
+	golden := []struct {
+		name  string
+		scale int
+		hex   string
+	}{
+		{"dgemm", 1, "2ed9e4b5679ef1a85f2ff1aec5e19fff6738fdf5c1562098f694f9f78832410a"},
+		{"dgemm", 4, "c48393df4c37b8ca43db2cd275bf37c2e679e1cc8cceec571eef7a0bb4d105bd"},
+		{"listwalk", 1, "4bb76ecbff097ba55e1685d356b14062b5f905b1d1f5647611552f39867c43b3"},
+		{"listwalk", 4, "b56e8dcbc0a929a1a8daa9fd6d430e02ee97e981f9b975b9a5852e4e4dc07c9a"},
+		{"montecarlo", 1, "8aa6c94367e642c0c45fb9a2ecba2350cda2fa3df622fe49ca62155f670ac681"},
+		{"montecarlo", 4, "ef7b3ca65ec660911393ff275f6123867a4afc48ede43245962175b8966386d9"},
+	}
+	for _, g := range golden {
+		if got := ProgramDigest(assemble(t, g.name, g.scale)).String(); got != g.hex {
+			t.Errorf("%s scale %d: digest %s, want %s", g.name, g.scale, got, g.hex)
+		}
+	}
+	p, err := asm.Assemble("halt\n.data\na: .word 1, 2\nb: .space 8\nc: .double 0.5\n.align 64\nd: .word 3\n")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := len(p.DataSegments()); n != 3 {
+		t.Fatalf("hand-written program has %d data runs, want 3", n)
+	}
+	const want = "d87edcf9556249e838351cd246f4023266c8e2cf31f95b36d3a907b37c875485"
+	if got := ProgramDigest(p).String(); got != want {
+		t.Errorf("three-run program: digest %s, want %s", got, want)
+	}
+}
+
 func TestStoreRoundTrip(t *testing.T) {
 	p := assemble(t, "dgemm", 1)
 	d := ProgramDigest(p)

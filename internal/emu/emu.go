@@ -40,10 +40,20 @@ type State struct {
 // New creates a machine loaded with p: data image installed, PC at the entry
 // point, stack pointer (x29) at prog.StackTop.
 func New(p *prog.Program) *State {
-	s := &State{Mem: NewMemory(), PC: p.Entry(), prog: p}
-	p.InitialData(func(addr uint64, b byte) { s.Mem.StoreByte(addr, b) })
+	s := &State{Mem: BootMemory(p), PC: p.Entry(), prog: p}
 	s.X[29] = prog.StackTop
 	return s
+}
+
+// BootMemory returns a fresh memory holding p's initial data image, copied
+// in one run at a time. It is the one memory boot path: the emulator and
+// the detailed core (when not booting from a snapshot) both start from it.
+func BootMemory(p *prog.Program) *Memory {
+	m := NewMemory()
+	for _, d := range p.DataSegments() {
+		m.StoreBytes(d.Addr, d.Bytes)
+	}
+	return m
 }
 
 // Halted reports whether the program has executed HALT.

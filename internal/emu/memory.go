@@ -65,6 +65,16 @@ func (m *Memory) StoreByte(addr uint64, b byte) {
 	m.page(addr, true)[addr&pageMask] = b
 }
 
+// StoreBytes stores b starting at addr, one page-sized copy at a time. It
+// creates exactly the pages a StoreByte loop over b would.
+func (m *Memory) StoreBytes(addr uint64, b []byte) {
+	for len(b) > 0 {
+		n := copy(m.page(addr, true)[addr&pageMask:], b)
+		addr += uint64(n)
+		b = b[n:]
+	}
+}
+
 // LoadWord64 loads the 8-byte little-endian word at addr through the
 // single-page fast path: when the word lies inside the cached page it is one
 // bounds-checked slice read, with no map probe. Page-straddling accesses

@@ -2,6 +2,7 @@ package emu
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -150,5 +151,43 @@ func TestWordFastPathCacheInvalidation(t *testing.T) {
 	m.SetPageData(1, &page)
 	if got := m.LoadWord64(0x1000); got != 0xBB {
 		t.Fatalf("read after SetPageData = %#x, want 0xBB", got)
+	}
+}
+
+// TestStoreBytesMatchesByteLoop: StoreBytes must leave the same page set
+// and page contents as a StoreByte loop, for runs crossing page boundaries,
+// ending on a page's last byte, starting on a page's first byte, spanning
+// whole pages, and empty.
+func TestStoreBytesMatchesByteLoop(t *testing.T) {
+	r := rand.New(rand.NewSource(3))
+	cases := []struct {
+		addr uint64
+		n    int
+	}{
+		{4096 - 3, 7},            // crosses one boundary
+		{2*4096 - 16, 16},        // ends on the page's last byte
+		{3 * 4096, 5},            // starts on a page's first byte
+		{5*4096 + 100, 3 * 4096}, // spans whole pages
+		{9*4096 - 1, 1},          // one byte, last of its page
+		{12 * 4096, 0},           // empty: creates no page
+	}
+	for _, c := range cases {
+		b := make([]byte, c.n)
+		r.Read(b)
+		got, want := NewMemory(), NewMemory()
+		got.StoreBytes(c.addr, b)
+		for i, v := range b {
+			want.StoreByte(c.addr+uint64(i), v)
+		}
+		gp, wp := got.PageNumbers(), want.PageNumbers()
+		if !slices.Equal(gp, wp) {
+			t.Errorf("addr %#x len %d: pages %v, want %v", c.addr, c.n, gp, wp)
+			continue
+		}
+		for _, pn := range wp {
+			if *got.PageData(pn) != *want.PageData(pn) {
+				t.Errorf("addr %#x len %d: page %d contents differ", c.addr, c.n, pn)
+			}
+		}
 	}
 }

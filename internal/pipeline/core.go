@@ -220,7 +220,6 @@ func New(cfg Config, p *prog.Program) *Core {
 		cfg:  cfg,
 		prog: p,
 		uops: p.UOps(),
-		mem:  emu.NewMemory(),
 		hier: memsys.New(cfg.Mem),
 		bp:   bpred.New(cfg.Bpred),
 		rob:  make([]robEntry, cfg.ROBSize),
@@ -241,7 +240,7 @@ func New(cfg Config, p *prog.Program) *Core {
 	c.resetIQ()
 	c.initEvents(1024)
 	if cfg.Boot == nil {
-		p.InitialData(func(addr uint64, b byte) { c.mem.StoreByte(addr, b) })
+		c.mem = emu.BootMemory(p)
 	}
 
 	c.rfInt = regfile.New(cfg.IntRegs)

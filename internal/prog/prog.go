@@ -26,19 +26,32 @@ const (
 	StackTop uint64 = 0x0800_0000
 )
 
+// DataSeg is one run of initialized data: Bytes laid out contiguously from
+// address Addr.
+type DataSeg struct {
+	Addr  uint64
+	Bytes []byte
+}
+
 // Program is an immutable loaded program.
 type Program struct {
 	insts   []isa.Inst
 	uops    *UOpTable
-	data    map[uint64]byte
+	data    []DataSeg
+	dataLen int
 	symbols map[string]uint64
 	entry   uint64
 }
 
 // New builds a Program from the given instruction sequence (laid out
-// contiguously from TextBase), initial data bytes keyed by absolute address,
-// and symbol table. The entry point is TextBase.
-func New(insts []isa.Inst, data map[uint64]byte, symbols map[string]uint64) (*Program, error) {
+// contiguously from TextBase), initial data runs, and symbol table. The
+// entry point is TextBase.
+//
+// The runs must be in ascending address order and must not overlap each
+// other, touch text, or wrap the address space; each error names the lowest
+// offending address. Empty runs are skipped and adjacent runs coalesced.
+// New copies the bytes, so callers may reuse their buffers.
+func New(insts []isa.Inst, data []DataSeg, symbols map[string]uint64) (*Program, error) {
 	if len(insts) == 0 {
 		return nil, fmt.Errorf("prog: empty program")
 	}
@@ -47,25 +60,53 @@ func New(insts []isa.Inst, data map[uint64]byte, symbols map[string]uint64) (*Pr
 			return nil, fmt.Errorf("prog: instruction %d: %w", i, err)
 		}
 	}
-	// Validate in ascending address order so the error (and therefore the
-	// caller-visible behavior) does not depend on map iteration order.
-	addrs := make([]uint64, 0, len(data))
-	for a := range data {
-		addrs = append(addrs, a)
-	}
-	sort.Slice(addrs, func(i, j int) bool { return addrs[i] < addrs[j] })
-	d := make(map[uint64]byte, len(data))
-	for _, a := range addrs {
-		if a >= TextBase && a < TextBase+uint64(len(insts)*isa.InstBytes) {
-			return nil, fmt.Errorf("prog: data byte at %#x overlaps text", a)
+	textEnd := TextBase + uint64(len(insts)*isa.InstBytes)
+	// Validate before copying anything. prevAddr/prevLast bound the last
+	// non-empty run (inclusive, so a run ending at the top of the address
+	// space cannot wrap the comparison).
+	total := 0
+	var prevAddr, prevLast uint64
+	for _, d := range data {
+		if len(d.Bytes) == 0 {
+			continue
 		}
-		d[a] = data[a]
+		last := d.Addr + uint64(len(d.Bytes)) - 1
+		switch {
+		case total > 0 && d.Addr < prevAddr:
+			return nil, fmt.Errorf("prog: data run at %#x is below the previous run at %#x", d.Addr, prevAddr)
+		case total > 0 && d.Addr <= prevLast:
+			return nil, fmt.Errorf("prog: data run at %#x overlaps the run at %#x", d.Addr, prevAddr)
+		case last < d.Addr:
+			return nil, fmt.Errorf("prog: data run at %#x (%d bytes) wraps the address space", d.Addr, len(d.Bytes))
+		case d.Addr < textEnd && last >= TextBase:
+			return nil, fmt.Errorf("prog: data byte at %#x overlaps text", max(d.Addr, TextBase))
+		}
+		total += len(d.Bytes)
+		prevAddr, prevLast = d.Addr, last
+	}
+	// One backing array holds every run. Each DataSeg is a capacity-capped
+	// window onto it, so an append through one run cannot overwrite the
+	// next.
+	buf := make([]byte, total)
+	var segs []DataSeg
+	off := 0
+	for _, d := range data {
+		if len(d.Bytes) == 0 {
+			continue
+		}
+		end := off + copy(buf[off:], d.Bytes)
+		if k := len(segs); k > 0 && d.Addr == segs[k-1].Addr+uint64(len(segs[k-1].Bytes)) {
+			segs[k-1].Bytes = buf[off-len(segs[k-1].Bytes) : end : end]
+		} else {
+			segs = append(segs, DataSeg{Addr: d.Addr, Bytes: buf[off:end:end]})
+		}
+		off = end
 	}
 	s := make(map[string]uint64, len(symbols))
 	for k, v := range symbols {
 		s[k] = v
 	}
-	return &Program{insts: insts, uops: buildUOps(insts), data: d, symbols: s, entry: TextBase}, nil
+	return &Program{insts: insts, uops: buildUOps(insts), data: segs, dataLen: total, symbols: s, entry: TextBase}, nil
 }
 
 // Entry returns the entry-point PC.
@@ -114,19 +155,11 @@ func (p *Program) Symbols() []string {
 	return names
 }
 
-// InitialData invokes fn for every initialized data byte in ascending
-// address order, so consumers (memory boot, checkpoint digests) observe a
-// deterministic sequence.
-func (p *Program) InitialData(fn func(addr uint64, b byte)) {
-	addrs := make([]uint64, 0, len(p.data))
-	for a := range p.data {
-		addrs = append(addrs, a)
-	}
-	sort.Slice(addrs, func(i, j int) bool { return addrs[i] < addrs[j] })
-	for _, a := range addrs {
-		fn(a, p.data[a])
-	}
-}
+// DataSegments exposes the initial data image as address-ordered,
+// non-overlapping, non-adjacent runs, for memory boot and content digests
+// that copy or hash whole runs instead of single bytes. Callers must treat
+// the slice and its bytes as read-only.
+func (p *Program) DataSegments() []DataSeg { return p.data }
 
 // DataLen returns the number of initialized data bytes.
-func (p *Program) DataLen() int { return len(p.data) }
+func (p *Program) DataLen() int { return p.dataLen }

@@ -136,26 +136,47 @@ func All() []Workload { return atScale(4) }
 // (tens of thousands of dynamic instructions each).
 func Small() []Workload { return atScale(1) }
 
-// scaleCache memoizes generated workload sets per scale: the generators
-// synthesize source text line by line and re-running all of them per
-// figure pass costs more than the analysis itself. Workload is a value
-// struct of immutable fields, so handing out copies of cached entries is
-// safe; atScale copies the slice so callers may reorder it freely.
-var scaleCache sync.Map // scale int -> []Workload
+// generated memoizes generator output per (registry index, scale): the
+// generators synthesize source text line by line, and re-running them per
+// figure pass or per sweep request costs more than the analysis itself.
+// All, Small, SuiteOf and ByName share it. Workload is a value struct of
+// immutable fields, so handing out copies of cached entries is safe.
+var generated = struct {
+	mu sync.Mutex
+	m  map[genKey]Workload
+}{m: make(map[genKey]Workload)}
 
-func atScale(scale int) []Workload {
-	cached, ok := scaleCache.Load(scale)
-	if !ok {
-		ws := make([]Workload, 0, len(registry))
-		for _, r := range registry {
-			ws = append(ws, r.gen(scale))
-		}
-		cached, _ = scaleCache.LoadOrStore(scale, ws)
+type genKey struct{ idx, scale int }
+
+// generate returns registry[idx] at scale, running the generator on first
+// use. Concurrent first calls may each run it; the first result stored is
+// the one every caller gets.
+func generate(idx, scale int) Workload {
+	k := genKey{idx, scale}
+	generated.mu.Lock()
+	w, ok := generated.m[k]
+	generated.mu.Unlock()
+	if ok {
+		return w
 	}
-	src := cached.([]Workload)
-	out := make([]Workload, len(src))
-	copy(out, src)
-	return out
+	w = registry[idx].gen(scale)
+	generated.mu.Lock()
+	defer generated.mu.Unlock()
+	if prev, ok := generated.m[k]; ok {
+		return prev
+	}
+	generated.m[k] = w
+	return w
+}
+
+// atScale returns every workload at scale in registry order, in a fresh
+// slice callers may reorder freely.
+func atScale(scale int) []Workload {
+	ws := make([]Workload, len(registry))
+	for i := range registry {
+		ws[i] = generate(i, scale)
+	}
+	return ws
 }
 
 // ByName returns the named workload at the given scale (1 = small, 4 =
@@ -163,10 +184,7 @@ func atScale(scale int) []Workload {
 func ByName(name string, scale int) (Workload, bool) {
 	for i, r := range registry {
 		if r.name == name {
-			if cached, ok := scaleCache.Load(scale); ok {
-				return cached.([]Workload)[i], true
-			}
-			return r.gen(scale), true
+			return generate(i, scale), true
 		}
 	}
 	return Workload{}, false

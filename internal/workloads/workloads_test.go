@@ -2,6 +2,7 @@ package workloads
 
 import (
 	"strings"
+	"sync"
 	"testing"
 
 	"repro/internal/asm"
@@ -97,6 +98,61 @@ func TestScalesDiffer(t *testing.T) {
 	if small.Want == 0 || big.Want == 0 {
 		t.Error("degenerate zero checksums")
 	}
+}
+
+// TestByNameMemoized: a scale that All and Small never fill is still
+// generated once per workload, so a repeated lookup allocates nothing.
+func TestByNameMemoized(t *testing.T) {
+	const scale = 2
+	first, _ := ByName("dgemm", scale)
+	var again Workload
+	if allocs := testing.AllocsPerRun(10, func() { again, _ = ByName("dgemm", scale) }); allocs != 0 {
+		t.Errorf("repeated ByName allocates %.0f times per call, want 0", allocs)
+	}
+	if again.Source != first.Source || again.Want != first.Want {
+		t.Error("memoized ByName returned a different workload")
+	}
+	if w := atScale(scale); w[registryIndex(t, "dgemm")].Source != first.Source {
+		t.Error("atScale and ByName disagree on a memoized workload")
+	}
+}
+
+// TestByNameConcurrent: concurrent first lookups of one (name, scale) all
+// get the same Source. The memo entry is dropped first, so every -count
+// repetition races on a cold key; run it under -race.
+func TestByNameConcurrent(t *testing.T) {
+	const name, scale, callers = "listwalk", 2, 8
+	generated.mu.Lock()
+	delete(generated.m, genKey{registryIndex(t, name), scale})
+	generated.mu.Unlock()
+
+	srcs := make([]string, callers)
+	var wg sync.WaitGroup
+	for i := range srcs {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			w, _ := ByName(name, scale)
+			srcs[i] = w.Source
+		}(i)
+	}
+	wg.Wait()
+	for i, s := range srcs {
+		if s == "" || s != srcs[0] {
+			t.Fatalf("caller %d got a different source (%d vs %d bytes)", i, len(s), len(srcs[0]))
+		}
+	}
+}
+
+func registryIndex(t *testing.T, name string) int {
+	t.Helper()
+	for i, n := range Names() {
+		if n == name {
+			return i
+		}
+	}
+	t.Fatalf("unknown workload %q", name)
+	return -1
 }
 
 func TestGenerationDeterministic(t *testing.T) {
