@@ -54,10 +54,12 @@ ckpt-tests:
 # smoke exercises the command-line surfaces end-to-end over a tiny
 # workload: the pipeline view, the Chrome trace export and the JSON run
 # artifact (both schema-checked with ckjson), metrics CSV streaming, one
-# paper table, the sweepd HTTP flow (submit, poll, results schema,
-# cache-hit re-run, checkpointed fast-forward sharing, interval sampling),
-# and the driftd flow (CLI ingest + schema-checked drift report, then the
-# HTTP surface: POST /ingest, GET /report, GET /metrics).
+# paper table, the sweepd local-mode flow — a fabric coordinator with
+# in-process workers, checked through its fabric_* metrics (submit, poll,
+# results schema, cache-hit re-run, one fast-forward per workload shared
+# through the checkpoint store, interval sampling, then a SIGTERM drain to
+# a zero exit) — and the driftd flow (CLI ingest + schema-checked drift
+# report, then the HTTP surface: POST /ingest, GET /report, GET /metrics).
 smoke:
 	$(GO) run ./cmd/renamelint -json ./... | \
 		$(GO) run ./cmd/ckjson 'schema_version=2' analyzers.0 analyzers.7 \
@@ -98,9 +100,9 @@ smoke:
 		curl -sf "$$base/sweeps/$$id2" | grep -q '"state": "done"' && break; sleep 0.1; \
 	done; \
 	curl -sf "$$base/metrics" | /tmp/regreuse_smoke_ckjson \
-		'metrics.#sweep_jobs_executed.value=2' \
-		'metrics.#sweep_jobs_cache_hits.value=2' \
-		'metrics.#sweep_sweeps_completed.value=2'; \
+		'metrics.#fabric_jobs_executed.value=2' \
+		'metrics.#fabric_jobs_cache_hits.value=2' \
+		'metrics.#fabric_sweeps_completed.value=2'; \
 	ffspec='{"name":"smoke-ff","workloads":["poly_horner"],"schemes":["baseline","reuse"],"scale":1,"fast_forward":2000,"warmup":500}'; \
 	id3=$$(curl -sf -X POST "$$base/sweeps" -d "$$ffspec" | sed -n 's/.*"id": "\([^"]*\)".*/\1/p'); \
 	test -n "$$id3" || { echo "ff sweep submission failed"; exit 1; }; \
@@ -118,9 +120,11 @@ smoke:
 	curl -sf "$$base/sweeps/$$id4/results" | /tmp/regreuse_smoke_ckjson \
 		results.0.sampled.plan results.0.sampled.samples results.0.sampled.ipc_mean; \
 	curl -sf "$$base/metrics" | /tmp/regreuse_smoke_ckjson \
-		'metrics.#sweep_ckpt_misses.value=1' \
-		'metrics.#sweep_ckpt_hits.value=2' \
-		'metrics.#sweep_jobs_sampled.value=1'; \
+		'metrics.#fabric_ckpt_misses.value=1' \
+		'metrics.#fabric_ckpt_hits.value=1' \
+		'metrics.#fabric_jobs_sampled.value=1'; \
+	kill -TERM $$pid; wait $$pid || { echo "sweepd did not exit cleanly"; cat /tmp/regreuse_smoke_sweepd.log; exit 1; }; \
+	trap - EXIT; \
 	rm -rf /tmp/regreuse_smoke_sweeps /tmp/regreuse_smoke_sweepd /tmp/regreuse_smoke_sweepd.log
 	$(GO) build -o /tmp/regreuse_smoke_driftd ./cmd/driftd
 	@set -e; \

@@ -7,7 +7,7 @@
 // A path step that is a non-negative integer indexes into an array
 // (trace_event files: `ckjson traceEvents.0.ph < out.json`). A step of the
 // form `#name` selects the array element whose "name" field equals name
-// (metrics snapshots: `ckjson 'metrics.#sweep_jobs_executed.value'`). A step
+// (metrics snapshots: `ckjson 'metrics.#fabric_jobs_executed.value'`). A step
 // `@len` resolves to the length of the array (or object) at that point
 // (`ckjson 'findings.@len=0'`). An argument of the form `path=value`
 // additionally asserts the value at the path: numbers compare numerically,

@@ -1,16 +1,17 @@
-// Command sweepd serves the design-space-exploration engine over HTTP in
-// one of three modes:
+// Command sweepd serves the design-space-exploration engine over HTTP. All
+// three modes run one job lifecycle, internal/fabric's coordinator and
+// workers:
 //
-//	-mode=local (default): the single-process server. Accepts SweepSpecs,
-//	fans their job grids out across a bounded in-process worker pool,
-//	deduplicates work through the shared content-addressed result cache,
-//	and journals every sweep into a resumable on-disk manifest.
+//	-mode=local (default): a coordinator with -workers in-process workers
+//	(0 = GOMAXPROCS). Accepts SweepSpecs, deduplicates work through the
+//	content-addressed result cache, journals every sweep into a resumable
+//	manifest, and serves only the sweep API and /metrics.
 //
-//	-mode=coordinator: the fabric control plane. Same submission API, but
-//	jobs are leased to remote workers over HTTP (POST /lease, /complete,
-//	/heartbeat) and artifacts are served from a shared object store
+//	-mode=coordinator: the same coordinator with no workers of its own.
+//	Jobs are leased to remote workers over HTTP (POST /lease, /complete,
+//	/heartbeat) and artifacts are served from the shared object store
 //	(GET/PUT /objects/{name}). Dead workers' leases expire and their jobs
-//	are re-leased; results.json is byte-identical to a local run.
+//	are re-leased; results.json is byte-identical to a serial run.
 //
 //	-mode=worker: a pull-model executor. Leases jobs from -coordinator,
 //	runs them through the same engine, and mounts its result cache and
@@ -26,13 +27,16 @@
 //	  "schemes": ["baseline", "reuse"], "scale": 1, "sizes": [56, 64, 96]
 //	}'
 //	curl localhost:8080/sweeps/<id>           # status: state + progress counts
-//	curl localhost:8080/sweeps/<id>/results   # results.json once done
-//	curl localhost:8080/metrics               # engine or fabric counters
+//	curl localhost:8080/sweeps/<id>/results   # in-progress grid, then results.json
+//	curl localhost:8080/metrics               # fabric_* counters
 //
-// Submitting an identical spec again completes with zero simulator
-// executions (every job is a cache hit); killing any mode mid-sweep is
-// safe: SIGINT/SIGTERM drain in-flight jobs, manifests are fsynced, and a
-// restart resumes with bit-identical results.
+// Local and coordinator state share one layout: <dir>/objects holds the
+// result cache and checkpoints, <dir>/sweeps/<id> each sweep's spec,
+// manifest and results. Submitting an identical spec again completes with
+// zero simulator executions (every job is a cache hit). Killing any mode
+// mid-sweep is safe: SIGINT/SIGTERM drain in-flight jobs, manifests are
+// fsynced, and a restart resumes unfinished sweeps with bit-identical
+// results.
 package main
 
 import (
@@ -44,19 +48,20 @@ import (
 	"net/http"
 	"os"
 	"os/signal"
+	"runtime"
+	"sync"
 	"syscall"
 	"time"
 
 	"repro/internal/fabric"
-	"repro/internal/sweep"
 )
 
 func main() {
 	var (
 		mode        = flag.String("mode", "local", "local | coordinator | worker")
 		addr        = flag.String("addr", ":8080", "listen address for local/coordinator (use 127.0.0.1:0 for a random port)")
-		dir         = flag.String("dir", "sweeps", "state directory (cache/object store + per-sweep manifests; worker scratch)")
-		workers     = flag.Int("workers", 0, "local mode: simulation parallelism (0 = GOMAXPROCS)")
+		dir         = flag.String("dir", "sweeps", "state directory (object store + per-sweep manifests; worker scratch)")
+		workers     = flag.Int("workers", 0, "local mode: in-process workers (0 = GOMAXPROCS)")
 		timeout     = flag.Duration("job-timeout", 10*time.Minute, "per-job attempt timeout (local + worker)")
 		retries     = flag.Int("retries", 1, "extra attempts for a failed or timed-out job (local + coordinator)")
 		coordinator = flag.String("coordinator", "", "worker mode: coordinator base URL, e.g. http://127.0.0.1:8080")
@@ -120,11 +125,7 @@ func serveUntil(ctx context.Context, ln net.Listener, h http.Handler, drain time
 }
 
 func runLocal(ctx context.Context, addr, dir string, workers int, timeout time.Duration, retries int, drain time.Duration) error {
-	srv, err := sweep.NewServer(dir, sweep.ServerOptions{
-		Workers:    workers,
-		JobTimeout: timeout,
-		Retries:    retries,
-	})
+	c, err := fabric.NewCoordinator(dir, fabric.CoordinatorOptions{Retries: retries})
 	if err != nil {
 		return err
 	}
@@ -132,14 +133,36 @@ func runLocal(ctx context.Context, addr, dir string, workers int, timeout time.D
 	if err != nil {
 		return err
 	}
-	if err := serveUntil(ctx, ln, srv.Handler(), drain); err != nil {
+	if workers <= 0 {
+		workers = runtime.GOMAXPROCS(0)
+	}
+	var wg sync.WaitGroup
+	for i := 1; i <= workers; i++ {
+		w := c.LocalWorker(fabric.WorkerOptions{ID: fmt.Sprintf("local-%d", i), JobTimeout: timeout})
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			_ = w.Run(ctx)
+		}()
+	}
+	if err := serveUntil(ctx, ln, c.LocalHandler(), drain); err != nil {
 		return err
 	}
-	log.Printf("sweepd: draining in-flight sweeps")
-	sdCtx, cancel := context.WithTimeout(context.Background(), drain)
-	defer cancel()
-	if err := srv.Shutdown(sdCtx); err != nil {
-		return fmt.Errorf("drain: %w", err)
+	// Worker.Run drains on cancellation: each in-flight job finishes and is
+	// journaled before Run returns.
+	log.Printf("sweepd: draining in-flight jobs")
+	drained := make(chan struct{})
+	go func() {
+		wg.Wait()
+		close(drained)
+	}()
+	select {
+	case <-drained:
+	case <-time.After(drain):
+		return fmt.Errorf("drain: in-flight jobs still running after %s", drain)
+	}
+	if err := c.Close(); err != nil {
+		return fmt.Errorf("close journals: %w", err)
 	}
 	log.Printf("sweepd: clean shutdown")
 	return nil

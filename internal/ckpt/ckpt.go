@@ -14,6 +14,7 @@ import (
 	"crypto/sha256"
 	"encoding/binary"
 	"fmt"
+	"sync"
 
 	"repro/internal/emu"
 	"repro/internal/prog"
@@ -107,8 +108,12 @@ type BootState struct {
 // Prepare produces the BootState for starting detailed simulation at
 // instruction skip, warming with the preceding warmup instructions. When a
 // store is supplied, the expensive part — fast-forwarding to skip-warmup —
-// is served from the checkpoint cache when possible and saved back on miss;
-// hit reports which. A nil store always fast-forwards from reset.
+// is served from the checkpoint store when possible and saved back on miss;
+// hit reports which. Within a process at most one fast-forward per
+// (program digest, position) runs at a time: later callers for the same
+// site wait for it and then load the checkpoint it saved, so a grid of N
+// concurrent jobs over one workload fast-forwards it once. A nil store
+// always fast-forwards from reset.
 //
 // If the program halts before skip, the returned BootState has a halted
 // snapshot; the detailed core then has nothing to simulate and callers
@@ -119,26 +124,9 @@ func Prepare(store *Store, p *prog.Program, d Digest, skip, warmup uint64) (*Boo
 	}
 	base := skip - warmup
 
-	var s *emu.State
-	hit := false
-	if store != nil {
-		if sn, ok, err := store.Load(d, base); err != nil {
-			return nil, false, err
-		} else if ok {
-			s = emu.NewFromSnapshot(p, sn)
-			hit = true
-		}
-	}
-	if s == nil {
-		s = emu.New(p)
-		if _, err := Advance(s, base); err != nil {
-			return nil, false, err
-		}
-		if store != nil && !s.Halted() {
-			if err := store.Save(d, s.Snapshot()); err != nil {
-				return nil, false, err
-			}
-		}
+	s, hit, err := machineAt(store, p, d, base)
+	if err != nil {
+		return nil, false, err
 	}
 
 	bs := &BootState{FFInsts: skip}
@@ -156,3 +144,51 @@ func Prepare(store *Store, p *prog.Program, d Digest, skip, warmup uint64) (*Boo
 	}
 	return bs, hit, nil
 }
+
+// machineAt returns a machine at instruction base: booted from the
+// store's checkpoint when it has one (hit), else fast-forwarded from reset
+// and saved. The fast-forward runs under its site's lock, and a caller that
+// waited for the lock checks the store again before starting its own.
+func machineAt(store *Store, p *prog.Program, d Digest, base uint64) (*emu.State, bool, error) {
+	if store == nil {
+		s := emu.New(p)
+		_, err := Advance(s, base)
+		return s, false, err
+	}
+	load := func() (*emu.State, bool, error) {
+		sn, ok, err := store.Load(d, base)
+		if !ok || err != nil {
+			return nil, false, err
+		}
+		return emu.NewFromSnapshot(p, sn), true, nil
+	}
+	if s, ok, err := load(); ok || err != nil {
+		return s, ok, err
+	}
+	mu, _ := siteLocks.LoadOrStore(site{d, base}, new(sync.Mutex))
+	mu.(*sync.Mutex).Lock()
+	defer mu.(*sync.Mutex).Unlock()
+	if s, ok, err := load(); ok || err != nil {
+		return s, ok, err
+	}
+	s := emu.New(p)
+	if _, err := Advance(s, base); err != nil {
+		return nil, false, err
+	}
+	if !s.Halted() {
+		if err := store.Save(d, s.Snapshot()); err != nil {
+			return nil, false, err
+		}
+	}
+	return s, false, nil
+}
+
+// site names one checkpoint position of one program.
+type site struct {
+	d    Digest
+	base uint64
+}
+
+// siteLocks holds one *sync.Mutex per site this process has had to
+// fast-forward. Entries are never removed; a process sees few sites.
+var siteLocks sync.Map

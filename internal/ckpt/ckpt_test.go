@@ -3,9 +3,12 @@ package ckpt
 import (
 	"os"
 	"path/filepath"
+	"sync"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/asm"
+	"repro/internal/blob"
 	"repro/internal/emu"
 	"repro/internal/prog"
 	"repro/internal/workloads"
@@ -230,6 +233,84 @@ func TestPrepare(t *testing.T) {
 	}
 	if len(bs3.Warmup) != 100 || bs3.Boot.InstCount != 100 {
 		t.Fatalf("clamped warmup: %d commits, boot at %d", len(bs3.Warmup), bs3.Boot.InstCount)
+	}
+}
+
+// gatedStore is a blob.Store that holds its first n Gets until all n have
+// arrived, so n concurrent callers all miss before any of them can save,
+// and counts its Puts.
+type gatedStore struct {
+	blob.Store
+	n    int64
+	gate sync.WaitGroup
+	gets atomic.Int64
+	puts atomic.Int64
+}
+
+func newGatedStore(back blob.Store, n int) *gatedStore {
+	g := &gatedStore{Store: back, n: int64(n)}
+	g.gate.Add(n)
+	return g
+}
+
+func (g *gatedStore) Get(name string) ([]byte, bool, error) {
+	if g.gets.Add(1) <= g.n {
+		g.gate.Done()
+		g.gate.Wait()
+	}
+	return g.Store.Get(name)
+}
+
+func (g *gatedStore) Put(name string, data []byte) error {
+	g.puts.Add(1)
+	return g.Store.Put(name, data)
+}
+
+// TestPrepareSingleFlight: concurrent callers that all miss one site
+// fast-forward it once — one miss that saves the checkpoint, every other
+// caller waits and loads it.
+func TestPrepareSingleFlight(t *testing.T) {
+	p := assemble(t, "dgemm", 1)
+	d := ProgramDigest(p)
+	dir, err := blob.NewDir(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	const callers = 8
+	gated := newGatedStore(dir, callers)
+	st := NewStoreWith(gated)
+
+	var (
+		wg    sync.WaitGroup
+		hits  atomic.Int64
+		boots [callers]*emu.Snapshot
+	)
+	for i := 0; i < callers; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			bs, hit, err := Prepare(st, p, d, 3000, 500)
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			if hit {
+				hits.Add(1)
+			}
+			boots[i] = bs.Boot
+		}()
+	}
+	wg.Wait()
+	if got := hits.Load(); got != callers-1 {
+		t.Errorf("%d hits and %d misses, want %d hits and 1 miss", got, callers-got, callers-1)
+	}
+	if got := gated.puts.Load(); got != 1 {
+		t.Errorf("%d checkpoint puts, want 1", got)
+	}
+	for i := 1; i < callers; i++ {
+		if boots[i] == nil || !boots[i].Equal(boots[0]) {
+			t.Fatalf("caller %d booted from a different snapshot", i)
+		}
 	}
 }
 

@@ -21,9 +21,9 @@ type CoordinatorOptions struct {
 	// LeaseTTL is how long a leased job may go without a heartbeat before
 	// it is re-leased to another worker (0 = 30s).
 	LeaseTTL time.Duration
-	// Retries bounds how many times a job is re-queued after a failed
-	// attempt or an expired lease before it is recorded as failed
-	// (0 = 3; a crashing worker must not loop a job forever).
+	// Retries is how many times a job is re-queued after a failed attempt
+	// or an expired lease before it is recorded as failed (0 = never; the
+	// bound also keeps a crashing worker from looping a job forever).
 	Retries int
 	// Clock is the time source (nil = time.Now); tests inject a fake to
 	// drive lease expiry deterministically.
@@ -31,16 +31,15 @@ type CoordinatorOptions struct {
 }
 
 // Coordinator owns a sweeps directory (<dir>/objects for the shared
-// artifact store, <dir>/sweeps/<id> per submitted sweep) and serves the
-// fabric protocol:
+// artifact store, <dir>/sweeps/<id> per submitted sweep) and serves:
 //
 //	POST /sweeps              submit a SweepSpec, returns {"id": ...}
 //	GET  /sweeps              list sweep statuses
 //	GET  /sweeps/{id}         one sweep's status
 //	GET  /sweeps/{id}/results final artifact once done; partial view while running
-//	POST /lease | /complete | /heartbeat   worker protocol (see package doc)
-//	GET/PUT /objects/{name}   shared content-addressed artifact store
 //	GET  /metrics             flat sorted []obs.Metric
+//	POST /lease | /complete | /heartbeat   worker protocol (Handler only)
+//	GET/PUT /objects/{name}   shared artifact store (Handler only)
 //
 // All coordinator state that matters for correctness lives on disk: the
 // artifact store, each sweep's spec.json, and its fsynced JSONL manifest.
@@ -63,6 +62,9 @@ type Coordinator struct {
 	leases   map[string]*lease
 	leaseSeq uint64
 	workers  map[string]time.Time // worker -> last contact
+	// wake closes (and is replaced) whenever jobs are queued; idle
+	// in-process workers wait on it instead of polling.
+	wake chan struct{}
 }
 
 // sweepState is the in-memory face of one sweep; everything here is
@@ -86,8 +88,8 @@ type sweepState struct {
 	failed    int
 	state     string // "running" | "done" | "failed"
 	errMsg    string
-	journal   *sweep.Manifest
-	// status counters, mirroring sweep.SweepStatus semantics
+	journal   *manifest
+	// status counters by source
 	executed, cacheHits, resumed int
 }
 
@@ -104,9 +106,8 @@ type lease struct {
 	expiry  time.Time
 }
 
-// SweepStatus is the machine-readable state of one sweep on the
-// coordinator, a superset of the local server's status with fabric-side
-// queue visibility.
+// SweepStatus is the machine-readable state of one sweep: its progress by
+// source plus queue visibility (jobs leased and pending).
 type SweepStatus struct {
 	ID    string `json:"id"`
 	Name  string `json:"name,omitempty"`
@@ -129,8 +130,8 @@ func NewCoordinator(dir string, opts CoordinatorOptions) (*Coordinator, error) {
 	if opts.LeaseTTL <= 0 {
 		opts.LeaseTTL = 30 * time.Second
 	}
-	if opts.Retries <= 0 {
-		opts.Retries = 3
+	if opts.Retries < 0 {
+		opts.Retries = 0
 	}
 	store, err := blob.NewDir(filepath.Join(dir, "objects"))
 	if err != nil {
@@ -149,6 +150,7 @@ func NewCoordinator(dir string, opts CoordinatorOptions) (*Coordinator, error) {
 		sweeps:  map[string]*sweepState{},
 		leases:  map[string]*lease{},
 		workers: map[string]time.Time{},
+		wake:    make(chan struct{}),
 	}
 	if c.now == nil {
 		c.now = time.Now
@@ -174,7 +176,7 @@ func (c *Coordinator) Close() error {
 	var first error
 	for _, s := range c.sweeps {
 		if s.journal != nil {
-			if err := s.journal.Close(); err != nil && first == nil {
+			if err := s.journal.close(); err != nil && first == nil {
 				first = err
 			}
 			s.journal = nil
@@ -189,9 +191,12 @@ func (c *Coordinator) runDir(id string) string {
 
 // recover replays <dir>/sweeps: finished sweeps are listed as done, and
 // every unfinished one re-enters the queue with its manifest-satisfied jobs
-// marked "resume" — the restart path of the kill-mid-sweep contract.
+// marked "resume" — the restart path of the kill-mid-sweep contract. A
+// sweep whose spec.json is unreadable or no longer validates is listed as
+// failed with the reason, so one bad run directory cannot keep the
+// coordinator from starting.
 func (c *Coordinator) recover() error {
-	specs, err := filepath.Glob(filepath.Join(c.dir, "sweeps", "*", sweep.SpecFile))
+	specs, err := filepath.Glob(filepath.Join(c.dir, "sweeps", "*", specFile))
 	if err != nil {
 		return err
 	}
@@ -199,26 +204,31 @@ func (c *Coordinator) recover() error {
 	for _, specPath := range specs {
 		runDir := filepath.Dir(specPath)
 		id := filepath.Base(runDir)
-		data, err := os.ReadFile(specPath)
-		if err != nil {
-			return fmt.Errorf("fabric: recover %s: %w", id, err)
-		}
-		var spec sweep.Spec
-		if err := json.Unmarshal(data, &spec); err != nil {
-			return fmt.Errorf("fabric: recover %s: bad spec: %w", id, err)
-		}
-		finished := false
-		if _, err := os.Stat(filepath.Join(runDir, sweep.ResultsFile)); err == nil {
-			finished = true
-		}
-		s, err := c.admit(id, spec, finished)
-		if err != nil {
-			return fmt.Errorf("fabric: recover %s: %w", id, err)
+		if err := c.recoverOne(id, specPath); err != nil {
+			c.mu.Lock()
+			c.registerLocked(&sweepState{id: id, state: "failed", errMsg: fmt.Sprintf("recover: %v", err)})
+			c.mu.Unlock()
+			c.met.locked(func(m *Metrics) { m.sweepsFailed.Inc() })
+			continue
 		}
 		c.met.locked(func(m *Metrics) { m.sweepsRecovered.Inc() })
-		_ = s
 	}
 	return nil
+}
+
+// recoverOne re-admits the sweep whose spec lives at specPath.
+func (c *Coordinator) recoverOne(id, specPath string) error {
+	data, err := os.ReadFile(specPath)
+	if err != nil {
+		return err
+	}
+	var spec sweep.Spec
+	if err := json.Unmarshal(data, &spec); err != nil {
+		return fmt.Errorf("bad spec: %w", err)
+	}
+	_, err = os.Stat(filepath.Join(filepath.Dir(specPath), resultsFile))
+	_, err = c.admit(id, spec, err == nil)
+	return err
 }
 
 // admit registers a sweep under id: it expands the job grid, replays the
@@ -236,8 +246,14 @@ func (c *Coordinator) admit(id string, spec sweep.Spec, finished bool) (*sweepSt
 	if err := os.MkdirAll(runDir, 0o755); err != nil {
 		return nil, err
 	}
-	if data, err := json.MarshalIndent(spec, "", "\t"); err == nil {
-		_ = blob.WriteFileAtomic(filepath.Join(runDir, sweep.SpecFile), append(data, '\n'))
+	// recover finds sweeps only through spec.json, so a sweep whose spec
+	// was not written must not be accepted.
+	data, err := json.MarshalIndent(spec, "", "\t")
+	if err != nil {
+		return nil, err
+	}
+	if err := blob.WriteFileAtomic(filepath.Join(runDir, specFile), append(data, '\n')); err != nil {
+		return nil, err
 	}
 	s := &sweepState{
 		id:       id,
@@ -255,7 +271,7 @@ func (c *Coordinator) admit(id string, spec sweep.Spec, finished bool) (*sweepSt
 	for i := range jobs {
 		s.keys[i] = jobs[i].Key()
 	}
-	resumed := sweep.LoadManifest(filepath.Join(runDir, sweep.ManifestFile))
+	resumed := loadManifest(filepath.Join(runDir, manifestFile))
 	if finished {
 		// Nothing left to schedule; report the terminal state the artifact
 		// proves. Manifest entries count as resumed for status visibility.
@@ -274,7 +290,7 @@ func (c *Coordinator) admit(id string, spec sweep.Spec, finished bool) (*sweepSt
 		c.mu.Unlock()
 		return s, nil
 	}
-	journal, err := sweep.OpenManifest(filepath.Join(runDir, sweep.ManifestFile))
+	journal, err := openManifest(filepath.Join(runDir, manifestFile))
 	if err != nil {
 		return nil, err
 	}
@@ -284,6 +300,7 @@ func (c *Coordinator) admit(id string, spec sweep.Spec, finished bool) (*sweepSt
 	defer c.mu.Unlock()
 	c.registerLocked(s)
 	c.met.locked(func(m *Metrics) { m.jobsTotal.Add(uint64(len(jobs))) })
+	var queue []jobRef
 	for i := range jobs {
 		if e, ok := resumed[s.keys[i]]; ok {
 			c.recordLocked(s, i, "resume", e.Result, "")
@@ -293,11 +310,23 @@ func (c *Coordinator) admit(id string, spec sweep.Spec, finished bool) (*sweepSt
 			c.recordLocked(s, i, "cache", r, "")
 			continue
 		}
-		c.pending = append(c.pending, jobRef{s: s, index: i})
+		queue = append(queue, jobRef{s: s, index: i})
 	}
+	c.queueLocked(queue...)
 	c.maybeFinishLocked(s)
 	c.publishLevelsLocked()
 	return s, nil
+}
+
+// queueLocked appends refs to the pending queue and wakes the idle
+// in-process workers. c.mu must be held.
+func (c *Coordinator) queueLocked(refs ...jobRef) {
+	if len(refs) == 0 {
+		return
+	}
+	c.pending = append(c.pending, refs...)
+	close(c.wake)
+	c.wake = make(chan struct{})
 }
 
 // registerLocked adds s to the sweep table (c.mu held).
@@ -360,7 +389,7 @@ func (c *Coordinator) recordTimedLocked(s *sweepState, i int, source string, r s
 		s.errs[i] = errMsg
 	}
 	if s.journal != nil && source != "resume" && source != "failed" {
-		if err := s.journal.Append(sweep.ManifestEntry{Key: s.keys[i], Source: source, Result: r}); err != nil {
+		if err := s.journal.add(manifestEntry{Key: s.keys[i], Source: source, Result: r}); err != nil {
 			fmt.Fprintf(os.Stderr, "fabric: manifest append %s: %v\n", s.id, err)
 		}
 	}
@@ -379,7 +408,7 @@ func (c *Coordinator) maybeFinishLocked(s *sweepState) {
 		return
 	}
 	if s.journal != nil {
-		_ = s.journal.Close()
+		_ = s.journal.close()
 		s.journal = nil
 	}
 	if s.failed > 0 {
@@ -408,7 +437,7 @@ func (c *Coordinator) maybeFinishLocked(s *sweepState) {
 	}
 	data, err := sweep.MarshalResults(res)
 	if err == nil {
-		err = blob.WriteFileAtomic(filepath.Join(c.runDir(s.id), sweep.ResultsFile), data)
+		err = blob.WriteFileAtomic(filepath.Join(c.runDir(s.id), resultsFile), data)
 	}
 	if err != nil {
 		s.state = "failed"
@@ -454,7 +483,7 @@ func (c *Coordinator) expireLocked(now time.Time) {
 			c.maybeFinishLocked(s)
 			continue
 		}
-		c.pending = append(c.pending, l.ref)
+		c.queueLocked(l.ref)
 		c.met.locked(func(m *Metrics) { m.releases.Inc(); m.jobsRetried.Inc() })
 	}
 }
@@ -473,13 +502,10 @@ func (c *Coordinator) publishLevelsLocked() {
 	c.met.levels(len(c.pending), len(c.leases), alive)
 }
 
-// Handler returns the coordinator's HTTP mux.
+// Handler returns the coordinator's full HTTP mux: the sweep API plus the
+// worker protocol and the object store that remote workers need.
 func (c *Coordinator) Handler() http.Handler {
-	mux := http.NewServeMux()
-	mux.HandleFunc("POST /sweeps", c.handleSubmit)
-	mux.HandleFunc("GET /sweeps", c.handleList)
-	mux.HandleFunc("GET /sweeps/{id}", c.handleStatus)
-	mux.HandleFunc("GET /sweeps/{id}/results", c.handleResults)
+	mux := c.sweepMux()
 	mux.HandleFunc("POST /lease", c.handleLease)
 	mux.HandleFunc("POST /complete", c.handleComplete)
 	mux.HandleFunc("POST /heartbeat", c.handleHeartbeat)
@@ -488,6 +514,21 @@ func (c *Coordinator) Handler() http.Handler {
 		OnGet: c.met.storeGet,
 		OnPut: c.met.storePut,
 	})
+	return mux
+}
+
+// LocalHandler serves only the sweep API and /metrics: the surface of a
+// coordinator whose workers all run in process (LocalWorker). The worker
+// protocol and the object store stay unexposed; a PUT /objects/<key>.json
+// would let any client forge a cache hit.
+func (c *Coordinator) LocalHandler() http.Handler { return c.sweepMux() }
+
+func (c *Coordinator) sweepMux() *http.ServeMux {
+	mux := http.NewServeMux()
+	mux.HandleFunc("POST /sweeps", c.handleSubmit)
+	mux.HandleFunc("GET /sweeps", c.handleList)
+	mux.HandleFunc("GET /sweeps/{id}", c.handleStatus)
+	mux.HandleFunc("GET /sweeps/{id}/results", c.handleResults)
 	mux.HandleFunc("GET /metrics", func(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusOK, map[string]any{"metrics": c.met.Metrics()})
 	})
@@ -613,7 +654,7 @@ func (c *Coordinator) handleResults(w http.ResponseWriter, r *http.Request) {
 	}
 	switch state {
 	case "done":
-		data, err := os.ReadFile(filepath.Join(c.runDir(id), sweep.ResultsFile))
+		data, err := os.ReadFile(filepath.Join(c.runDir(id), resultsFile))
 		if err != nil {
 			writeError(w, http.StatusInternalServerError, "read results: %v", err)
 			return
@@ -636,15 +677,14 @@ func (c *Coordinator) handleResults(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
-func (c *Coordinator) handleLease(w http.ResponseWriter, r *http.Request) {
-	var req LeaseRequest
-	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, 1<<16)).Decode(&req); err != nil || req.Worker == "" {
-		writeError(w, http.StatusBadRequest, "bad lease request")
-		return
-	}
+// lease grants worker the next pending job. With the queue empty it
+// returns nil and a channel that closes once new work is queued, so an
+// in-process worker can wait for work without polling.
+func (c *Coordinator) lease(worker string) (*LeaseResponse, <-chan struct{}) {
 	now := c.now()
 	c.mu.Lock()
-	c.workers[req.Worker] = now
+	defer c.mu.Unlock()
+	c.workers[worker] = now
 	c.expireLocked(now)
 	var resp *LeaseResponse
 	for len(c.pending) > 0 {
@@ -658,15 +698,15 @@ func (c *Coordinator) handleLease(w http.ResponseWriter, r *http.Request) {
 		l := &lease{
 			id:      fmt.Sprintf("%s/%d#%d", s.id, i, c.leaseSeq),
 			ref:     ref,
-			worker:  req.Worker,
+			worker:  worker,
 			granted: now,
 			expiry:  now.Add(c.opts.LeaseTTL),
 		}
 		c.leases[l.id] = l
-		if prev := s.holder[i]; prev != "" && prev != req.Worker {
+		if prev := s.holder[i]; prev != "" && prev != worker {
 			c.met.locked(func(m *Metrics) { m.steals.Inc() })
 		}
-		s.holder[i] = req.Worker
+		s.holder[i] = worker
 		c.met.locked(func(m *Metrics) { m.leasesGranted.Inc() })
 		resp = &LeaseResponse{
 			LeaseID:       l.id,
@@ -679,7 +719,101 @@ func (c *Coordinator) handleLease(w http.ResponseWriter, r *http.Request) {
 		break
 	}
 	c.publishLevelsLocked()
-	c.mu.Unlock()
+	if resp == nil {
+		return nil, c.wake
+	}
+	return resp, nil
+}
+
+// complete records the outcome of a lease. Its error names an unknown
+// sweep or job.
+func (c *Coordinator) complete(req CompleteRequest) (CompleteResponse, error) {
+	now := c.now()
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if req.Worker != "" {
+		c.workers[req.Worker] = now
+	}
+	s, ok := c.sweeps[req.SweepID]
+	if !ok {
+		return CompleteResponse{}, fmt.Errorf("unknown sweep %q", req.SweepID)
+	}
+	if req.Index < 0 || req.Index >= len(s.jobs) {
+		return CompleteResponse{}, fmt.Errorf("unknown job %s[%d]", req.SweepID, req.Index)
+	}
+	i := req.Index
+	c.met.ckptUsage(req.Ckpt, req.FFInsts)
+	// Whatever happens below, this lease is finished.
+	if l, held := c.leases[req.LeaseID]; held && l.ref.s == s && l.ref.index == i {
+		delete(c.leases, req.LeaseID)
+		c.met.locked(func(m *Metrics) { m.leaseMS.Observe(uint64(now.Sub(l.granted).Milliseconds())) })
+	}
+	status := "ok"
+	switch {
+	case s.done[i]:
+		// A slow worker finished a job that already completed elsewhere
+		// (after its lease expired). Determinism makes the duplicate result
+		// identical, so dropping it is harmless.
+		c.met.locked(func(m *Metrics) { m.lateCompletes.Inc() })
+		status = "ignored"
+	case req.Error != "":
+		s.attempts[i]++
+		if s.attempts[i] > c.opts.Retries {
+			c.recordLocked(s, i, "failed", sweep.JobResult{}, req.Error)
+			c.maybeFinishLocked(s)
+		} else {
+			c.queueLocked(jobRef{s: s, index: i})
+			c.met.locked(func(m *Metrics) { m.jobsRetried.Inc() })
+		}
+	default:
+		source := req.Source
+		if source != "cache" {
+			source = "run"
+		}
+		c.recordTimedLocked(s, i, source, req.Result, "", time.Duration(req.ElapsedMillis)*time.Millisecond)
+		if source == "run" && s.jobs[i].Sample != "" {
+			c.met.locked(func(m *Metrics) { m.jobsSampled.Inc() })
+		}
+		// Any other lease for the same job (re-leased before this complete
+		// arrived) is now moot.
+		for lid, l := range c.leases {
+			if l.ref.s == s && l.ref.index == i {
+				delete(c.leases, lid)
+			}
+		}
+		c.maybeFinishLocked(s)
+	}
+	c.expireLocked(now)
+	c.publishLevelsLocked()
+	return CompleteResponse{Status: status}, nil
+}
+
+// heartbeat renews every lease worker holds and reports how many.
+func (c *Coordinator) heartbeat(worker string) int {
+	now := c.now()
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.workers[worker] = now
+	renewed := 0
+	for _, l := range c.leases {
+		if l.worker == worker {
+			l.expiry = now.Add(c.opts.LeaseTTL)
+			renewed++
+		}
+	}
+	c.met.locked(func(m *Metrics) { m.heartbeats.Inc() })
+	c.expireLocked(now)
+	c.publishLevelsLocked()
+	return renewed
+}
+
+func (c *Coordinator) handleLease(w http.ResponseWriter, r *http.Request) {
+	var req LeaseRequest
+	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, 1<<16)).Decode(&req); err != nil || req.Worker == "" {
+		writeError(w, http.StatusBadRequest, "bad lease request")
+		return
+	}
+	resp, _ := c.lease(req.Worker)
 	if resp == nil {
 		w.WriteHeader(http.StatusNoContent)
 		return
@@ -693,67 +827,12 @@ func (c *Coordinator) handleComplete(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "bad complete request: %v", err)
 		return
 	}
-	now := c.now()
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if req.Worker != "" {
-		c.workers[req.Worker] = now
-	}
-	s, ok := c.sweeps[req.SweepID]
-	if !ok {
-		writeError(w, http.StatusNotFound, "unknown sweep %q", req.SweepID)
+	resp, err := c.complete(req)
+	if err != nil {
+		writeError(w, http.StatusNotFound, "%v", err)
 		return
 	}
-	if req.Index < 0 || req.Index >= len(s.jobs) {
-		writeError(w, http.StatusNotFound, "unknown job %s[%d]", req.SweepID, req.Index)
-		return
-	}
-	i := req.Index
-	// Whatever happens below, this lease is finished.
-	if l, held := c.leases[req.LeaseID]; held && l.ref.s == s && l.ref.index == i {
-		delete(c.leases, req.LeaseID)
-		c.met.locked(func(m *Metrics) { m.leaseMS.Observe(uint64(now.Sub(l.granted).Milliseconds())) })
-	}
-	if s.done[i] {
-		// A slow worker finished a job that already completed elsewhere
-		// (after its lease expired). Determinism makes the duplicate result
-		// identical, so dropping it is harmless.
-		c.met.locked(func(m *Metrics) { m.lateCompletes.Inc() })
-		c.expireLocked(now)
-		c.publishLevelsLocked()
-		writeJSON(w, http.StatusOK, CompleteResponse{Status: "ignored"})
-		return
-	}
-	if req.Error != "" {
-		s.attempts[i]++
-		if s.attempts[i] > c.opts.Retries {
-			c.recordLocked(s, i, "failed", sweep.JobResult{}, req.Error)
-			c.maybeFinishLocked(s)
-		} else {
-			c.pending = append(c.pending, jobRef{s: s, index: i})
-			c.met.locked(func(m *Metrics) { m.jobsRetried.Inc() })
-		}
-		c.expireLocked(now)
-		c.publishLevelsLocked()
-		writeJSON(w, http.StatusOK, CompleteResponse{Status: "ok"})
-		return
-	}
-	source := req.Source
-	if source != "cache" {
-		source = "run"
-	}
-	c.recordTimedLocked(s, i, source, req.Result, "", time.Duration(req.ElapsedMillis)*time.Millisecond)
-	// Any other lease for the same job (re-leased before this complete
-	// arrived) is now moot.
-	for lid, l := range c.leases {
-		if l.ref.s == s && l.ref.index == i {
-			delete(c.leases, lid)
-		}
-	}
-	c.maybeFinishLocked(s)
-	c.expireLocked(now)
-	c.publishLevelsLocked()
-	writeJSON(w, http.StatusOK, CompleteResponse{Status: "ok"})
+	writeJSON(w, http.StatusOK, resp)
 }
 
 func (c *Coordinator) handleHeartbeat(w http.ResponseWriter, r *http.Request) {
@@ -762,19 +841,5 @@ func (c *Coordinator) handleHeartbeat(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "bad heartbeat")
 		return
 	}
-	now := c.now()
-	c.mu.Lock()
-	c.workers[req.Worker] = now
-	renewed := 0
-	for _, l := range c.leases {
-		if l.worker == req.Worker {
-			l.expiry = now.Add(c.opts.LeaseTTL)
-			renewed++
-		}
-	}
-	c.met.locked(func(m *Metrics) { m.heartbeats.Inc() })
-	c.expireLocked(now)
-	c.publishLevelsLocked()
-	c.mu.Unlock()
-	writeJSON(w, http.StatusOK, HeartbeatResponse{Renewed: renewed})
+	writeJSON(w, http.StatusOK, HeartbeatResponse{Renewed: c.heartbeat(req.Worker)})
 }

@@ -18,19 +18,20 @@ import (
 // testSpec is a 2-point grid cheap enough to simulate many times per test.
 const testSpec = `{"name":"fab","workloads":["poly_horner"],"schemes":["baseline","reuse"],"scale":1,"sizes":[64]}`
 
-// serialResults runs the spec through the single-process engine and returns
-// the results.json bytes — the byte-identity reference for every fabric test.
+// serialResults runs the spec through a serial in-process sweep.Run and
+// returns its results.json bytes — the byte-identity reference for every
+// fabric test.
 func serialResults(t *testing.T, specJSON string) []byte {
 	t.Helper()
 	var spec sweep.Spec
 	if err := json.Unmarshal([]byte(specJSON), &spec); err != nil {
 		t.Fatal(err)
 	}
-	dir := t.TempDir()
-	if _, err := sweep.Run(context.Background(), spec, sweep.Options{Dir: dir}); err != nil {
+	res, err := sweep.Run(context.Background(), spec, sweep.Options{Workers: 1})
+	if err != nil {
 		t.Fatal(err)
 	}
-	data, err := os.ReadFile(filepath.Join(dir, sweep.ResultsFile))
+	data, err := sweep.MarshalResults(res)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -73,6 +74,8 @@ func startWorker(t *testing.T, ts *httptest.Server, id string) context.CancelFun
 	return cancel
 }
 
+// submit posts a spec, requires 202 with a non-empty id, and returns the
+// id.
 func submit(t *testing.T, ts *httptest.Server, spec string) string {
 	t.Helper()
 	resp, err := http.Post(ts.URL+"/sweeps", "application/json", strings.NewReader(spec))
@@ -95,30 +98,45 @@ func submit(t *testing.T, ts *httptest.Server, spec string) string {
 	return out.ID
 }
 
+// waitDone polls a sweep until it is done, failing the test if it fails or
+// is still running after a minute.
 func waitDone(t *testing.T, ts *httptest.Server, id string) SweepStatus {
 	t.Helper()
-	deadline := time.Now().Add(60 * time.Second)
-	for time.Now().Before(deadline) {
-		resp, err := http.Get(ts.URL + "/sweeps/" + id)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var st SweepStatus
-		err = json.NewDecoder(resp.Body).Decode(&st)
-		resp.Body.Close()
-		if err != nil {
-			t.Fatal(err)
-		}
-		switch st.State {
-		case "done":
-			return st
-		case "failed":
-			t.Fatalf("sweep failed: %s", st.Error)
-		}
-		time.Sleep(10 * time.Millisecond)
+	st := waitFinished(t, ts, id, time.Minute)
+	if st.State == "failed" {
+		t.Fatalf("sweep failed: %s", st.Error)
 	}
-	t.Fatal("sweep did not finish in time")
+	return st
+}
+
+// waitFinished polls a sweep until it is done or failed, failing the test
+// if it is still running after timeout.
+func waitFinished(t *testing.T, ts *httptest.Server, id string, timeout time.Duration) SweepStatus {
+	t.Helper()
+	deadline := time.Now().Add(timeout)
+	for time.Now().Before(deadline) {
+		st := getStatus(t, ts, id)
+		if st.State != "running" {
+			return st
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+	t.Fatalf("sweep did not finish within %s", timeout)
 	return SweepStatus{}
+}
+
+func getStatus(t *testing.T, ts *httptest.Server, id string) SweepStatus {
+	t.Helper()
+	resp, err := http.Get(ts.URL + "/sweeps/" + id)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var st SweepStatus
+	if err := json.NewDecoder(resp.Body).Decode(&st); err != nil {
+		t.Fatal(err)
+	}
+	return st
 }
 
 func getResults(t *testing.T, ts *httptest.Server, id string) []byte {
@@ -185,7 +203,7 @@ func TestFabricByteIdenticalToSerial(t *testing.T) {
 		t.Errorf("fabric results differ from serial run\nfabric: %d bytes\nserial: %d bytes", len(got), len(want))
 	}
 	// The artifact on disk is the same bytes the endpoint serves.
-	disk, err := os.ReadFile(filepath.Join(dir, "sweeps", id, sweep.ResultsFile))
+	disk, err := os.ReadFile(filepath.Join(dir, "sweeps", id, resultsFile))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -206,7 +224,7 @@ func TestFabricByteIdenticalToSerial(t *testing.T) {
 func TestWorkerLossReleases(t *testing.T) {
 	want := serialResults(t, testSpec)
 
-	_, ts := newTestCoordinator(t, t.TempDir(), CoordinatorOptions{LeaseTTL: 150 * time.Millisecond})
+	_, ts := newTestCoordinator(t, t.TempDir(), CoordinatorOptions{LeaseTTL: 150 * time.Millisecond, Retries: 3})
 	id := submit(t, ts, testSpec)
 
 	// The zombie takes both jobs and dies without completing or heartbeating.
@@ -395,7 +413,7 @@ func TestCoordinatorRecovery(t *testing.T) {
 		t.Fatal(err)
 	}
 	resp.Body.Close()
-	res, err := sweep.ExecuteWithWorkers(lr.Job, nil, nil, lr.SampleWorkers)
+	res, _, err := sweep.Execute(lr.Job, nil, lr.SampleWorkers)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -9,9 +9,9 @@ import (
 
 // Metrics aggregates coordinator activity into an obs.Registry, the same
 // counter/gauge/histogram machinery every /metrics surface in the repo
-// serves (sweepd local mode, driftd). The coordinator is concurrent, so
-// every update and snapshot goes through one mutex. A nil *Metrics is valid
-// and records nothing.
+// serves (sweepd local and coordinator modes, driftd). The coordinator is
+// concurrent, so every update and snapshot goes through one mutex. A nil
+// *Metrics is valid and records nothing.
 type Metrics struct {
 	mu sync.Mutex
 	r  *obs.Registry
@@ -27,6 +27,11 @@ type Metrics struct {
 	jobsResumed  *obs.Counter
 	jobsFailed   *obs.Counter
 	jobsRetried  *obs.Counter
+	jobsSampled  *obs.Counter
+
+	ckptHits    *obs.Counter
+	ckptMisses  *obs.Counter
+	ckptFFInsts *obs.Counter
 
 	leasesGranted *obs.Counter
 	leaseExpiries *obs.Counter
@@ -64,6 +69,10 @@ func NewMetrics() *Metrics {
 		jobsResumed:     r.Counter("fabric_jobs_resumed"),
 		jobsFailed:      r.Counter("fabric_jobs_failed"),
 		jobsRetried:     r.Counter("fabric_jobs_retried"),
+		jobsSampled:     r.Counter("fabric_jobs_sampled"),
+		ckptHits:        r.Counter("fabric_ckpt_hits"),
+		ckptMisses:      r.Counter("fabric_ckpt_misses"),
+		ckptFFInsts:     r.Counter("fabric_ckpt_ff_insts"),
 		leasesGranted:   r.Counter("fabric_leases_granted"),
 		leaseExpiries:   r.Counter("fabric_lease_expiries"),
 		releases:        r.Counter("fabric_releases"),
@@ -120,8 +129,8 @@ func (m *Metrics) storePut(bytes int) {
 	})
 }
 
-// jobDone mirrors the engine's source accounting: "run" | "cache" |
-// "resume" | "failed".
+// jobDone records one job outcome by source: "run" | "cache" | "resume" |
+// "failed".
 func (m *Metrics) jobDone(source string, elapsed time.Duration) {
 	m.locked(func(m *Metrics) {
 		switch source {
@@ -135,6 +144,19 @@ func (m *Metrics) jobDone(source string, elapsed time.Duration) {
 		case "failed":
 			m.jobsFailed.Inc()
 		}
+	})
+}
+
+// ckptUsage records how a worker's attempt used the checkpoint store.
+func (m *Metrics) ckptUsage(ckpt string, ffInsts uint64) {
+	m.locked(func(m *Metrics) {
+		switch ckpt {
+		case "hit":
+			m.ckptHits.Inc()
+		case "miss":
+			m.ckptMisses.Inc()
+		}
+		m.ckptFFInsts.Add(ffInsts)
 	})
 }
 

@@ -1,8 +1,18 @@
-// Package fabric shards the sweep engine across processes: a coordinator
-// expands SweepSpecs into the engine's deterministic job grids and leases
-// jobs to pull-model workers over HTTP, while a shared content-addressed
-// artifact store (blob.Handler under /objects/) lets every worker reuse
-// every other worker's simulation results and fast-forward checkpoints.
+// Package fabric is the sweep service: a coordinator expands SweepSpecs
+// into the engine's deterministic job grids, journals and resumes them, and
+// leases jobs to pull-model workers, while a shared content-addressed
+// artifact store lets every worker reuse every other worker's simulation
+// results and fast-forward checkpoints. The job lifecycle — admission,
+// journaling, resume, retries, timeouts, panic containment and metrics —
+// exists once, here, and serves both sweepd service modes:
+//
+//   - remote workers (sweepd -mode=coordinator / -mode=worker) speak the
+//     HTTP protocol below and reach the store through blob.Handler under
+//     /objects/;
+//   - in-process workers (Coordinator.LocalWorker, sweepd -mode=local)
+//     make the same lease, complete and heartbeat calls directly, mount the
+//     coordinator's store directly, and wait on the queue instead of
+//     polling. LocalHandler serves only the sweep API and /metrics.
 //
 // The protocol is three POST endpoints plus the object store:
 //
@@ -12,10 +22,10 @@
 //
 // A lease carries a TTL; a worker that stops heartbeating (crash, partition)
 // lets its leases expire, and the coordinator re-leases the jobs to whoever
-// pulls next — the work-stealing path. Results are journaled into the same
-// fsynced JSONL manifest the single-process engine writes, so a killed
-// coordinator resumes on restart and the final results.json is byte-identical
-// to a serial run of the same spec.
+// pulls next — the work-stealing path. Results are journaled into an
+// fsynced JSONL manifest per sweep, so a killed coordinator resumes on
+// restart and the final results.json is byte-identical to a serial
+// sweep.Run of the same spec.
 package fabric
 
 import (
@@ -48,9 +58,10 @@ type LeaseResponse struct {
 
 // CompleteRequest reports the outcome of a lease. Source is "run" (simulated
 // here) or "cache" (served from the shared store); Error non-empty marks a
-// failed attempt, which the coordinator retries up to its bound.
+// failed attempt, which the coordinator retries up to its bound. Ckpt and
+// FFInsts carry the attempt's sweep.Usage into the coordinator's metrics.
 //
-//repro:schema fabric-complete-request v1
+//repro:schema fabric-complete-request v2
 type CompleteRequest struct {
 	LeaseID string          `json:"lease_id"`
 	SweepID string          `json:"sweep_id"`
@@ -61,6 +72,11 @@ type CompleteRequest struct {
 	Error   string          `json:"error,omitempty"`
 	// ElapsedMillis is the worker-side wall clock of an executed attempt.
 	ElapsedMillis int64 `json:"elapsed_ms,omitempty"`
+	// Ckpt is "hit" or "miss" when the attempt fast-forwarded through the
+	// checkpoint store; FFInsts counts the instructions it ran at
+	// functional speed.
+	Ckpt    string `json:"ckpt,omitempty"`
+	FFInsts uint64 `json:"ff_insts,omitempty"`
 }
 
 // CompleteResponse acknowledges a completion. Status is "ok" for a recorded

@@ -28,7 +28,7 @@ type WorkerOptions struct {
 	ID string
 	// Poll is how long to sleep when the coordinator has no work (0 = 250ms).
 	Poll time.Duration
-	// JobTimeout bounds one attempt (0 = 10m), mirroring the engine's default.
+	// JobTimeout bounds one attempt (0 = 10m).
 	JobTimeout time.Duration
 	// Client overrides the HTTP client (nil = 2 minute timeout).
 	Client *http.Client
@@ -36,26 +36,29 @@ type WorkerOptions struct {
 	Logf func(format string, args ...any)
 }
 
-// Worker pulls leases from a coordinator, executes them through the same
-// sweep.ExecuteWithWorkers path a local run uses, and reports completions.
-// Its result cache and checkpoint store are mounted over the coordinator's
-// shared artifact store (with an optional local read-through layer), so any
-// job another worker already simulated — in this sweep or any earlier one —
-// completes as a cache hit without touching the simulator.
+// Worker pulls leases from a coordinator, executes them through
+// sweep.Execute with panic and timeout containment, and reports
+// completions. A remote worker (NewWorker) speaks the HTTP protocol and
+// mounts its result cache and checkpoint store over the coordinator's
+// shared artifact store (with an optional local read-through layer); an
+// in-process worker (Coordinator.LocalWorker) makes the same calls
+// directly. Either way, any job another worker already simulated — in this
+// sweep or any earlier one — completes as a cache hit without touching the
+// simulator.
 type Worker struct {
-	opts   WorkerOptions
-	id     string
+	opts WorkerOptions
+	id   string
+	// coord is the coordinator an in-process worker calls directly; nil
+	// for a remote worker, which talks HTTP to base through client.
+	coord  *Coordinator
 	base   string
 	client *http.Client
 	cache  *sweep.Cache
 	ckpts  *ckpt.Store
 }
 
-// NewWorker validates opts and builds the worker's store stack.
-func NewWorker(opts WorkerOptions) (*Worker, error) {
-	if opts.Coordinator == "" {
-		return nil, fmt.Errorf("fabric: worker needs a coordinator URL")
-	}
+// withDefaults fills the options every worker kind shares.
+func (opts WorkerOptions) withDefaults() WorkerOptions {
 	if opts.ID == "" {
 		host, err := os.Hostname()
 		if err != nil {
@@ -63,11 +66,20 @@ func NewWorker(opts WorkerOptions) (*Worker, error) {
 		}
 		opts.ID = fmt.Sprintf("%s-%d", host, os.Getpid())
 	}
-	if opts.Poll <= 0 {
-		opts.Poll = 250 * time.Millisecond
-	}
 	if opts.JobTimeout <= 0 {
 		opts.JobTimeout = 10 * time.Minute
+	}
+	return opts
+}
+
+// NewWorker validates opts and builds a remote worker's store stack.
+func NewWorker(opts WorkerOptions) (*Worker, error) {
+	if opts.Coordinator == "" {
+		return nil, fmt.Errorf("fabric: worker needs a coordinator URL")
+	}
+	opts = opts.withDefaults()
+	if opts.Poll <= 0 {
+		opts.Poll = 250 * time.Millisecond
 	}
 	client := opts.Client
 	if client == nil {
@@ -91,6 +103,21 @@ func NewWorker(opts WorkerOptions) (*Worker, error) {
 	}, nil
 }
 
+// LocalWorker returns an in-process worker for c. It leases, heartbeats and
+// completes through direct calls, mounts c's own result cache and
+// checkpoint store, and when idle waits for c to queue work instead of
+// polling. Of opts, only ID, JobTimeout and Logf apply.
+func (c *Coordinator) LocalWorker(opts WorkerOptions) *Worker {
+	opts = opts.withDefaults()
+	return &Worker{
+		opts:  opts,
+		id:    opts.ID,
+		coord: c,
+		cache: c.cache,
+		ckpts: ckpt.NewStoreWith(c.store),
+	}
+}
+
 // ID returns the worker's lease identity.
 func (w *Worker) ID() string { return w.id }
 
@@ -105,37 +132,48 @@ func (w *Worker) logf(format string, args ...any) {
 // and reports its completion before Run returns. The return is always nil —
 // an unreachable coordinator is a retry loop, not a worker death.
 func (w *Worker) Run(ctx context.Context) error {
-	w.logf("worker %s pulling from %s", w.id, w.base)
+	if w.coord != nil {
+		w.logf("worker %s serving the in-process coordinator", w.id)
+	} else {
+		w.logf("worker %s pulling from %s", w.id, w.base)
+	}
 	idle := false
-	for {
-		select {
-		case <-ctx.Done():
-			w.logf("worker %s drained, exiting", w.id)
-			return nil
-		default:
-		}
-		lr, ok, err := w.lease()
+	for ctx.Err() == nil {
+		lr, wake, err := w.lease()
 		if err != nil {
 			w.logf("worker %s: lease: %v (retrying)", w.id, err)
-			if !sleepCtx(ctx, w.opts.Poll) {
-				w.logf("worker %s drained, exiting", w.id)
-				return nil
-			}
+			w.wait(ctx, nil)
 			continue
 		}
-		if !ok {
+		if lr == nil {
 			if !idle {
 				w.logf("worker %s idle", w.id)
 				idle = true
 			}
-			if !sleepCtx(ctx, w.opts.Poll) {
-				w.logf("worker %s drained, exiting", w.id)
-				return nil
-			}
+			w.wait(ctx, wake)
 			continue
 		}
 		idle = false
 		w.process(lr)
+	}
+	w.logf("worker %s drained, exiting", w.id)
+	return nil
+}
+
+// wait blocks until ctx is done or work may be available: until wake
+// closes for an in-process worker, or one poll interval for a remote one
+// (wake nil).
+func (w *Worker) wait(ctx context.Context, wake <-chan struct{}) {
+	var poll <-chan time.Time
+	if wake == nil {
+		t := time.NewTimer(w.opts.Poll)
+		defer t.Stop()
+		poll = t.C
+	}
+	select {
+	case <-ctx.Done():
+	case <-wake:
+	case <-poll:
 	}
 }
 
@@ -147,7 +185,7 @@ func (w *Worker) process(lr *LeaseResponse) {
 	go w.heartbeatLoop(time.Duration(lr.TTLMillis)*time.Millisecond, stop, done)
 
 	start := time.Now()
-	res, source, err := w.attempt(lr.Job, lr.SampleWorkers)
+	res, source, use, err := w.attempt(lr.Job, lr.SampleWorkers)
 	elapsed := time.Since(start)
 	close(stop)
 	<-done
@@ -160,6 +198,8 @@ func (w *Worker) process(lr *LeaseResponse) {
 		Source:        source,
 		Result:        res,
 		ElapsedMillis: elapsed.Milliseconds(),
+		Ckpt:          use.Ckpt,
+		FFInsts:       use.FFInsts,
 	}
 	if err != nil {
 		req.Error = err.Error()
@@ -167,8 +207,7 @@ func (w *Worker) process(lr *LeaseResponse) {
 	} else {
 		w.logf("worker %s: job %s/%s@%d done (%s, %s)", w.id, lr.Job.Workload, lr.Job.Scheme, lr.Job.Size, source, elapsed.Round(time.Millisecond))
 	}
-	var resp CompleteResponse
-	if _, err := w.post("/complete", req, &resp); err != nil {
+	if err := w.complete(req); err != nil {
 		// The coordinator will expire the lease and re-lease the job; the
 		// result is already in the shared store, so the retry is a cache hit.
 		w.logf("worker %s: complete: %v (lease will expire)", w.id, err)
@@ -176,22 +215,24 @@ func (w *Worker) process(lr *LeaseResponse) {
 }
 
 // attempt serves the job from the shared cache when possible, otherwise
-// executes it with the engine's panic/timeout containment. A timed-out
-// goroutine is abandoned (its eventual result is discarded), matching the
-// single-process engine's containment semantics. The result bits must match
-// what a serial run of the same job produces — that equivalence is what
-// makes the shared cache and the byte-identical results.json claims hold —
-// so the body is held to the deterministic scope rules (the timeout timer
-// is containment, not result data).
+// executes it on its own goroutine so a panic or an overlong run cannot
+// take the worker down. A timed-out goroutine is abandoned (the simulator
+// has no preemption points, and MaxCycles bounds how long it can linger);
+// its eventual result is discarded. The result bits must match what a
+// serial run of the same job produces — that equivalence is what makes the
+// shared cache and the byte-identical results.json claims hold — so the
+// body is held to the deterministic scope rules (the timeout timer is
+// containment, not result data).
 //
 //repro:deterministic
-func (w *Worker) attempt(job sweep.Job, sampleWorkers int) (sweep.JobResult, string, error) {
+func (w *Worker) attempt(job sweep.Job, sampleWorkers int) (sweep.JobResult, string, sweep.Usage, error) {
 	key := job.Key()
 	if r, ok := w.cache.Get(key); ok {
-		return r, "cache", nil
+		return r, "cache", sweep.Usage{}, nil
 	}
 	type outcome struct {
 		res sweep.JobResult
+		use sweep.Usage
 		err error
 	}
 	ch := make(chan outcome, 1)
@@ -201,23 +242,23 @@ func (w *Worker) attempt(job sweep.Job, sampleWorkers int) (sweep.JobResult, str
 				ch <- outcome{err: fmt.Errorf("panic: %v", p)}
 			}
 		}()
-		r, e := sweep.ExecuteWithWorkers(job, w.ckpts, nil, sampleWorkers)
-		ch <- outcome{res: r, err: e}
+		r, use, e := sweep.Execute(job, w.ckpts, sampleWorkers)
+		ch <- outcome{res: r, use: use, err: e}
 	}()
 	t := time.NewTimer(w.opts.JobTimeout)
 	defer t.Stop()
 	select {
 	case o := <-ch:
 		if o.err != nil {
-			return sweep.JobResult{}, "", o.err
+			return sweep.JobResult{}, "", o.use, o.err
 		}
 		if err := w.cache.Put(key, job, o.res); err != nil {
 			// A store hiccup costs future reuse, never this result.
 			w.logf("worker %s: cache put %s: %v", w.id, key, err)
 		}
-		return o.res, "run", nil
+		return o.res, "run", o.use, nil
 	case <-t.C:
-		return sweep.JobResult{}, "", fmt.Errorf("job timed out after %s", w.opts.JobTimeout)
+		return sweep.JobResult{}, "", sweep.Usage{}, fmt.Errorf("job timed out after %s", w.opts.JobTimeout)
 	}
 }
 
@@ -236,26 +277,49 @@ func (w *Worker) heartbeatLoop(ttl time.Duration, stop <-chan struct{}, done cha
 		case <-stop:
 			return
 		case <-ticker.C:
-			var resp HeartbeatResponse
-			if _, err := w.post("/heartbeat", HeartbeatRequest{Worker: w.id}, &resp); err != nil {
+			if err := w.heartbeat(); err != nil {
 				w.logf("worker %s: heartbeat: %v", w.id, err)
 			}
 		}
 	}
 }
 
-// lease asks the coordinator for one job; ok is false when the queue is
-// empty (HTTP 204).
-func (w *Worker) lease() (*LeaseResponse, bool, error) {
-	var lr LeaseResponse
-	status, err := w.post("/lease", LeaseRequest{Worker: w.id}, &lr)
-	if err != nil {
-		return nil, false, err
+// lease asks the coordinator for one job. lr is nil when the queue is
+// empty; an in-process worker then also gets a channel that closes once
+// work is queued.
+func (w *Worker) lease() (lr *LeaseResponse, wake <-chan struct{}, err error) {
+	if w.coord != nil {
+		lr, wake = w.coord.lease(w.id)
+		return lr, wake, nil
 	}
-	if status == http.StatusNoContent {
-		return nil, false, nil
+	var resp LeaseResponse
+	status, err := w.post("/lease", LeaseRequest{Worker: w.id}, &resp)
+	if err != nil || status == http.StatusNoContent {
+		return nil, nil, err
 	}
-	return &lr, true, nil
+	return &resp, nil, nil
+}
+
+// complete reports a finished (or failed) lease.
+func (w *Worker) complete(req CompleteRequest) error {
+	if w.coord != nil {
+		_, err := w.coord.complete(req)
+		return err
+	}
+	var resp CompleteResponse
+	_, err := w.post("/complete", req, &resp)
+	return err
+}
+
+// heartbeat renews every lease this worker holds.
+func (w *Worker) heartbeat() error {
+	if w.coord != nil {
+		w.coord.heartbeat(w.id)
+		return nil
+	}
+	var resp HeartbeatResponse
+	_, err := w.post("/heartbeat", HeartbeatRequest{Worker: w.id}, &resp)
+	return err
 }
 
 // post sends one JSON request to the coordinator and decodes the response
@@ -282,17 +346,4 @@ func (w *Worker) post(path string, in, out any) (int, error) {
 		}
 	}
 	return resp.StatusCode, nil
-}
-
-// sleepCtx sleeps for d unless ctx cancels first; it reports whether the
-// caller should keep running.
-func sleepCtx(ctx context.Context, d time.Duration) bool {
-	t := time.NewTimer(d)
-	defer t.Stop()
-	select {
-	case <-ctx.Done():
-		return false
-	case <-t.C:
-		return true
-	}
 }

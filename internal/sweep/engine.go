@@ -5,53 +5,25 @@ import (
 	"encoding/json"
 	"fmt"
 	"os"
-	"path/filepath"
 	"sync"
-	"time"
 
-	"repro/internal/blob"
 	"repro/internal/ckpt"
 	"repro/internal/par"
-	"repro/internal/workloads"
 )
 
-// Options configures one engine run.
+// Options configures one in-process run.
 type Options struct {
-	// Dir is the sweep run directory: spec.json, manifest.jsonl, and
-	// results.json live here, and a rerun with the same Dir resumes from
-	// the manifest. "" runs fully in-memory (no manifest, no results
-	// file) — the mode the library-level experiments use.
-	Dir string
+	// Workers bounds simulation parallelism (<= 0 = GOMAXPROCS).
+	Workers int
 	// Cache is the cross-sweep content-addressed result store; nil
 	// disables caching.
 	Cache *Cache
 	// Ckpt is the shared checkpoint store for fast-forward jobs; nil makes
-	// every job fast-forward from reset itself. With a store, the engine
-	// pre-warms each workload's checkpoint serially before the parallel
-	// phase, so the functional fast-forward runs exactly once per
-	// (workload, position) no matter how many schemes and sizes share it.
+	// every job fast-forward from reset itself. With a store, each
+	// (workload, position) is fast-forwarded once no matter how many
+	// schemes and sizes share it: ckpt.Prepare lets one caller per site
+	// fast-forward while the others wait and load what it saved.
 	Ckpt *ckpt.Store
-	// Workers bounds simulation parallelism (<= 0 = GOMAXPROCS).
-	Workers int
-	// JobTimeout fails a single job attempt that runs longer (0 = 10m).
-	JobTimeout time.Duration
-	// Retries is how many extra attempts a failed or timed-out job gets
-	// before it is recorded as failed.
-	Retries int
-	// Metrics, when non-nil, receives engine counters/latencies.
-	Metrics *Metrics
-	// OnJob, when non-nil, is called after every job completes (from
-	// worker goroutines, serialized by the engine).
-	OnJob func(JobOutcome)
-}
-
-// JobOutcome reports one completed job to Options.OnJob.
-type JobOutcome struct {
-	Index   int
-	Job     Job
-	Source  string // "run" | "cache" | "resume" | "failed"
-	Err     error
-	Elapsed time.Duration
 }
 
 // RunStats counts how a run's jobs were satisfied.
@@ -59,15 +31,13 @@ type RunStats struct {
 	Total     int `json:"total"`
 	Executed  int `json:"executed"`   // simulated in this run
 	CacheHits int `json:"cache_hits"` // satisfied by the content-addressed cache
-	Resumed   int `json:"resumed"`    // satisfied by a previous run's manifest
 	Failed    int `json:"failed"`
-	Retried   int `json:"retried"` // extra attempts spent
 }
 
 // RunResult is a completed sweep. Jobs and Results are parallel slices in
 // the spec's deterministic expansion order. Stats is observability only —
-// it is excluded from results.json so a resumed run's artifact is
-// bit-identical to a cold run's.
+// it is excluded from results.json so the artifact depends only on the
+// results, never on how each one was obtained.
 type RunResult struct {
 	SchemaVersion int         `json:"schema_version"`
 	Spec          Spec        `json:"spec"`
@@ -77,49 +47,18 @@ type RunResult struct {
 	Stats         RunStats    `json:"-"`
 }
 
-// Run-directory artifact names, shared with the fabric coordinator so a
-// directory produced by either scheduler resumes under the other.
-const (
-	SpecFile     = "spec.json"
-	ManifestFile = "manifest.jsonl"
-	ResultsFile  = "results.json"
-)
-
-// Run expands spec and executes it to completion: manifest-recorded jobs
-// are skipped outright, cache hits skip simulation, and everything else is
-// simulated under the worker pool with per-job timeout, panic recovery, and
-// bounded retries. It returns once every job has an outcome (or ctx is
-// cancelled); if any job ultimately failed, the RunResult is still returned
+// Run expands spec and executes it in process: cache hits skip simulation,
+// and everything else is simulated under the worker pool, with a panicking
+// job recorded as failed instead of taking the run down. Retries and
+// timeouts are service concerns (internal/fabric): a deterministic job that
+// failed once fails again. Run returns once every job has an outcome (or
+// ctx is cancelled); if any job failed, the RunResult is still returned
 // alongside the error so callers can see partial results.
 func Run(ctx context.Context, spec Spec, opts Options) (*RunResult, error) {
 	jobs, err := spec.Jobs()
 	if err != nil {
 		return nil, err
 	}
-	timeout := opts.JobTimeout
-	if timeout <= 0 {
-		timeout = 10 * time.Minute
-	}
-
-	var (
-		resumed map[string]ManifestEntry
-		journal *Manifest
-	)
-	if opts.Dir != "" {
-		if err := os.MkdirAll(opts.Dir, 0o755); err != nil {
-			return nil, err
-		}
-		if data, err := json.MarshalIndent(spec, "", "\t"); err == nil {
-			_ = blob.WriteFileAtomic(filepath.Join(opts.Dir, SpecFile), append(data, '\n'))
-		}
-		resumed = LoadManifest(filepath.Join(opts.Dir, ManifestFile))
-		journal, err = OpenManifest(filepath.Join(opts.Dir, ManifestFile))
-		if err != nil {
-			return nil, err
-		}
-		defer journal.Close()
-	}
-
 	res := &RunResult{
 		SchemaVersion: SchemaVersion,
 		Spec:          spec,
@@ -129,61 +68,32 @@ func Run(ctx context.Context, spec Spec, opts Options) (*RunResult, error) {
 	res.Stats.Total = len(jobs)
 	errs := make([]error, len(jobs))
 
-	var mu sync.Mutex // guards res.Stats, journal appends, OnJob ordering
-	record := func(i int, source string, r JobResult, jerr error, elapsed time.Duration, retried int) error {
+	var mu sync.Mutex // guards res.Stats
+	count := func(n *int) {
 		mu.Lock()
-		defer mu.Unlock()
-		res.Stats.Retried += retried
-		switch {
-		case jerr != nil:
-			res.Stats.Failed++
-			errs[i] = jerr
-		case source == "resume":
-			res.Stats.Resumed++
-			res.Results[i] = r
-		case source == "cache":
-			res.Stats.CacheHits++
-			res.Results[i] = r
-		default:
-			res.Stats.Executed++
-			res.Results[i] = r
-		}
-		opts.Metrics.jobDone(source, retried, elapsed)
-		if journal != nil && jerr == nil && source != "resume" {
-			if err := journal.Append(ManifestEntry{Key: jobs[i].Key(), Source: source, Result: r}); err != nil {
-				return fmt.Errorf("manifest append: %w", err)
-			}
-		}
-		if opts.OnJob != nil {
-			opts.OnJob(JobOutcome{Index: i, Job: jobs[i], Source: source, Err: jerr, Elapsed: elapsed})
-		}
-		return nil
+		*n++
+		mu.Unlock()
 	}
-	opts.Metrics.jobsQueued(len(jobs))
-	if opts.Ckpt != nil {
-		prewarmCheckpoints(jobs, resumed, opts)
-	}
-
 	err = par.ForEachCtx(ctx, len(jobs), opts.Workers, func(i int) error {
 		key := jobs[i].Key()
-		if e, ok := resumed[key]; ok {
-			return record(i, "resume", e.Result, nil, 0, 0)
-		}
 		if r, ok := opts.Cache.Get(key); ok {
-			return record(i, "cache", r, nil, 0, 0)
+			res.Results[i] = r
+			count(&res.Stats.CacheHits)
+			return nil
 		}
-		start := time.Now()
-		r, retried, jerr := executeWithRetry(ctx, jobs[i], timeout, opts.Retries, opts.Ckpt, opts.Metrics, spec.SampleWorkers)
-		elapsed := time.Since(start)
+		r, jerr := runJob(jobs[i], opts.Ckpt, spec.SampleWorkers)
 		if jerr != nil {
-			return record(i, "failed", JobResult{}, jerr, elapsed, retried)
+			errs[i] = jerr
+			count(&res.Stats.Failed)
+			return nil
 		}
 		if perr := opts.Cache.Put(key, jobs[i], r); perr != nil {
-			// A broken cache must not fail the sweep; the manifest still
-			// records the result.
+			// A broken cache must not fail the sweep.
 			fmt.Fprintf(os.Stderr, "sweep: cache put %s: %v\n", key[:12], perr)
 		}
-		return record(i, "run", r, nil, elapsed, retried)
+		res.Results[i] = r
+		count(&res.Stats.Executed)
+		return nil
 	})
 	if err != nil {
 		return res, err
@@ -196,120 +106,29 @@ func Run(ctx context.Context, spec Spec, opts Options) (*RunResult, error) {
 	if len(res.Errors) > 0 {
 		return res, fmt.Errorf("sweep: %d of %d jobs failed (first: %s)", len(res.Errors), len(jobs), res.Errors[0])
 	}
-	if opts.Dir != "" {
-		data, err := MarshalResults(res)
-		if err != nil {
-			return res, err
-		}
-		if err := blob.WriteFileAtomic(filepath.Join(opts.Dir, ResultsFile), data); err != nil {
-			return res, err
-		}
-	}
 	return res, nil
+}
+
+// runJob executes one job on the calling goroutine, turning a panic into
+// the job's error.
+func runJob(j Job, store *ckpt.Store, sampleWorkers int) (r JobResult, err error) {
+	defer func() {
+		if p := recover(); p != nil {
+			err = fmt.Errorf("job panicked: %v", p)
+		}
+	}()
+	r, _, err = Execute(j, store, sampleWorkers)
+	return r, err
 }
 
 // MarshalResults renders the results.json artifact. It depends only on the
 // spec and the (deterministic) per-job results, never on scheduling order
-// or on how each result was obtained — the bit-identical-resume guarantee,
-// which is also why a fabric run's artifact matches a serial run's byte for
-// byte.
+// or on how each result was obtained — which is why a sweepd run's
+// artifact, resumed or not, matches a serial Run's byte for byte.
 func MarshalResults(res *RunResult) ([]byte, error) {
 	data, err := json.MarshalIndent(res, "", "\t")
 	if err != nil {
 		return nil, err
 	}
 	return append(data, '\n'), nil
-}
-
-// prewarmCheckpoints builds, serially, the checkpoint every fast-forward
-// job of this run will boot from — one functional execution per unique
-// (workload, scale, position) that still has work to do. Errors are left
-// for job execution to surface (a job with no checkpoint just fast-forwards
-// itself).
-func prewarmCheckpoints(jobs []Job, resumed map[string]ManifestEntry, opts Options) {
-	type site struct {
-		workload string
-		scale    int
-		base     uint64
-	}
-	seen := make(map[site]bool)
-	for i := range jobs {
-		j := &jobs[i]
-		if j.FastForward == 0 {
-			continue
-		}
-		if _, ok := resumed[j.Key()]; ok {
-			continue
-		}
-		if _, ok := opts.Cache.Get(j.Key()); ok {
-			continue
-		}
-		k := site{j.Workload, j.Scale, j.FastForward - j.Warmup}
-		if seen[k] {
-			continue
-		}
-		seen[k] = true
-		w, ok := workloads.ByName(j.Workload, j.Scale)
-		if !ok {
-			continue
-		}
-		p := w.Program()
-		_, hit, err := ckpt.Prepare(opts.Ckpt, p, ckpt.ProgramDigest(p), k.base, 0)
-		if err != nil {
-			continue
-		}
-		ffDone := uint64(0)
-		if !hit {
-			ffDone = k.base
-		}
-		opts.Metrics.ckptLookup(hit, ffDone)
-	}
-}
-
-// executeWithRetry runs one job with panic recovery and a per-attempt
-// timeout, retrying up to `retries` extra times. It reports how many
-// retries were consumed.
-func executeWithRetry(ctx context.Context, job Job, timeout time.Duration, retries int, store *ckpt.Store, m *Metrics, sampleWorkers int) (JobResult, int, error) {
-	var lastErr error
-	for attempt := 0; ; attempt++ {
-		r, err := executeOnce(ctx, job, timeout, store, m, sampleWorkers)
-		if err == nil {
-			return r, attempt, nil
-		}
-		lastErr = err
-		if ctx.Err() != nil || attempt >= retries {
-			return JobResult{}, attempt, lastErr
-		}
-	}
-}
-
-// executeOnce runs a single attempt on its own goroutine so a panicking or
-// overlong simulation cannot take the scheduler down with it. On timeout the
-// simulation goroutine is abandoned (the simulator has no preemption
-// points); MaxCycles bounds how long it can linger.
-func executeOnce(ctx context.Context, job Job, timeout time.Duration, store *ckpt.Store, m *Metrics, sampleWorkers int) (JobResult, error) {
-	type outcome struct {
-		res JobResult
-		err error
-	}
-	ch := make(chan outcome, 1)
-	go func() {
-		defer func() {
-			if rec := recover(); rec != nil {
-				ch <- outcome{err: fmt.Errorf("job panicked: %v", rec)}
-			}
-		}()
-		r, err := ExecuteWithWorkers(job, store, m, sampleWorkers)
-		ch <- outcome{res: r, err: err}
-	}()
-	timer := time.NewTimer(timeout)
-	defer timer.Stop()
-	select {
-	case o := <-ch:
-		return o.res, o.err
-	case <-timer.C:
-		return JobResult{}, fmt.Errorf("job timed out after %s", timeout)
-	case <-ctx.Done():
-		return JobResult{}, ctx.Err()
-	}
 }

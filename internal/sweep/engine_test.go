@@ -7,8 +7,11 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
-	"time"
+
+	"repro/internal/blob"
+	"repro/internal/ckpt"
 )
 
 // tinySpec is the 4-job sweep (2 workloads × 2 schemes × 1 size) the engine
@@ -55,143 +58,61 @@ func TestRunColdAndCacheWarm(t *testing.T) {
 	}
 }
 
-// TestResumeFromTruncatedManifest is the kill-mid-sweep scenario: a run's
-// manifest is cut down to its first N entries (plus a torn half-line, as a
-// real kill would leave), and the rerun must execute only the remaining
-// jobs while producing a results.json bit-identical to an uninterrupted
-// run. No cache is attached, so the manifest alone carries the resume.
-func TestResumeFromTruncatedManifest(t *testing.T) {
-	base := t.TempDir()
-	coldDir := filepath.Join(base, "cold")
-	cold, err := Run(context.Background(), tinySpec(), Options{Dir: coldDir, Workers: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if cold.Stats.Executed != 4 {
-		t.Fatalf("cold stats = %+v", cold.Stats)
-	}
-	coldBytes, err := os.ReadFile(filepath.Join(coldDir, ResultsFile))
-	if err != nil {
-		t.Fatal(err)
-	}
+// failingStore is a blob.Store whose every access fails, as a broken
+// backend would.
+type failingStore struct{}
 
-	// Second full run in its own dir, then simulate the kill: keep the
-	// first 2 manifest lines plus a torn fragment, drop results.json.
-	killDir := filepath.Join(base, "killed")
-	if _, err := Run(context.Background(), tinySpec(), Options{Dir: killDir, Workers: 2}); err != nil {
-		t.Fatal(err)
-	}
-	manifestPath := filepath.Join(killDir, ManifestFile)
-	data, err := os.ReadFile(manifestPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	lines := bytes.SplitAfter(data, []byte("\n"))
-	if len(lines) < 4 {
-		t.Fatalf("manifest has %d lines, want >= 4", len(lines))
-	}
-	truncated := append([]byte{}, lines[0]...)
-	truncated = append(truncated, lines[1]...)
-	truncated = append(truncated, lines[2][:len(lines[2])/2]...) // torn in-flight line
-	if err := os.WriteFile(manifestPath, truncated, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if err := os.Remove(filepath.Join(killDir, ResultsFile)); err != nil {
-		t.Fatal(err)
-	}
+func (failingStore) Get(string) ([]byte, bool, error) { return nil, false, errors.New("store offline") }
+func (failingStore) Put(string, []byte) error         { return errors.New("store offline") }
 
-	resumedRun, err := Run(context.Background(), tinySpec(), Options{Dir: killDir, Workers: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if resumedRun.Stats.Resumed != 2 || resumedRun.Stats.Executed != 2 {
-		t.Fatalf("resume stats = %+v, want 2 resumed + 2 executed", resumedRun.Stats)
-	}
-	resumedBytes, err := os.ReadFile(filepath.Join(killDir, ResultsFile))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(coldBytes, resumedBytes) {
-		t.Error("resumed results.json is not bit-identical to the cold run's")
-	}
-}
-
+// TestRunRecordsFailures: a fast-forward job whose checkpoint store is
+// broken fails, and Run records it without aborting the rest of the grid.
 func TestRunRecordsFailures(t *testing.T) {
-	// An impossible workload cannot get past validation, so inject failure
-	// via a spec that validates at expansion but whose job times out.
-	// (Small scale: the abandoned attempts finish quickly in the
-	// background.)
 	spec := Spec{
-		Workloads: []string{"poly_horner"},
-		Schemes:   []string{"reuse"},
-		Scale:     1,
+		Workloads:   []string{"poly_horner"},
+		Schemes:     []string{"baseline", "reuse"},
+		Scale:       1,
+		FastForward: 2000,
 	}
-	res, err := Run(context.Background(), spec, Options{JobTimeout: time.Nanosecond, Retries: 2})
-	if err == nil {
-		t.Fatal("expected failure")
+	res, err := Run(context.Background(), spec, Options{Ckpt: ckpt.NewStoreWith(failingStore{}), Workers: 2})
+	if err == nil || !strings.Contains(err.Error(), "2 of 2 jobs failed") {
+		t.Fatalf("err = %v, want the 2 of 2 jobs failed summary", err)
 	}
-	if res == nil || res.Stats.Failed != 1 || res.Stats.Retried != 2 {
-		t.Fatalf("stats = %+v, want 1 failed with 2 retries", res.Stats)
+	if res == nil || res.Stats.Failed != 2 || res.Stats.Executed != 0 {
+		t.Fatalf("stats = %+v, want 2 failed", res.Stats)
 	}
-	if len(res.Errors) != 1 {
+	if len(res.Errors) != 2 || !strings.Contains(res.Errors[0], "poly_horner/baseline@0") || !strings.Contains(res.Errors[0], "store offline") {
 		t.Fatalf("errors = %v", res.Errors)
 	}
 }
 
-func TestRunHonorsCancellation(t *testing.T) {
-	ctx, cancel := context.WithCancel(context.Background())
-	calls := 0
-	spec := Spec{Workloads: []string{"poly_horner"}, Schemes: []string{"baseline", "reuse", "early"}, Scale: 1}
-	_, err := Run(ctx, spec, Options{Workers: 1, OnJob: func(JobOutcome) {
-		calls++
-		cancel()
-	}})
-	if !errors.Is(err, context.Canceled) {
-		t.Fatalf("got %v, want context.Canceled", err)
-	}
-	if calls == 3 {
-		t.Error("cancellation did not stop the sweep early")
-	}
+// cancelOnGet is a cache store that cancels a context on its first lookup.
+type cancelOnGet struct {
+	blob.Store
+	cancel context.CancelFunc
 }
 
-func TestMetricsAccounting(t *testing.T) {
-	met := NewMetrics()
-	cache, err := NewCache(filepath.Join(t.TempDir(), "cache"))
+func (c cancelOnGet) Get(name string) ([]byte, bool, error) {
+	c.cancel()
+	return c.Store.Get(name)
+}
+
+// TestRunHonorsCancellation: once ctx is cancelled no further job starts;
+// the one that was running finishes.
+func TestRunHonorsCancellation(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	dir, err := blob.NewDir(t.TempDir())
 	if err != nil {
 		t.Fatal(err)
 	}
-	spec := Spec{Workloads: []string{"poly_horner"}, Schemes: []string{"baseline", "reuse"}, Scale: 1, Sizes: []int{64}}
-	for i := 0; i < 2; i++ {
-		if _, err := Run(context.Background(), spec, Options{Cache: cache, Metrics: met}); err != nil {
-			t.Fatal(err)
-		}
+	spec := Spec{Workloads: []string{"poly_horner"}, Schemes: []string{"baseline", "reuse", "early"}, Scale: 1}
+	res, err := Run(ctx, spec, Options{Workers: 1, Cache: NewCacheStore(cancelOnGet{dir, cancel})})
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("got %v, want context.Canceled", err)
 	}
-	snap := met.Snapshot()
-	counters := map[string]uint64{}
-	for _, c := range snap.Counters {
-		counters[c.Name] = c.Value
-	}
-	for name, want := range map[string]uint64{
-		"sweep_jobs_total":      4,
-		"sweep_jobs_executed":   2,
-		"sweep_jobs_cache_hits": 2,
-		"sweep_jobs_failed":     0,
-	} {
-		if counters[name] != want {
-			t.Errorf("%s = %d, want %d (all: %v)", name, counters[name], want, counters)
-		}
-	}
-	found := false
-	for _, h := range snap.Histograms {
-		if h.Name == "sweep_job_ms" {
-			found = true
-			if h.Count != 2 {
-				t.Errorf("sweep_job_ms count = %d, want 2", h.Count)
-			}
-		}
-	}
-	if !found {
-		t.Error("sweep_job_ms histogram missing")
+	if res.Stats.Executed != 1 {
+		t.Errorf("executed %d jobs, want 1: cancellation did not stop the sweep", res.Stats.Executed)
 	}
 }
 

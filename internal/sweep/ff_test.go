@@ -3,32 +3,56 @@ package sweep
 import (
 	"context"
 	"path/filepath"
+	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
 
+	"repro/internal/blob"
 	"repro/internal/ckpt"
 )
 
-func counterVal(t *testing.T, m *Metrics, name string) uint64 {
-	t.Helper()
-	for _, c := range m.Snapshot().Counters {
-		if c.Name == name {
-			return c.Value
-		}
-	}
-	return 0
+// gatedStore is a blob.Store that holds its first n Gets until all n have
+// arrived, so n concurrent jobs all miss the checkpoint before any of them
+// can save it, and counts the checkpoints put.
+type gatedStore struct {
+	blob.Store
+	n    int64
+	gate sync.WaitGroup
+	gets atomic.Int64
+	mu   sync.Mutex
+	puts map[string]int
 }
 
-// TestFastForwardSharesCheckpoint is the acceptance scenario: three schemes
-// of one workload with a fast-forward prefix must do the functional
-// fast-forward work once (one checkpoint miss at pre-warm, hits for every
-// job), and the detailed results must be consistent with each other.
+func (g *gatedStore) Get(name string) ([]byte, bool, error) {
+	if g.gets.Add(1) <= g.n {
+		g.gate.Done()
+		g.gate.Wait()
+	}
+	return g.Store.Get(name)
+}
+
+func (g *gatedStore) Put(name string, data []byte) error {
+	if strings.HasSuffix(name, ".ckpt") {
+		g.mu.Lock()
+		g.puts[name]++
+		g.mu.Unlock()
+	}
+	return g.Store.Put(name, data)
+}
+
+// TestFastForwardSharesCheckpoint is the acceptance scenario: three
+// concurrent jobs of one workload with a fast-forward prefix, all missing
+// the store at once, must do the functional fast-forward work once —
+// exactly one checkpoint written for the one site — and the detailed
+// results must be consistent with each other.
 func TestFastForwardSharesCheckpoint(t *testing.T) {
-	dir := t.TempDir()
-	store, err := ckpt.NewStore(filepath.Join(dir, "ckpt"))
+	dir, err := blob.NewDir(filepath.Join(t.TempDir(), "ckpt"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	m := NewMetrics()
+	gated := &gatedStore{Store: dir, n: 3, puts: map[string]int{}}
+	gated.gate.Add(3)
 	spec := Spec{
 		Name:        "ff-share",
 		Workloads:   []string{"dgemm"},
@@ -37,18 +61,20 @@ func TestFastForwardSharesCheckpoint(t *testing.T) {
 		FastForward: 3000,
 		Warmup:      500,
 	}
-	res, err := Run(context.Background(), spec, Options{Ckpt: store, Metrics: m, Workers: 3})
+	res, err := Run(context.Background(), spec, Options{Ckpt: ckpt.NewStoreWith(gated), Workers: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if res.Stats.Executed != 3 {
 		t.Fatalf("stats = %+v, want 3 executed", res.Stats)
 	}
-	if misses := counterVal(t, m, "sweep_ckpt_misses"); misses != 1 {
-		t.Fatalf("sweep_ckpt_misses = %d, want exactly 1 (shared fast-forward)", misses)
+	if len(gated.puts) != 1 {
+		t.Fatalf("checkpoint puts = %v, want exactly one site", gated.puts)
 	}
-	if hits := counterVal(t, m, "sweep_ckpt_hits"); hits != 3 {
-		t.Fatalf("sweep_ckpt_hits = %d, want 3", hits)
+	for name, n := range gated.puts {
+		if n != 1 {
+			t.Fatalf("%s put %d times, want once (shared fast-forward)", name, n)
+		}
 	}
 	for i, r := range res.Results {
 		if !r.ChecksumOK {
@@ -68,11 +94,11 @@ func TestFastForwardSharesCheckpoint(t *testing.T) {
 // prefix, and the run must still checksum — the bit-exactness of the suffix
 // itself is pinned by pipeline.TestCheckpointResumeEquivalence.
 func TestFastForwardMatchesFullRun(t *testing.T) {
-	full, err := Execute(Job{Workload: "poly_horner", Scheme: "reuse", Scale: 1})
+	full, _, err := Execute(Job{Workload: "poly_horner", Scheme: "reuse", Scale: 1}, nil, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ff, err := Execute(Job{Workload: "poly_horner", Scheme: "reuse", Scale: 1, FastForward: 5000, Warmup: 1000})
+	ff, _, err := Execute(Job{Workload: "poly_horner", Scheme: "reuse", Scale: 1, FastForward: 5000, Warmup: 1000}, nil, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -91,9 +117,8 @@ func TestFastForwardMatchesFullRun(t *testing.T) {
 // functional walker validates the checksum, and the estimate lands near the
 // full-fidelity IPC.
 func TestSampledJob(t *testing.T) {
-	m := NewMetrics()
 	j := Job{Workload: "dgemm", Scheme: "reuse", Scale: 1, Sample: "200:500:5000"}
-	r, err := ExecuteWith(j, nil, m)
+	r, _, err := Execute(j, nil, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -106,11 +131,8 @@ func TestSampledJob(t *testing.T) {
 	if r.Sampled.Coverage <= 0 || r.Sampled.Coverage >= 1 {
 		t.Fatalf("coverage %v out of range", r.Sampled.Coverage)
 	}
-	if got := counterVal(t, m, "sweep_jobs_sampled"); got != 1 {
-		t.Fatalf("sweep_jobs_sampled = %d, want 1", got)
-	}
 
-	full, err := Execute(Job{Workload: "dgemm", Scheme: "reuse", Scale: 1})
+	full, _, err := Execute(Job{Workload: "dgemm", Scheme: "reuse", Scale: 1}, nil, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

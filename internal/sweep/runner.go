@@ -98,52 +98,51 @@ func jobConfig(j Job) (pipeline.Config, error) {
 	return cfg, nil
 }
 
-// Execute runs one job to completion on the calling goroutine and returns
-// its result. The simulation is deterministic: equal jobs produce
-// bit-identical results, which is what makes the content-addressed cache
-// sound.
-func Execute(j Job) (JobResult, error) { return ExecuteWith(j, nil, nil) }
-
-// ExecuteWith runs one job, optionally serving its fast-forward prefix from
-// a checkpoint store and reporting checkpoint/sampling activity to m. Both
-// may be nil: a nil store fast-forwards from reset each time (still
-// deterministic, just slower), a nil Metrics records nothing.
-func ExecuteWith(j Job, store *ckpt.Store, m *Metrics) (JobResult, error) {
-	return ExecuteWithWorkers(j, store, m, 1)
+// Usage reports how one execution used the checkpoint store: Ckpt is
+// "hit" or "miss" for a fast-forward job and "" otherwise, and FFInsts
+// counts the instructions it ran at functional speed (on a hit only the
+// warmup replay ran; the skip itself was free).
+type Usage struct {
+	Ckpt    string
+	FFInsts uint64
 }
 
-// ExecuteWithWorkers is ExecuteWith with the detailed intervals of a
-// sampling-mode job fanned across up to sampleWorkers goroutines
-// (ckpt.SampleN). The result is bit-identical for every worker count, which
-// is why the worker count is an execution option and never part of the
-// job's cache key. Non-sampled jobs ignore it.
-func ExecuteWithWorkers(j Job, store *ckpt.Store, m *Metrics, sampleWorkers int) (JobResult, error) {
+// Execute runs one job to completion on the calling goroutine and returns
+// its result and how it used store. The simulation is deterministic: equal
+// jobs produce bit-identical results, which is what makes the
+// content-addressed cache sound. A nil store fast-forwards from reset each
+// time (still deterministic, just slower). The detailed intervals of a
+// sampling-mode job fan across up to sampleWorkers goroutines (ckpt.SampleN);
+// the result is bit-identical for every worker count, which is why the
+// worker count is an execution option and never part of the job's cache
+// key. Non-sampled jobs ignore it.
+func Execute(j Job, store *ckpt.Store, sampleWorkers int) (JobResult, Usage, error) {
 	w, ok := workloads.ByName(j.Workload, j.Scale)
 	if !ok {
-		return JobResult{}, fmt.Errorf("unknown workload %q", j.Workload)
+		return JobResult{}, Usage{}, fmt.Errorf("unknown workload %q", j.Workload)
 	}
 	if j.Sample != "" {
-		return executeSampled(j, w, m, sampleWorkers)
+		return executeSampled(j, w, sampleWorkers)
 	}
 
 	cfg, err := jobConfig(j)
 	if err != nil {
-		return JobResult{}, err
+		return JobResult{}, Usage{}, err
 	}
 	p := w.Program()
-	var ffInsts uint64
+	var (
+		ffInsts uint64
+		use     Usage
+	)
 	if j.FastForward > 0 {
 		bs, hit, err := ckpt.Prepare(store, p, ckpt.ProgramDigest(p), j.FastForward, j.Warmup)
 		if err != nil {
-			return JobResult{}, fmt.Errorf("%s/%s: %w", j.Workload, j.Scheme, err)
+			return JobResult{}, Usage{}, fmt.Errorf("%s/%s: %w", j.Workload, j.Scheme, err)
 		}
-		// ff_insts counts functional instructions actually executed here:
-		// on a hit only the warmup replay ran, the skip itself was free.
-		ffDone := bs.FFInsts
+		use = Usage{Ckpt: "miss", FFInsts: bs.FFInsts}
 		if hit {
-			ffDone = j.Warmup
+			use = Usage{Ckpt: "hit", FFInsts: j.Warmup}
 		}
-		m.ckptLookup(hit, ffDone)
 		ffInsts = bs.FFInsts
 		if bs.Boot.Halted {
 			// The program finished inside the fast-forward prefix; there
@@ -151,10 +150,10 @@ func ExecuteWithWorkers(j Job, store *ckpt.Store, m *Metrics, sampleWorkers int)
 			// checked against the functional final state.
 			res := JobResult{ChecksumOK: bs.Boot.X[workloads.CheckReg] == w.Want, FFInsts: ffInsts}
 			if !res.ChecksumOK {
-				return res, fmt.Errorf("%s/%s: checksum %#x, want %#x",
+				return res, use, fmt.Errorf("%s/%s: checksum %#x, want %#x",
 					j.Workload, j.Scheme, bs.Boot.X[workloads.CheckReg], w.Want)
 			}
-			return res, nil
+			return res, use, nil
 		}
 		cfg.Boot = bs.Boot
 		cfg.BootWarmup = bs.Warmup
@@ -162,16 +161,16 @@ func ExecuteWithWorkers(j Job, store *ckpt.Store, m *Metrics, sampleWorkers int)
 
 	core := pipeline.New(cfg, p)
 	if err := core.Run(); err != nil {
-		return JobResult{}, fmt.Errorf("%s/%s: %w", j.Workload, j.Scheme, err)
+		return JobResult{}, use, fmt.Errorf("%s/%s: %w", j.Workload, j.Scheme, err)
 	}
 	x, _ := core.ArchRegs()
 	res := resultFrom(core)
 	res.ChecksumOK = !core.Halted() || x[workloads.CheckReg] == w.Want
 	res.FFInsts = ffInsts
 	if !res.ChecksumOK {
-		return res, fmt.Errorf("%s/%s: checksum %#x, want %#x", j.Workload, j.Scheme, x[workloads.CheckReg], w.Want)
+		return res, use, fmt.Errorf("%s/%s: checksum %#x, want %#x", j.Workload, j.Scheme, x[workloads.CheckReg], w.Want)
 	}
-	return res, nil
+	return res, use, nil
 }
 
 // resultFrom collects the counter fields shared by every execution mode.
@@ -210,10 +209,10 @@ func resultFrom(core *pipeline.Core) JobResult {
 // over the detail intervals; the estimates (with standard errors) ride in
 // res.Sampled; the checksum is validated on the functional final state, so
 // a sampled run still proves architectural correctness end to end.
-func executeSampled(j Job, w workloads.Workload, m *Metrics, workers int) (JobResult, error) {
+func executeSampled(j Job, w workloads.Workload, workers int) (JobResult, Usage, error) {
 	plan, err := ckpt.ParsePlan(j.Sample)
 	if err != nil {
-		return JobResult{}, fmt.Errorf("%s/%s: %w", j.Workload, j.Scheme, err)
+		return JobResult{}, Usage{}, fmt.Errorf("%s/%s: %w", j.Workload, j.Scheme, err)
 	}
 	if workers == 0 {
 		workers = 1
@@ -250,9 +249,9 @@ func executeSampled(j Job, w workloads.Workload, m *Metrics, workers int) (JobRe
 	}
 	est, final, err := ckpt.SampleN(p, plan, j.MaxInsts, workers, run)
 	if err != nil {
-		return JobResult{}, fmt.Errorf("%s/%s: %w", j.Workload, j.Scheme, err)
+		return JobResult{}, Usage{}, fmt.Errorf("%s/%s: %w", j.Workload, j.Scheme, err)
 	}
-	m.jobSampled(est.FFInsts)
+	use := Usage{FFInsts: est.FFInsts}
 
 	res := acc
 	res.IPC = est.IPCMean
@@ -270,10 +269,10 @@ func executeSampled(j Job, w workloads.Workload, m *Metrics, workers int) (JobRe
 		Coverage:    est.CoverageRatio(),
 	}
 	if !res.ChecksumOK {
-		return res, fmt.Errorf("%s/%s: sampled checksum %#x, want %#x",
+		return res, use, fmt.Errorf("%s/%s: sampled checksum %#x, want %#x",
 			j.Workload, j.Scheme, final.X[workloads.CheckReg], w.Want)
 	}
-	return res, nil
+	return res, use, nil
 }
 
 // counterDelta subtracts base's counter fields from full's — the measured

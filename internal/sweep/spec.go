@@ -1,11 +1,11 @@
 // Package sweep is the design-space-exploration engine: it expands a
-// declarative SweepSpec into a deterministic job grid, runs the jobs over a
-// context-aware worker pool (per-job timeout, panic recovery, bounded
-// retries), deduplicates work through a content-addressed on-disk result
-// cache, and journals progress into a resumable manifest so an interrupted
-// sweep re-executes only its incomplete jobs. cmd/sweepd serves the engine
-// over HTTP; the paper figures (SpeedupSweep, PredictorBreakdown) run
-// through it as plain library calls.
+// declarative SweepSpec into a deterministic job grid, executes jobs
+// (Execute), deduplicates work through a content-addressed result cache,
+// and renders the byte-reproducible results.json artifact. Run is the
+// in-process library runner the paper figures (SpeedupSweep,
+// PredictorBreakdown) call; the service job lifecycle — HTTP API,
+// journaling, resume, retries and timeouts — lives in internal/fabric,
+// which cmd/sweepd serves.
 package sweep
 
 import (
