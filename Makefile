@@ -52,20 +52,21 @@ ckpt-tests:
 	$(GO) test -run 'TestCheckpointResumeEquivalence' ./internal/pipeline/
 
 # smoke exercises the command-line surfaces end-to-end over a tiny
-# workload: the pipeline view, the Chrome trace export and the JSON run
-# artifact (both schema-checked with ckjson), metrics CSV streaming, one
-# paper table, the sweepd local-mode flow — a fabric coordinator with
-# in-process workers, checked through its fabric_* metrics (submit, poll,
-# results schema, cache-hit re-run, one fast-forward per workload shared
-# through the checkpoint store, interval sampling, then a SIGTERM drain to
-# a zero exit) — and the driftd flow (CLI ingest + schema-checked drift
-# report, then the HTTP surface: POST /ingest, GET /report, GET /metrics).
+# workload: renamesim's pipeline view, its Chrome trace export and its JSON
+# run artifact (both schema-checked with ckjson), metrics CSV streaming, one
+# paper table with and without a CPU profile, the sweepd local-mode flow —
+# a fabric coordinator with in-process workers, checked through its
+# fabric_* metrics (submit, poll, results schema, cache-hit re-run, one
+# fast-forward per workload shared through the checkpoint store, interval
+# sampling, then a SIGTERM drain to a zero exit) — and the driftd flow
+# (CLI ingest + schema-checked drift report, then the HTTP surface:
+# POST /ingest, GET /report, GET /metrics).
 smoke:
 	$(GO) run ./cmd/renamelint -json ./... | \
 		$(GO) run ./cmd/ckjson 'schema_version=2' analyzers.0 analyzers.7 \
 			'count=0' findings
-	$(GO) run ./cmd/trace -workload poly_horner -n 20 > /dev/null
-	$(GO) run ./cmd/trace -workload poly_horner -n 20 -chrome /tmp/regreuse_smoke_trace.json > /dev/null
+	$(GO) run ./cmd/renamesim -workload poly_horner -pipeview 20 > /dev/null
+	$(GO) run ./cmd/renamesim -workload poly_horner -pipeview 20 -chrome /tmp/regreuse_smoke_trace.json > /dev/null
 	$(GO) run ./cmd/ckjson traceEvents.0.ph displayTimeUnit < /tmp/regreuse_smoke_trace.json
 	rm -f /tmp/regreuse_smoke_trace.json
 	$(GO) run ./cmd/renamesim -workload poly_horner -json | \
@@ -74,6 +75,9 @@ smoke:
 			metrics.counters metrics.histograms.0.name
 	$(GO) run ./cmd/renamesim -workload poly_horner -metrics-interval 500 > /dev/null
 	$(GO) run ./cmd/paper -table 3 > /dev/null
+	$(GO) run ./cmd/paper -table 3 -cpuprofile /tmp/regreuse_smoke_cpu.pprof > /dev/null
+	test -s /tmp/regreuse_smoke_cpu.pprof
+	rm -f /tmp/regreuse_smoke_cpu.pprof
 	$(GO) build -o /tmp/regreuse_smoke_sweepd ./cmd/sweepd
 	$(GO) build -o /tmp/regreuse_smoke_ckjson ./cmd/ckjson
 	@set -e; \

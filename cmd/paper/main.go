@@ -12,6 +12,10 @@
 //	paper -cache off      # re-simulate every sweep point
 //	paper -fig 10 -ff 100000 -warmup 5000   # fast-forward every sweep job
 //	paper -fig 10 -sample 2000:5000:50000   # sampled (estimated) sweep
+//	paper -fig 10 -scale 1 -cpuprofile cpu.pprof -memprofile mem.pprof
+//
+// -cpuprofile and -memprofile profile whatever -fig, -table and -ext
+// select; inspect with `go tool pprof -top cpu.pprof`.
 //
 // The sweep-backed figures (10-12) run through the internal/sweep engine
 // and, unless -cache off, persist per-point results in a content-addressed
@@ -24,6 +28,8 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"runtime"
+	"runtime/pprof"
 	"time"
 
 	regreuse "repro"
@@ -75,6 +81,8 @@ func main() {
 		ff     = flag.Uint64("ff", 0, "fast-forward N instructions per sweep job (figures 10-11; 0 = off)")
 		warmup = flag.Uint64("warmup", 0, "cache/bpred warmup instructions replayed at the fast-forward boot")
 		sample = flag.String("sample", "", "interval-sampling plan warmup:detail:interval for the sweep jobs")
+		cpuOut = flag.String("cpuprofile", "", "write a CPU profile of the selected artifacts to this file")
+		memOut = flag.String("memprofile", "", "write a heap profile taken after the selected artifacts to this file")
 	)
 	flag.Parse()
 	outDir = *out
@@ -97,6 +105,10 @@ func main() {
 	fail := func(err error) {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)
+	}
+	stopProfiles, err := startProfiles(*cpuOut, *memOut)
+	if err != nil {
+		fail(err)
 	}
 
 	if all || *table == 1 {
@@ -262,6 +274,45 @@ func main() {
 		}
 		emit("fig12_predictor", t)
 	}
+	if err := stopProfiles(); err != nil {
+		fail(err)
+	}
+}
+
+// startProfiles starts a CPU profile into cpuFile, if set. The returned
+// stop ends it and writes a heap profile into memFile, if set.
+func startProfiles(cpuFile, memFile string) (stop func() error, err error) {
+	var cpu *os.File
+	if cpuFile != "" {
+		if cpu, err = os.Create(cpuFile); err != nil {
+			return nil, err
+		}
+		if err := pprof.StartCPUProfile(cpu); err != nil {
+			cpu.Close()
+			return nil, err
+		}
+	}
+	return func() error {
+		if cpu != nil {
+			pprof.StopCPUProfile()
+			if err := cpu.Close(); err != nil {
+				return err
+			}
+		}
+		if memFile == "" {
+			return nil
+		}
+		f, err := os.Create(memFile)
+		if err != nil {
+			return err
+		}
+		runtime.GC() // settle the heap so the profile shows retained allocations
+		if err := pprof.WriteHeapProfile(f); err != nil {
+			f.Close()
+			return err
+		}
+		return f.Close()
+	}, nil
 }
 
 // runExtensions prints the beyond-the-paper studies: the register-file

@@ -8,8 +8,15 @@
 //	renamesim -workload dgemm -metrics-interval 1000
 //	renamesim -workload dgemm -scale 4 -ff 100000 -warmup 5000 -ckpt-dir /tmp/ckpt
 //	renamesim -workload dgemm -scale 4 -sample 2000:5000:50000
+//	renamesim -workload poly_horner -pipeview 30 -skip 100
+//	renamesim -workload poly_horner -pipeview 30 -chrome out.json
 //	renamesim -list
 //	renamesim -asm program.s -scheme baseline
+//
+// -pipeview prints a Kanata-style pipeline view: one line per committed
+// instruction with its per-cycle stage timeline and renaming decision, the
+// quickest way to watch the reuse scheme share physical registers. -chrome
+// writes the run as Chrome trace_event JSON (chrome://tracing or Perfetto).
 package main
 
 import (
@@ -71,6 +78,9 @@ func main() {
 		sample   = flag.String("sample", "", "interval-sampling plan warmup:detail:interval (mutually exclusive with -ff)")
 		sampleW  = flag.Int("sample-workers", 1, "goroutines for sampled detail intervals (<0 = GOMAXPROCS); results are identical for every value")
 		ckptDir  = flag.String("ckpt-dir", "", "cache fast-forward checkpoints in this directory")
+		pipeview = flag.Uint64("pipeview", 0, "print a pipeline view of N committed instructions and stop the run there (0 = off)")
+		skip     = flag.Uint64("skip", 0, "with -pipeview, committed instructions to run before the view starts")
+		chrome   = flag.String("chrome", "", "write a Chrome trace_event JSON file of the run")
 	)
 	flag.Parse()
 
@@ -106,17 +116,34 @@ func main() {
 	}
 
 	// A metrics observer feeds both the -json snapshot and the periodic CSV
-	// stream. The CSV shares stdout with the table output unless -json owns
-	// stdout, in which case it moves to stderr.
-	var met *obs.Metrics
-	if *jsonOut || *interval > 0 {
-		csvW := io.Writer(os.Stdout)
-		if *jsonOut && *outFile == "" {
-			csvW = os.Stderr
-		}
-		met = obs.NewMetrics(*interval, csvW)
-		cfg.Observer = met
+	// stream. The CSV and the pipeline view share stdout with the table
+	// output unless -json owns stdout, in which case they move to stderr.
+	textW := io.Writer(os.Stdout)
+	if *jsonOut && *outFile == "" {
+		textW = os.Stderr
 	}
+	var (
+		observers []obs.Observer
+		met       *obs.Metrics
+		view      *obs.PipeView
+		tracer    *obs.Tracer
+	)
+	if *jsonOut || *interval > 0 {
+		met = obs.NewMetrics(*interval, textW)
+		observers = append(observers, met)
+	}
+	if *pipeview > 0 {
+		cfg.MaxInsts = *skip + *pipeview
+		view = obs.NewPipeView(textW, *skip, *pipeview)
+		observers = append(observers, view)
+	}
+	if *chrome != "" {
+		// Size the ring to hold the viewed window; squashed wrong-path
+		// work inflates the in-flight count, so leave headroom.
+		tracer = obs.NewTracer(int(*skip+*pipeview)*2 + 1024)
+		observers = append(observers, tracer)
+	}
+	cfg.Observer = obs.Combine(observers...)
 
 	var (
 		res regreuse.Result
@@ -144,6 +171,21 @@ func main() {
 	if met != nil && met.Err() != nil {
 		fmt.Fprintln(os.Stderr, met.Err())
 		os.Exit(1)
+	}
+	if view != nil {
+		if err := view.Err(); err != nil {
+			fmt.Fprintln(os.Stderr, err)
+			os.Exit(1)
+		}
+		fmt.Fprintln(textW)
+	}
+	if tracer != nil {
+		if err := writeChrome(*chrome, tracer); err != nil {
+			fmt.Fprintln(os.Stderr, err)
+			os.Exit(1)
+		}
+		fmt.Fprintf(textW, "chrome trace: %s (%d records, %d evicted in flight)\n",
+			*chrome, len(tracer.Records()), tracer.Evicted())
 	}
 
 	if *jsonOut {
@@ -230,4 +272,17 @@ func main() {
 		}
 	}
 	fmt.Print(t)
+}
+
+// writeChrome writes tracer's records to path as Chrome trace_event JSON.
+func writeChrome(path string, tracer *obs.Tracer) error {
+	f, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	if err := tracer.WriteChrome(f); err != nil {
+		f.Close()
+		return err
+	}
+	return f.Close()
 }

@@ -14,6 +14,7 @@ import (
 	"repro/internal/par"
 	"repro/internal/pipeline"
 	"repro/internal/regfile"
+	"repro/internal/sim"
 	"repro/internal/sweep"
 	"repro/internal/workloads"
 )
@@ -416,12 +417,11 @@ func OccupancyStudy(scale int, suite Suite, sampleInterval uint64) ([]OccupancyC
 		cfg.IntRegs = regfile.Uniform(192, 3)
 		cfg.FPRegs = regfile.Uniform(192, 3)
 		cfg.OccupancySampleInterval = sampleInterval
-		cfg.MaxCycles = 1 << 36
-		core := pipeline.New(cfg, w.Program())
-		if err := core.Run(); err != nil {
+		out, err := sim.Run(sim.Spec{Program: w.Program(), Config: cfg, Want: w.Want, Check: true})
+		if err != nil {
 			return fmt.Errorf("%s: %w", w.Name, err)
 		}
-		st := core.Stats()
+		st := out.Core.Stats()
 		results[i].samples = st.OccupancySamples
 		for k := 1; k <= regfile.MaxShadow; k++ {
 			results[i].occupancy[k] = st.Occupancy[k]
@@ -533,23 +533,15 @@ func EnergyComparison(name string, scale, baselineRegs int) (EnergyRow, error) {
 		reuseCfg.IntRegs, reuseCfg.FPRegs = hybrid, ample
 	}
 
-	runOne := func(cfg Config) (*pipeline.Core, Result, error) {
-		w, ok := workloads.ByName(name, scale)
-		if !ok {
-			return nil, Result{}, fmt.Errorf("unknown workload %q", name)
-		}
-		core := pipeline.New(cfg.pipelineConfig(), w.Program())
-		if err := core.Run(); err != nil {
-			return nil, Result{}, err
-		}
-		st := core.Stats()
-		return core, Result{Cycles: st.Cycles}, nil
+	w, ok := workloads.ByName(name, scale)
+	if !ok {
+		return EnergyRow{}, fmt.Errorf("unknown workload %q", name)
 	}
-	bCore, bRes, err := runOne(baseCfg)
+	bRes, bCore, err := runW(w, baseCfg)
 	if err != nil {
 		return EnergyRow{}, err
 	}
-	rCore, rRes, err := runOne(reuseCfg)
+	rRes, rCore, err := runW(w, reuseCfg)
 	if err != nil {
 		return EnergyRow{}, err
 	}

@@ -161,7 +161,7 @@ func TestObserverDeterminism(t *testing.T) {
 }
 
 // TestChromeTraceValid runs a workload with the ring-buffer tracer attached
-// (the same path `cmd/trace -chrome` uses) and checks the exported file is
+// (the same path `renamesim -chrome` uses) and checks the exported file is
 // well-formed Chrome trace_event JSON: the traceEvents array exists, every
 // event has a known phase, and spans carry positive durations.
 func TestChromeTraceValid(t *testing.T) {

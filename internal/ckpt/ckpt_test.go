@@ -331,7 +331,7 @@ func TestParsePlan(t *testing.T) {
 	}
 }
 
-// TestSampleFunctional drives Sample with a detail runner that is itself the
+// TestSampleFunctional drives a serial SampleN with a detail runner that is itself the
 // functional emulator reporting one cycle per instruction. The estimate must
 // come out at exactly IPC 1 with zero standard error, the instruction
 // accounting must cover the whole program, and the returned final snapshot
@@ -355,7 +355,7 @@ func TestSampleFunctional(t *testing.T) {
 	}
 
 	plan := Plan{Warmup: 200, Detail: 500, Interval: 5000}
-	est, final, err := Sample(p, plan, 0, run)
+	est, final, err := SampleN(p, plan, 0, 1, run)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -72,8 +72,8 @@ type IntervalStats struct {
 // RunDetail boots a detailed core from the given state, simulates warmup
 // committed instructions unmeasured, then detail further instructions, and
 // reports only the measured region's timing (the stats delta across the
-// boundary). Implementations live above ckpt (the sweep runner, the public
-// API) so this package stays free of pipeline dependencies.
+// boundary). The one implementation lives in internal/sim, above ckpt, so
+// this package stays free of pipeline dependencies.
 type RunDetail func(bs *BootState, warmup, detail uint64) (IntervalStats, error)
 
 // Estimate is a sampled run's result: population statistics across the
@@ -105,8 +105,17 @@ func (e *Estimate) CoverageRatio() float64 {
 	return float64(e.DetailInsts) / float64(e.TotalInsts)
 }
 
-// Sample runs program p end to end, alternating functional fast-forward with
-// detailed intervals per plan, up to maxInsts functional instructions
+// intervalJob is one detailed interval captured by the functional walker and
+// waiting for simulation: the boot state plus its clamped warmup/detail
+// instruction budgets.
+type intervalJob struct {
+	bs     *BootState
+	warm   uint64
+	detail uint64
+}
+
+// SampleN runs program p end to end, alternating functional fast-forward
+// with detailed intervals per plan, up to maxInsts functional instructions
 // (0 = to halt). It returns the estimate plus the final architectural
 // snapshot of the complete functional execution, which callers use for
 // checksum validation — sampling never weakens the correctness check.
@@ -118,25 +127,12 @@ func (e *Estimate) CoverageRatio() float64 {
 // then the measured Detail. The detailed region is then re-executed
 // functionally (StepN again) so the walker stays the single source of
 // architectural truth.
-func Sample(p *prog.Program, plan Plan, maxInsts uint64, run RunDetail) (*Estimate, *emu.Snapshot, error) {
-	return SampleN(p, plan, maxInsts, 1, run)
-}
-
-// intervalJob is one detailed interval captured by the functional walker and
-// waiting for simulation: the boot state plus its clamped warmup/detail
-// instruction budgets.
-type intervalJob struct {
-	bs     *BootState
-	warm   uint64
-	detail uint64
-}
-
-// SampleN is Sample with the detailed intervals fanned out across up to
-// `workers` goroutines (<= 0 selects GOMAXPROCS; 1 runs them inline, which is
-// exactly the serial Sample). The functional walker is inherently serial — it
-// is the single source of architectural truth — so parallelism comes from
-// two-phase batching: the walker captures a batch of interval BootStates
-// (each owning an independent memory snapshot), the batch is fanned out via
+//
+// The detailed intervals fan out across up to `workers` goroutines (<= 0
+// selects GOMAXPROCS; 1 runs them inline, in order). The walker is
+// inherently serial, so parallelism comes from two-phase batching: the
+// walker captures a batch of interval BootStates (each owning an
+// independent memory snapshot), the batch is fanned out via
 // par.ForEachCtx, and the results are merged in interval-index order. Because
 // the per-interval statistics are accumulated in that fixed order no matter
 // which worker finishes first, the estimate is bit-identical for every worker

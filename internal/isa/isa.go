@@ -221,6 +221,3 @@ func regName(c RegClass, r uint8) string {
 		return fmt.Sprintf("x%d", r)
 	}
 }
-
-// RegName returns the assembler name of logical register r in class c.
-func RegName(c RegClass, r uint8) string { return regName(c, r) }

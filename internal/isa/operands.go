@@ -176,9 +176,6 @@ type SrcOperand struct {
 	Reg   uint8
 }
 
-// IsMem reports whether the instruction is a load or store.
-func (in Inst) IsMem() bool { d := descs[in.Op]; return d.Load || d.Store }
-
 // IsBranch reports whether the instruction is a control-flow instruction.
 func (in Inst) IsBranch() bool { return descs[in.Op].Branch }
 

@@ -46,9 +46,6 @@ func (s Scheme) String() string {
 	}
 }
 
-// SchemeNames lists the accepted scheme spellings, in display order.
-func SchemeNames() []string { return []string{"baseline", "reuse", "early"} }
-
 // ParseScheme maps a scheme name to its Scheme value. It is the single
 // validator shared by the CLI flags (renamesim, trace) and sweep specs, so
 // every surface accepts exactly the same spellings with one error message.
@@ -185,7 +182,7 @@ type CommitEvent struct {
 // DefaultConfig returns the Table I configuration for the given scheme with
 // 128 physical registers per file. For the reuse scheme the register file
 // uses the paper's hybrid layout for an equal-area 128-register baseline
-// budget; use WithRegs or the area package to derive other budgets.
+// budget; the area package derives other budgets.
 func DefaultConfig(s Scheme) Config {
 	cfg := Config{
 		Scheme:      s,
@@ -232,11 +229,4 @@ func DefaultConfig(s Scheme) Config {
 		cfg.FPRegs = regfile.BankSizes{89, 8, 8, 8}
 	}
 	return cfg
-}
-
-// WithRegs returns a copy of cfg with both register files replaced.
-func (c Config) WithRegs(intRegs, fpRegs regfile.BankSizes) Config {
-	c.IntRegs = intRegs
-	c.FPRegs = fpRegs
-	return c
 }

@@ -381,10 +381,6 @@ func (c *Core) Hierarchy() *memsys.Hierarchy { return c.hier }
 // RegFile exposes a physical register file (for energy accounting).
 func (c *Core) RegFile(class isa.RegClass) *regfile.File { return c.rf(class) }
 
-// TypePredStats exposes the register type predictor (reuse scheme; nil for
-// the baseline).
-func (c *Core) TypePredStats() *rename.TypePredictor { return c.typePred }
-
 // Halted reports whether the program's HALT has committed.
 func (c *Core) Halted() bool { return c.halted }
 

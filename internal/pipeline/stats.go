@@ -83,22 +83,3 @@ func (s *Stats) MPKI() float64 {
 	}
 	return 1000 * float64(s.Mispredicts) / float64(s.Committed)
 }
-
-// OccupancyPercentile returns, for shadow level k, the smallest register
-// count N such that at least frac of the sampled cycles needed <= N
-// registers at version >= k (Figure 9's coverage curves).
-func (s *Stats) OccupancyPercentile(k int, frac float64) int {
-	hist := s.Occupancy[k]
-	if s.OccupancySamples == 0 || len(hist) == 0 {
-		return 0
-	}
-	target := uint64(frac * float64(s.OccupancySamples))
-	var cum uint64
-	for n, c := range hist {
-		cum += c
-		if cum >= target {
-			return n
-		}
-	}
-	return len(hist) - 1
-}

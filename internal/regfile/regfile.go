@@ -180,8 +180,3 @@ func (f *File) Rollback(p PhysReg, ver Ver) bool {
 	f.Recoveries++
 	return true
 }
-
-// Peek returns the main-cell value regardless of version (for debug dumps).
-//
-//repro:hotpath
-func (f *File) Peek(p PhysReg) uint64 { return f.main[p] }

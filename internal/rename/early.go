@@ -474,28 +474,3 @@ func (e *EarlyRenamer) RetireTag(log uint8) Tag { return e.retireMap[log] }
 
 // Stats implements Renamer.
 func (e *EarlyRenamer) Stats() *Stats { return &e.stats }
-
-// DebugLeakReport classifies every register for leak diagnosis in tests:
-// it returns the registers that are neither free nor architecturally mapped,
-// with their tracking state.
-func (e *EarlyRenamer) DebugLeakReport() []string {
-	free := make([]bool, e.rf.Size())
-	for k := range e.freeLists {
-		fl := e.freeLists[k]
-		for i := fl.head; i < fl.tail; i++ {
-			free[fl.buf[i%uint64(len(fl.buf))]] = true
-		}
-	}
-	live := make([]bool, e.rf.Size())
-	for l := 0; l < e.numLog; l++ {
-		live[e.retireMap[l].Reg] = true
-	}
-	var out []string
-	for p := 0; p < e.rf.Size(); p++ {
-		if !free[p] && !live[p] {
-			out = append(out, fmt.Sprintf("P%d: ctr=%d pending=%d unmapped=%v armed=%v suppress=%d refs=%d",
-				p, e.ctr[p], e.pending[p], e.unmapped[p], e.armed[p], e.suppress[p], e.retireRefs[p]))
-		}
-	}
-	return out
-}

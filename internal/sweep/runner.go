@@ -2,12 +2,12 @@ package sweep
 
 import (
 	"fmt"
-	"sync"
 
 	"repro/internal/area"
 	"repro/internal/ckpt"
 	"repro/internal/pipeline"
 	"repro/internal/regfile"
+	"repro/internal/sim"
 	"repro/internal/workloads"
 )
 
@@ -94,7 +94,6 @@ func jobConfig(j Job) (pipeline.Config, error) {
 	}
 	cfg.ReuseCfg.SpeculativeReuse = !j.DisableSpeculativeReuse
 	cfg.MaxInsts = j.MaxInsts
-	cfg.MaxCycles = 1 << 36
 	return cfg, nil
 }
 
@@ -121,201 +120,59 @@ func Execute(j Job, store *ckpt.Store, sampleWorkers int) (JobResult, Usage, err
 	if !ok {
 		return JobResult{}, Usage{}, fmt.Errorf("unknown workload %q", j.Workload)
 	}
-	if j.Sample != "" {
-		return executeSampled(j, w, sampleWorkers)
-	}
-
 	cfg, err := jobConfig(j)
 	if err != nil {
 		return JobResult{}, Usage{}, err
 	}
-	p := w.Program()
-	var (
-		ffInsts uint64
-		use     Usage
-	)
-	if j.FastForward > 0 {
-		bs, hit, err := ckpt.Prepare(store, p, ckpt.ProgramDigest(p), j.FastForward, j.Warmup)
-		if err != nil {
-			return JobResult{}, Usage{}, fmt.Errorf("%s/%s: %w", j.Workload, j.Scheme, err)
-		}
-		use = Usage{Ckpt: "miss", FFInsts: bs.FFInsts}
-		if hit {
-			use = Usage{Ckpt: "hit", FFInsts: j.Warmup}
-		}
-		ffInsts = bs.FFInsts
-		if bs.Boot.Halted {
-			// The program finished inside the fast-forward prefix; there
-			// is nothing to simulate in detail, but correctness is still
-			// checked against the functional final state.
-			res := JobResult{ChecksumOK: bs.Boot.X[workloads.CheckReg] == w.Want, FFInsts: ffInsts}
-			if !res.ChecksumOK {
-				return res, use, fmt.Errorf("%s/%s: checksum %#x, want %#x",
-					j.Workload, j.Scheme, bs.Boot.X[workloads.CheckReg], w.Want)
-			}
-			return res, use, nil
-		}
-		cfg.Boot = bs.Boot
-		cfg.BootWarmup = bs.Warmup
+	out, err := sim.Run(sim.Spec{
+		Program: w.Program(), Config: cfg, Want: w.Want, Check: true,
+		FastForward: j.FastForward, Warmup: j.Warmup, Ckpt: store,
+		Sample: j.Sample, SampleWorkers: sampleWorkers,
+	})
+	use := Usage{Ckpt: out.Ckpt, FFInsts: out.FFInsts}
+	if out.Ckpt == "hit" {
+		// Only the warmup replay ran; the skip itself was free.
+		use.FFInsts = j.Warmup
 	}
-
-	core := pipeline.New(cfg, p)
-	if err := core.Run(); err != nil {
-		return JobResult{}, use, fmt.Errorf("%s/%s: %w", j.Workload, j.Scheme, err)
-	}
-	x, _ := core.ArchRegs()
-	res := resultFrom(core)
-	res.ChecksumOK = !core.Halted() || x[workloads.CheckReg] == w.Want
-	res.FFInsts = ffInsts
-	if !res.ChecksumOK {
-		return res, use, fmt.Errorf("%s/%s: checksum %#x, want %#x", j.Workload, j.Scheme, x[workloads.CheckReg], w.Want)
-	}
-	return res, use, nil
-}
-
-// resultFrom collects the counter fields shared by every execution mode.
-func resultFrom(core *pipeline.Core) JobResult {
-	st := core.Stats()
-	ri, rf := core.RenStats(0), core.RenStats(1)
 	res := JobResult{
-		Cycles:   st.Cycles,
-		Insts:    st.Committed,
-		MicroOps: st.MicroOps,
-		IPC:      st.IPC(),
-		MPKI:     st.MPKI(),
+		Cycles:     out.Cycles,
+		Insts:      out.Insts,
+		MicroOps:   out.MicroOps,
+		IPC:        out.IPC,
+		MPKI:       out.MPKI,
+		ChecksumOK: out.ChecksumOK,
 
-		Allocations: ri.Allocations + rf.Allocations,
-		Reuses:      ri.TotalReuses() + rf.TotalReuses(),
-		Repairs:     ri.Repairs + rf.Repairs,
+		Allocations: out.Allocations,
+		Reuses:      out.Reuses,
+		ReusesByVer: out.ReusesByVer,
+		Repairs:     out.Repairs,
 
-		PredReuseRight:  ri.PredReuseRight + rf.PredReuseRight,
-		PredReuseWrong:  ri.PredReuseWrong + rf.PredReuseWrong,
-		PredNormalRight: ri.PredNormalRight + rf.PredNormalRight,
-		PredNormalWrong: ri.PredNormalWrong + rf.PredNormalWrong,
+		PredReuseRight:  out.PredReuseRight,
+		PredReuseWrong:  out.PredReuseWrong,
+		PredNormalRight: out.PredNormalRight,
+		PredNormalWrong: out.PredNormalWrong,
 
-		StallNoReg: st.StallNoRegInt + st.StallNoRegFP,
-		StallROB:   st.StallROB,
-		StallIQ:    st.StallIQ,
+		StallNoReg: out.StallNoReg,
+		StallROB:   out.StallROB,
+		StallIQ:    out.StallIQ,
+
+		FFInsts: out.FFInsts,
 	}
-	for v := 1; v < len(res.ReusesByVer); v++ {
-		res.ReusesByVer[v] = ri.ReusesByVer[v] + rf.ReusesByVer[v]
+	if est := out.Estimate; est != nil {
+		res.Sampled = &SampleSummary{
+			Plan:        est.Plan.String(),
+			Samples:     est.Samples,
+			IPCMean:     est.IPCMean,
+			IPCStdErr:   est.IPCStdErr,
+			ReuseMean:   est.ReuseMean,
+			ReuseStdErr: est.ReuseStdErr,
+			TotalInsts:  est.TotalInsts,
+			DetailInsts: est.DetailInsts,
+			Coverage:    est.CoverageRatio(),
+		}
 	}
-	return res
-}
-
-// executeSampled runs a job in interval-sampling mode: one functional
-// machine walks the whole program while short detailed intervals are booted
-// from in-memory snapshots along the way. The headline counters accumulate
-// over the detail intervals; the estimates (with standard errors) ride in
-// res.Sampled; the checksum is validated on the functional final state, so
-// a sampled run still proves architectural correctness end to end.
-func executeSampled(j Job, w workloads.Workload, workers int) (JobResult, Usage, error) {
-	plan, err := ckpt.ParsePlan(j.Sample)
 	if err != nil {
-		return JobResult{}, Usage{}, fmt.Errorf("%s/%s: %w", j.Workload, j.Scheme, err)
-	}
-	if workers == 0 {
-		workers = 1
-	}
-	p := w.Program()
-	var accMu sync.Mutex
-	var acc JobResult
-	run := func(bs *ckpt.BootState, warmup, detail uint64) (ckpt.IntervalStats, error) {
-		cfg, err := jobConfig(j)
-		if err != nil {
-			return ckpt.IntervalStats{}, err
-		}
-		cfg.Boot = bs.Boot
-		cfg.BootWarmup = bs.Warmup
-		cfg.MaxInsts = warmup + detail
-		core := pipeline.New(cfg, p)
-		// The first warmup instructions run at full fidelity but are excluded
-		// from measurement: they absorb pipeline fill and residual cold
-		// misses, so the measured delta reflects steady-state behavior.
-		if err := core.RunTo(warmup); err != nil {
-			return ckpt.IntervalStats{}, err
-		}
-		base := resultFrom(core)
-		if err := core.RunTo(warmup + detail); err != nil {
-			return ckpt.IntervalStats{}, err
-		}
-		r := counterDelta(resultFrom(core), base)
-		// Counter sums are order-independent; the mutex alone keeps the
-		// aggregate deterministic under concurrent intervals.
-		accMu.Lock()
-		accumulate(&acc, &r)
-		accMu.Unlock()
-		return ckpt.IntervalStats{Cycles: r.Cycles, Insts: r.Insts, ReuseHits: r.Reuses}, nil
-	}
-	est, final, err := ckpt.SampleN(p, plan, j.MaxInsts, workers, run)
-	if err != nil {
-		return JobResult{}, Usage{}, fmt.Errorf("%s/%s: %w", j.Workload, j.Scheme, err)
-	}
-	use := Usage{FFInsts: est.FFInsts}
-
-	res := acc
-	res.IPC = est.IPCMean
-	res.FFInsts = est.FFInsts
-	res.ChecksumOK = !final.Halted || final.X[workloads.CheckReg] == w.Want
-	res.Sampled = &SampleSummary{
-		Plan:        plan.String(),
-		Samples:     est.Samples,
-		IPCMean:     est.IPCMean,
-		IPCStdErr:   est.IPCStdErr,
-		ReuseMean:   est.ReuseMean,
-		ReuseStdErr: est.ReuseStdErr,
-		TotalInsts:  est.TotalInsts,
-		DetailInsts: est.DetailInsts,
-		Coverage:    est.CoverageRatio(),
-	}
-	if !res.ChecksumOK {
-		return res, use, fmt.Errorf("%s/%s: sampled checksum %#x, want %#x",
-			j.Workload, j.Scheme, final.X[workloads.CheckReg], w.Want)
+		return res, use, fmt.Errorf("%s/%s: %w", j.Workload, j.Scheme, err)
 	}
 	return res, use, nil
-}
-
-// counterDelta subtracts base's counter fields from full's — the measured
-// region of a phased run. Derived ratios (IPC, MPKI) are left zero; sampled
-// mode reports those as interval estimates instead.
-func counterDelta(full, base JobResult) JobResult {
-	d := JobResult{
-		Cycles:          full.Cycles - base.Cycles,
-		Insts:           full.Insts - base.Insts,
-		MicroOps:        full.MicroOps - base.MicroOps,
-		Allocations:     full.Allocations - base.Allocations,
-		Reuses:          full.Reuses - base.Reuses,
-		Repairs:         full.Repairs - base.Repairs,
-		PredReuseRight:  full.PredReuseRight - base.PredReuseRight,
-		PredReuseWrong:  full.PredReuseWrong - base.PredReuseWrong,
-		PredNormalRight: full.PredNormalRight - base.PredNormalRight,
-		PredNormalWrong: full.PredNormalWrong - base.PredNormalWrong,
-		StallNoReg:      full.StallNoReg - base.StallNoReg,
-		StallROB:        full.StallROB - base.StallROB,
-		StallIQ:         full.StallIQ - base.StallIQ,
-	}
-	for v := 1; v < len(d.ReusesByVer); v++ {
-		d.ReusesByVer[v] = full.ReusesByVer[v] - base.ReusesByVer[v]
-	}
-	return d
-}
-
-// accumulate sums r's counter fields into acc (the sampled-mode aggregate).
-func accumulate(acc, r *JobResult) {
-	acc.Cycles += r.Cycles
-	acc.Insts += r.Insts
-	acc.MicroOps += r.MicroOps
-	acc.Allocations += r.Allocations
-	acc.Reuses += r.Reuses
-	acc.Repairs += r.Repairs
-	acc.PredReuseRight += r.PredReuseRight
-	acc.PredReuseWrong += r.PredReuseWrong
-	acc.PredNormalRight += r.PredNormalRight
-	acc.PredNormalWrong += r.PredNormalWrong
-	acc.StallNoReg += r.StallNoReg
-	acc.StallROB += r.StallROB
-	acc.StallIQ += r.StallIQ
-	for v := 1; v < len(acc.ReusesByVer); v++ {
-		acc.ReusesByVer[v] += r.ReusesByVer[v]
-	}
 }

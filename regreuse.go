@@ -23,16 +23,17 @@ package regreuse
 
 import (
 	"fmt"
-	"sync"
 
 	"repro/internal/analysis"
 	"repro/internal/ckpt"
+	"repro/internal/isa"
 	"repro/internal/memsys"
 	"repro/internal/obs"
 	"repro/internal/pipeline"
 	"repro/internal/prog"
 	"repro/internal/regfile"
 	"repro/internal/rename"
+	"repro/internal/sim"
 	"repro/internal/workloads"
 )
 
@@ -53,9 +54,6 @@ const (
 // function, so every surface accepts the same spellings with one error
 // message.
 func ParseScheme(s string) (Scheme, error) { return pipeline.ParseScheme(s) }
-
-// SchemeNames lists the accepted scheme spellings.
-func SchemeNames() []string { return pipeline.SchemeNames() }
 
 // Suite re-exports the benchmark suite labels.
 type Suite = workloads.Suite
@@ -114,7 +112,9 @@ type Config struct {
 	// SampleWorkers fans the detailed intervals of a sampled run across
 	// up to N goroutines (0 or 1 = serial, <0 = GOMAXPROCS). The estimate
 	// is bit-identical for every worker count: interval results are merged
-	// in interval-index order regardless of completion order.
+	// in interval-index order regardless of completion order. With an
+	// Observer the intervals run serially, because observers are not safe
+	// for concurrent use.
 	SampleWorkers int
 	// CkptDir, when non-empty, persists fast-forward checkpoints in a
 	// content-addressed on-disk store so repeated runs of the same
@@ -138,11 +138,16 @@ func (c Config) pipelineConfig() pipeline.Config {
 	cfg.InterruptEvery = c.InterruptEvery
 	cfg.CheckOracle = c.CheckOracle
 	cfg.Observer = c.Observer
-	cfg.MaxCycles = 1 << 36
 	return cfg
 }
 
 // Result summarizes one simulation.
+//
+// In an interval-sampled run (Config.Sample) Cycles, Insts and every
+// counter from Allocations to ShadowRecoveries are sums over the measured
+// intervals, IPC is the interval-mean estimate, and Halted and Checksum
+// describe the complete functional execution. MPKI stays zero, and so do
+// the full-detail pointers, because no single core runs end to end.
 type Result struct {
 	Workload string
 	Suite    Suite
@@ -212,215 +217,77 @@ func RunWorkload(name string, scale int, cfg Config) (Result, error) {
 	if !ok {
 		return Result{}, fmt.Errorf("regreuse: unknown workload %q (see workloads: %v)", name, workloads.Names())
 	}
-	return runW(w, cfg)
+	res, _, err := runW(w, cfg)
+	return res, err
 }
 
 // RunProgram simulates an arbitrary assembled program under cfg.
 func RunProgram(p *prog.Program, cfg Config) (Result, error) {
-	return run(p, Result{Workload: "custom"}, 0, false, cfg)
+	res, _, err := run(sim.Spec{Program: p}, Result{Workload: "custom"}, cfg)
+	return res, err
 }
 
-func runW(w workloads.Workload, cfg Config) (Result, error) {
-	seed := Result{Workload: w.Name, Suite: w.Suite}
-	return run(w.Program(), seed, w.Want, true, cfg)
+// runW runs workload w under cfg and checks its checksum.
+func runW(w workloads.Workload, cfg Config) (Result, *pipeline.Core, error) {
+	return run(sim.Spec{Program: w.Program(), Want: w.Want, Check: true},
+		Result{Workload: w.Name, Suite: w.Suite}, cfg)
 }
 
-func run(p *prog.Program, seed Result, want uint64, check bool, cfg Config) (Result, error) {
-	if cfg.Sample != "" {
-		if cfg.FastForward > 0 {
-			return Result{}, fmt.Errorf("regreuse: Sample and FastForward are mutually exclusive")
+// run completes s from cfg, runs it on the internal/sim runner and maps
+// the outcome onto res. It also returns the core of a full or
+// fast-forward run, for the drivers that read more than Result carries.
+func run(s sim.Spec, res Result, cfg Config) (Result, *pipeline.Core, error) {
+	s.Config = cfg.pipelineConfig()
+	s.FastForward, s.Warmup = cfg.FastForward, cfg.Warmup
+	s.Sample, s.SampleWorkers = cfg.Sample, cfg.SampleWorkers
+	if cfg.CkptDir != "" && cfg.FastForward > 0 {
+		var err error
+		if s.Ckpt, err = ckpt.NewStore(cfg.CkptDir); err != nil {
+			return Result{}, nil, fmt.Errorf("regreuse: checkpoint store: %w", err)
 		}
-		return runSampled(p, seed, want, check, cfg)
 	}
-	pcfg := cfg.pipelineConfig()
-	var ffInsts uint64
-	if cfg.FastForward > 0 {
-		var store *ckpt.Store
-		if cfg.CkptDir != "" {
-			var err error
-			if store, err = ckpt.NewStore(cfg.CkptDir); err != nil {
-				return Result{}, fmt.Errorf("regreuse: checkpoint store: %w", err)
-			}
-		}
-		bs, _, err := ckpt.Prepare(store, p, ckpt.ProgramDigest(p), cfg.FastForward, cfg.Warmup)
-		if err != nil {
-			return Result{}, fmt.Errorf("regreuse: fast-forward: %w", err)
-		}
-		if bs.Boot.Halted {
-			// The program ended inside the fast-forward prefix: no detailed
-			// simulation, but the checksum still validates the functional run.
-			res := seed
-			res.Scheme = cfg.Scheme
-			res.Halted = true
-			res.Checksum = bs.Boot.X[workloads.CheckReg]
-			res.ChecksumOK = !check || res.Checksum == want
-			res.FFInsts = bs.FFInsts
-			if check && !res.ChecksumOK {
-				return res, fmt.Errorf("regreuse: %s checksum %#x, want %#x", seed.Workload, res.Checksum, want)
-			}
-			return res, nil
-		}
-		pcfg.Boot = bs.Boot
-		pcfg.BootWarmup = bs.Warmup
-		ffInsts = bs.FFInsts
-	}
-	core := pipeline.New(pcfg, p)
-	if err := core.Run(); err != nil {
-		return Result{}, err
-	}
-	seed.FFInsts = ffInsts
-	st := core.Stats()
-	ri, rf := core.RenStats(0), core.RenStats(1)
-	x, _ := core.ArchRegs()
-	res := seed
+	out, err := sim.Run(s)
 	res.Scheme = cfg.Scheme
-	res.Cycles = st.Cycles
-	res.Insts = st.Committed
-	res.IPC = st.IPC()
-	res.MPKI = st.MPKI()
-	res.Halted = core.Halted()
-	res.Checksum = x[workloads.CheckReg]
-	res.ChecksumOK = !check || !core.Halted() || res.Checksum == want
-	res.Allocations = ri.Allocations + rf.Allocations
-	res.Reuses = ri.TotalReuses() + rf.TotalReuses()
-	for v := 1; v < 4; v++ {
-		res.ReusesByVer[v] = ri.ReusesByVer[v] + rf.ReusesByVer[v]
+	res.Cycles, res.Insts = out.Cycles, out.Insts
+	res.IPC, res.MPKI = out.IPC, out.MPKI
+	res.Halted, res.Checksum, res.ChecksumOK = out.Halted, out.Checksum, out.ChecksumOK
+	res.Allocations = out.Allocations
+	res.Reuses = out.Reuses
+	res.ReusesByVer = out.ReusesByVer
+	res.ReuseSameLog = out.ReuseSameLog
+	res.ReusePredict = out.ReusePredict
+	res.Repairs = out.Repairs
+	res.MicroOps = out.MicroOps
+	res.StallNoReg, res.StallROB, res.StallIQ = out.StallNoReg, out.StallROB, out.StallIQ
+	res.PageFaults, res.Interrupts = out.PageFaults, out.Interrupts
+	res.ShadowRecoveries = out.ShadowRecoveries
+	res.FFInsts = out.FFInsts
+	if c := out.Core; c != nil {
+		res.Pipeline = c.Stats()
+		res.RenInt, res.RenFP = c.RenStats(isa.IntReg), c.RenStats(isa.FPReg)
+		res.Hier = c.Hierarchy()
 	}
-	res.ReuseSameLog = ri.ReuseSameLog + rf.ReuseSameLog
-	res.ReusePredict = ri.ReusePredict + rf.ReusePredict
-	res.Repairs = ri.Repairs + rf.Repairs
-	res.MicroOps = st.MicroOps
-	res.StallNoReg = st.StallNoRegInt + st.StallNoRegFP
-	res.StallROB = st.StallROB
-	res.StallIQ = st.StallIQ
-	res.PageFaults = st.PageFaults
-	res.Interrupts = st.Interrupts
-	res.ShadowRecoveries = st.ShadowRecoveries
-	res.Pipeline = st
-	res.RenInt = ri
-	res.RenFP = rf
-	res.Hier = core.Hierarchy()
-	if check && core.Halted() && res.Checksum != want {
-		return res, fmt.Errorf("regreuse: %s checksum %#x, want %#x", seed.Workload, res.Checksum, want)
+	if est := out.Estimate; est != nil {
+		res.Sampled = &SampleEstimate{
+			Plan:        est.Plan.String(),
+			Samples:     est.Samples,
+			IPCMean:     est.IPCMean,
+			IPCStdErr:   est.IPCStdErr,
+			ReuseMean:   est.ReuseMean,
+			ReuseStdErr: est.ReuseStdErr,
+			TotalInsts:  est.TotalInsts,
+			DetailInsts: est.DetailInsts,
+			Coverage:    est.CoverageRatio(),
+		}
 	}
-	return res, nil
-}
-
-// runSampled runs the interval-sampling mode: a functional machine walks the
-// whole program while short detailed intervals (each with a detailed,
-// unmeasured warmup prefix) are booted from in-memory snapshots along the
-// way. Result.Cycles/Insts/Reuses/Allocations accumulate over the measured
-// regions only; Result.IPC is the interval-mean estimate; the full-detail
-// stats pointers stay nil because no single core runs end to end.
-func runSampled(p *prog.Program, seed Result, want uint64, check bool, cfg Config) (Result, error) {
-	plan, err := ckpt.ParsePlan(cfg.Sample)
 	if err != nil {
-		return Result{}, fmt.Errorf("regreuse: %w", err)
+		return res, out.Core, fmt.Errorf("regreuse: %s: %w", res.Workload, err)
 	}
-	var aggMu sync.Mutex
-	var agg struct {
-		cycles, insts, micro uint64
-		allocs, reuses       uint64
-		stallNoReg, rob, iq  uint64
-	}
-	run := func(bs *ckpt.BootState, warmup, detail uint64) (ckpt.IntervalStats, error) {
-		pcfg := cfg.pipelineConfig()
-		pcfg.Boot = bs.Boot
-		pcfg.BootWarmup = bs.Warmup
-		pcfg.MaxInsts = warmup + detail
-		core := pipeline.New(pcfg, p)
-		if err := core.RunTo(warmup); err != nil {
-			return ckpt.IntervalStats{}, err
-		}
-		st := core.Stats()
-		ri, rf := core.RenStats(0), core.RenStats(1)
-		base := []uint64{st.Cycles, st.Committed, st.MicroOps,
-			ri.Allocations + rf.Allocations, ri.TotalReuses() + rf.TotalReuses(),
-			st.StallNoRegInt + st.StallNoRegFP, st.StallROB, st.StallIQ}
-		if err := core.RunTo(warmup + detail); err != nil {
-			return ckpt.IntervalStats{}, err
-		}
-		is := ckpt.IntervalStats{
-			Cycles:    st.Cycles - base[0],
-			Insts:     st.Committed - base[1],
-			ReuseHits: ri.TotalReuses() + rf.TotalReuses() - base[4],
-		}
-		// Sums are order-independent, so a mutex (not interval-ordered
-		// merging) is enough to keep the aggregate deterministic when
-		// intervals run concurrently.
-		aggMu.Lock()
-		agg.cycles += is.Cycles
-		agg.insts += is.Insts
-		agg.micro += st.MicroOps - base[2]
-		agg.allocs += ri.Allocations + rf.Allocations - base[3]
-		agg.reuses += is.ReuseHits
-		agg.stallNoReg += st.StallNoRegInt + st.StallNoRegFP - base[5]
-		agg.rob += st.StallROB - base[6]
-		agg.iq += st.StallIQ - base[7]
-		aggMu.Unlock()
-		return is, nil
-	}
-	workers := cfg.SampleWorkers
-	if workers == 0 {
-		workers = 1
-	}
-	est, final, err := ckpt.SampleN(p, plan, cfg.MaxInsts, workers, run)
-	if err != nil {
-		return Result{}, fmt.Errorf("regreuse: %w", err)
-	}
-	res := seed
-	res.Scheme = cfg.Scheme
-	res.Cycles = agg.cycles
-	res.Insts = agg.insts
-	res.IPC = est.IPCMean
-	res.MicroOps = agg.micro
-	res.Allocations = agg.allocs
-	res.Reuses = agg.reuses
-	res.StallNoReg = agg.stallNoReg
-	res.StallROB = agg.rob
-	res.StallIQ = agg.iq
-	res.Halted = final.Halted
-	res.Checksum = final.X[workloads.CheckReg]
-	res.ChecksumOK = !check || !final.Halted || res.Checksum == want
-	res.FFInsts = est.FFInsts
-	res.Sampled = &SampleEstimate{
-		Plan:        plan.String(),
-		Samples:     est.Samples,
-		IPCMean:     est.IPCMean,
-		IPCStdErr:   est.IPCStdErr,
-		ReuseMean:   est.ReuseMean,
-		ReuseStdErr: est.ReuseStdErr,
-		TotalInsts:  est.TotalInsts,
-		DetailInsts: est.DetailInsts,
-		Coverage:    est.CoverageRatio(),
-	}
-	if check && final.Halted && res.Checksum != want {
-		return res, fmt.Errorf("regreuse: %s sampled checksum %#x, want %#x", seed.Workload, res.Checksum, want)
-	}
-	return res, nil
+	return res, out.Core, nil
 }
 
 // Workloads lists the available workload names.
 func Workloads() []string { return workloads.Names() }
-
-// FastForwardWorkload runs a named workload end to end on the functional
-// fast-forward interpreter (no detailed simulation, no checkpointing) and
-// returns the instruction count. It exists for profiling and calibration:
-// the ratio of this rate to the detailed core's is the fast-forward speedup.
-func FastForwardWorkload(name string, scale int) (uint64, error) {
-	w, ok := workloads.ByName(name, scale)
-	if !ok {
-		return 0, fmt.Errorf("regreuse: unknown workload %q", name)
-	}
-	sn, err := ckpt.FastForward(w.Program(), 1<<62)
-	if err != nil {
-		return 0, err
-	}
-	if sn.Halted && sn.X[workloads.CheckReg] != w.Want {
-		return sn.InstCount, fmt.Errorf("regreuse: %s checksum %#x, want %#x", name, sn.X[workloads.CheckReg], w.Want)
-	}
-	return sn.InstCount, nil
-}
 
 // AnalyzeWorkload runs the functional emulator over a workload and returns
 // the single-use / consumer-count / reuse-chain report (Figures 1-3). It

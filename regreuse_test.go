@@ -1,11 +1,14 @@
 package regreuse
 
 import (
+	"io"
 	"reflect"
 	"testing"
 
 	"repro/internal/asm"
+	"repro/internal/obs"
 	"repro/internal/regfile"
+	"repro/internal/sweep"
 )
 
 func TestRunWorkloadBothSchemes(t *testing.T) {
@@ -286,10 +289,14 @@ func TestEarlyReleaseThroughFacade(t *testing.T) {
 // serially and with the detail intervals fanned across goroutines. The full
 // Result — headline counters, estimate, standard errors — must be
 // bit-identical: worker count is an execution option, not a configuration.
+//
+// The observed case gives every interval core one metrics observer. Under
+// -race it fails unless observed intervals run serially, since observers
+// are not safe for concurrent use.
 func TestSampledWorkersDeterminism(t *testing.T) {
-	run := func(workers int) Result {
+	run := func(workers int, o obs.Observer) Result {
 		res, err := RunWorkload("dgemm", 1, Config{
-			Scheme: Reuse, Sample: "200:500:5000", SampleWorkers: workers,
+			Scheme: Reuse, Sample: "200:500:5000", SampleWorkers: workers, Observer: o,
 		})
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
@@ -299,11 +306,79 @@ func TestSampledWorkersDeterminism(t *testing.T) {
 		}
 		return res
 	}
-	want := run(1)
-	for _, workers := range []int{2, 4} {
-		if got := run(workers); !reflect.DeepEqual(got, want) {
-			t.Errorf("workers=%d: result diverged from serial run:\n got %+v\nwant %+v",
-				workers, got, want)
+	want := run(1, nil)
+	for _, c := range []struct {
+		workers int
+		o       obs.Observer
+	}{{2, nil}, {4, nil}, {4, obs.NewMetrics(0, io.Discard)}} {
+		if got := run(c.workers, c.o); !reflect.DeepEqual(got, want) {
+			t.Errorf("workers=%d observed=%t: result diverged from serial run:\n got %+v\nwant %+v",
+				c.workers, c.o != nil, got, want)
+		}
+	}
+}
+
+// TestFacadeSweepParity runs the same job through RunWorkload and through
+// sweep.Execute, in each run mode, and requires every counter that both
+// result types carry to be equal.
+func TestFacadeSweepParity(t *testing.T) {
+	// shared holds the fields Result and sweep.JobResult both carry.
+	type shared struct {
+		Cycles, Insts, MicroOps       uint64
+		IPC, MPKI                     float64
+		ChecksumOK                    bool
+		Allocations, Reuses, Repairs  uint64
+		ReusesByVer                   [4]uint64
+		StallNoReg, StallROB, StallIQ uint64
+		FFInsts                       uint64
+		Sampled                       SampleEstimate
+	}
+	modes := []struct {
+		name         string
+		ff, warmup   uint64
+		samplePlan   string
+		wantEstimate bool
+	}{
+		{name: "full"},
+		{name: "ff", ff: 5000, warmup: 1000},
+		{name: "sampled", samplePlan: "200:500:5000", wantEstimate: true},
+	}
+	for _, name := range []string{"poly_horner", "qsortint", "gmm_score"} {
+		for _, m := range modes {
+			t.Run(name+"/"+m.name, func(t *testing.T) {
+				res, err := RunWorkload(name, 1, Config{
+					Scheme: Reuse, FastForward: m.ff, Warmup: m.warmup, Sample: m.samplePlan,
+				})
+				if err != nil {
+					t.Fatal(err)
+				}
+				jr, _, err := sweep.Execute(sweep.Job{
+					Workload: name, Scheme: "reuse", Scale: 1,
+					FastForward: m.ff, Warmup: m.warmup, Sample: m.samplePlan,
+				}, nil, 1)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if (res.Sampled != nil) != m.wantEstimate || (jr.Sampled != nil) != m.wantEstimate {
+					t.Fatalf("estimates: facade %v, sweep %v, want present=%t", res.Sampled, jr.Sampled, m.wantEstimate)
+				}
+				facade := shared{
+					res.Cycles, res.Insts, res.MicroOps, res.IPC, res.MPKI, res.ChecksumOK,
+					res.Allocations, res.Reuses, res.Repairs, res.ReusesByVer,
+					res.StallNoReg, res.StallROB, res.StallIQ, res.FFInsts, SampleEstimate{},
+				}
+				job := shared{
+					jr.Cycles, jr.Insts, jr.MicroOps, jr.IPC, jr.MPKI, jr.ChecksumOK,
+					jr.Allocations, jr.Reuses, jr.Repairs, jr.ReusesByVer,
+					jr.StallNoReg, jr.StallROB, jr.StallIQ, jr.FFInsts, SampleEstimate{},
+				}
+				if m.wantEstimate {
+					facade.Sampled, job.Sampled = *res.Sampled, SampleEstimate(*jr.Sampled)
+				}
+				if facade != job {
+					t.Errorf("facade and sweep disagree:\nfacade %+v\nsweep  %+v", facade, job)
+				}
+			})
 		}
 	}
 }
