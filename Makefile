@@ -1,11 +1,11 @@
 # Developer/CI entry points. `make ci` is the gate future changes run:
 # build + full tests (including the golden-stats determinism test and the
-# zero-allocation test), vet, and the race detector over the internal
-# packages.
+# zero-allocation test), vet, the race detector over the internal
+# packages, and the perfbench module's vet and tests.
 
 GO ?= go
 
-.PHONY: test vet lint lintsmoke race smoke benchsmoke driftsmoke fabricsmoke ci ckpt-tests bench
+.PHONY: test vet lint lintsmoke race smoke benchsmoke driftsmoke fabricsmoke perfbench-test ci ckpt-tests bench
 
 test:
 	$(GO) build ./...
@@ -242,7 +242,14 @@ fabricsmoke:
 	rm -rf /tmp/regreuse_fabsmoke /tmp/regreuse_fabsmoke_sweepd /tmp/regreuse_fabsmoke_ckjson
 	@echo fabricsmoke OK
 
-ci: test vet lint lintsmoke race ckpt-tests smoke benchsmoke driftsmoke fabricsmoke
+# perfbench-test vets and tests the benchmark in perfbench/. It is a separate
+# Go module, so `go build ./...` and `go test ./...` at the root skip it, yet
+# its renamer replay calls rename.NewEarly, Checkpoint and ReleaseCheckpoint:
+# a renamer API change must keep it compiling.
+perfbench-test:
+	cd perfbench && $(GO) vet ./... && $(GO) test ./...
+
+ci: test vet lint lintsmoke race ckpt-tests smoke benchsmoke driftsmoke fabricsmoke perfbench-test
 
 # bench runs every benchmark once with allocation counts — the quick
 # regression sweep — and regenerates BENCH_core.json (per-benchmark ns/op,

@@ -108,7 +108,10 @@ func (c *Core) commit() {
 			c.releaseCkpts(e)
 		}
 		e.active = false
-		c.robHead = (c.robHead + 1) % len(c.rob)
+		c.robHead++
+		if c.robHead == len(c.rob) {
+			c.robHead = 0
+		}
 		c.robCount--
 		if e.halt {
 			c.halted = true
@@ -206,6 +209,7 @@ func (c *Core) flushAll(resumePC uint64, handlerCycles uint64) {
 		}
 	}
 	c.robCount = 0
+	c.specBrHead, c.specBrCount = 0, 0
 	c.resetIQ()
 	c.lqHead, c.lqCnt = 0, 0
 	c.sqHead, c.sqCnt = 0, 0

@@ -150,10 +150,12 @@ type Config struct {
 	// not mutate simulation state). A typed-nil observer is not detected;
 	// pass a plain nil to disable.
 	Observer obs.Observer
-	// DebugInvariants enables an O(ROB) check at every dispatch: each
+	// DebugInvariants enables O(ROB) checks. At every dispatch, each
 	// source operand that is not yet ready must have an in-flight producer
-	// in the ROB, or the instruction would wait forever. The lockstep-oracle
-	// tests turn it on for every scheme.
+	// in the ROB, or the instruction would wait forever. Under
+	// EarlyRelease, every cycle's speculation boundary and branch ring
+	// must match a ROB walk. The lockstep-oracle tests turn it on for
+	// every scheme.
 	DebugInvariants bool
 	// MeasureLifetimes records, per released physical register, the gap in
 	// cycles between the last read of its value and its release — the

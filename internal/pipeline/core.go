@@ -130,6 +130,13 @@ type wbEvent struct {
 	seq    uint64
 }
 
+// specBranch names one dispatched branch by ROB slot and sequence number
+// (the pair tells a live entry from a later occupant of the slot).
+type specBranch struct {
+	robIdx int
+	seq    uint64
+}
+
 // Core is the simulated out-of-order processor.
 type Core struct {
 	cfg  Config
@@ -148,7 +155,6 @@ type Core struct {
 	baseI, baseF   *rename.BaselineRenamer // non-nil for Scheme == Baseline
 	reuseI, reuseF *rename.ReuseRenamer    // non-nil for Scheme == Reuse
 	earlyI, earlyF *rename.EarlyRenamer    // non-nil for Scheme == EarlyRelease
-	trackI, trackF rename.ActivityTracker  // non-nil for Scheme == EarlyRelease
 	typePred       *rename.TypePredictor
 
 	rob      []robEntry
@@ -195,7 +201,14 @@ type Core struct {
 	memWait      []bool // store-wait bits (MemSpeculation)
 	memWaitClear uint64
 
-	lastSpecBoundary uint64 // early-release: last boundary notified
+	// Early-release speculation boundary: specBr is a ring (sized like the
+	// ROB, oldest at specBrHead) of the dispatched branches that may still
+	// be unresolved, in program order; advanceSpecBoundary pops resolved
+	// ones off its head. lastSpecBoundary is the last boundary notified.
+	specBr           []specBranch
+	specBrHead       int
+	specBrCount      int
+	lastSpecBoundary uint64
 
 	// lastRead[class][phys] is the cycle of the last value read of the
 	// register's current lifetime (MeasureLifetimes).
@@ -259,7 +272,7 @@ func New(cfg Config, p *prog.Program) *Core {
 		c.earlyI = rename.NewEarly(isa.NumIntRegs, c.rfInt)
 		c.earlyF = rename.NewEarly(isa.NumFPRegs, c.rfFP)
 		c.renI, c.renF = c.earlyI, c.earlyF
-		c.trackI, c.trackF = c.earlyI, c.earlyF
+		c.specBr = make([]specBranch, cfg.ROBSize)
 	}
 	// Architectural register state: stack pointer, zero elsewhere (matches
 	// emu.New). The renamers initialized logical l -> physical l.
@@ -312,13 +325,6 @@ func (c *Core) ren(class isa.RegClass) rename.Renamer {
 	return c.renI
 }
 
-func (c *Core) tracker(class isa.RegClass) rename.ActivityTracker {
-	if class == isa.FPReg {
-		return c.trackF
-	}
-	return c.trackI
-}
-
 // base/reuse/early return the concrete renamer for a class. Dispatch and
 // commit call through these, behind a scheme switch, so every
 // per-instruction rename operation is a direct (devirtualized) call on the
@@ -365,7 +371,19 @@ func (c *Core) rf(class isa.RegClass) *regfile.File {
 	return c.rfInt
 }
 
-func (c *Core) robIdxAt(pos int) int { return (c.robHead + pos) % len(c.rob) }
+// robIdxAt maps a position in the ROB window (0 = head, at most robCount)
+// to its slot. Positions never exceed the ROB size, so one compare-and-
+// subtract wraps them; ROBSize is configurable, so a mask is not always
+// possible.
+//
+//repro:hotpath
+func (c *Core) robIdxAt(pos int) int {
+	i := c.robHead + pos
+	if i >= len(c.rob) {
+		i -= len(c.rob)
+	}
+	return i
+}
 
 func (c *Core) robTailIdx() int { return c.robIdxAt(c.robCount) }
 
@@ -429,9 +447,9 @@ func (c *Core) StepN(n int) {
 // produced at cycle T can feed instructions issuing at T (back-to-back
 // dependent execution), and younger stages see the machine state left by
 // older ones. The two scheme-conditional stages are guarded here: the
-// early-release speculation boundary advances before issue so trackers see
-// resolved branches, and the reuse scheme samples Figure 9 occupancy after
-// fetch.
+// early-release speculation boundary advances before issue so the early
+// renamers see resolved branches, and the reuse scheme samples Figure 9
+// occupancy after fetch.
 //
 //repro:hotpath
 func (c *Core) step() {
@@ -491,22 +509,72 @@ func (c *Core) obsCore(kind obs.CoreKind, seq, arg uint64) {
 }
 
 // advanceSpecBoundary computes the sequence number below which no
-// unresolved branch remains and notifies the early-release trackers.
+// unresolved branch remains and notifies the early-release renamers. The
+// oldest unresolved branch heads the specBr ring once the head entries that
+// completed or left the ROB are popped, so the cost is the branches resolved
+// since the last cycle rather than a ROB walk.
 //
 //repro:hotpath
 func (c *Core) advanceSpecBoundary() {
-	boundary := c.seqNext
-	for i := 0; i < c.robCount; i++ {
-		e := &c.rob[c.robIdxAt(i)]
-		if e.isBranch && !e.completed {
-			boundary = e.seq
+	for c.specBrCount > 0 {
+		b := c.specBrAt(0)
+		if e := &c.rob[b.robIdx]; e.active && e.seq == b.seq && !e.completed {
 			break
 		}
+		c.specBrHead++
+		if c.specBrHead == len(c.specBr) {
+			c.specBrHead = 0
+		}
+		c.specBrCount--
+	}
+	boundary := c.seqNext
+	if c.specBrCount > 0 {
+		boundary = c.specBrAt(0).seq
+	}
+	if c.cfg.DebugInvariants {
+		c.checkSpecBoundary(boundary)
 	}
 	if boundary != c.lastSpecBoundary {
 		c.lastSpecBoundary = boundary
-		c.trackI.NoteSpecBoundary(boundary)
-		c.trackF.NoteSpecBoundary(boundary)
+		c.earlyI.NoteSpecBoundary(boundary)
+		c.earlyF.NoteSpecBoundary(boundary)
+	}
+}
+
+// specBrAt returns the specBr entry pos places after the head.
+//
+//repro:hotpath
+func (c *Core) specBrAt(pos int) *specBranch {
+	i := c.specBrHead + pos
+	if i >= len(c.specBr) {
+		i -= len(c.specBr)
+	}
+	return &c.specBr[i]
+}
+
+// checkSpecBoundary is the reference advanceSpecBoundary is checked against
+// under DebugInvariants: the ROB walk from the head to the first uncompleted
+// branch. The ring must also list exactly the ROB's branches from that one
+// on, in order, so a stale or missing entry fails before it moves the
+// boundary.
+func (c *Core) checkSpecBoundary(boundary uint64) {
+	ref, n := c.seqNext, 0
+	for i := 0; i < c.robCount; i++ {
+		e := &c.rob[c.robIdxAt(i)]
+		if !e.isBranch || (n == 0 && e.completed) {
+			continue
+		}
+		if n == 0 {
+			ref = e.seq
+		}
+		if n >= c.specBrCount || *c.specBrAt(n) != (specBranch{robIdx: c.robIdxAt(i), seq: e.seq}) {
+			panic(fmt.Sprintf("pipeline: cycle %d: branch ring entry %d is not ROB branch seq %d", c.cycle, n, e.seq))
+		}
+		n++
+	}
+	if n != c.specBrCount || ref != boundary {
+		panic(fmt.Sprintf("pipeline: cycle %d: branch ring holds %d entries and gives boundary %d; the ROB walk finds %d and %d",
+			c.cycle, c.specBrCount, boundary, n, ref))
 	}
 }
 

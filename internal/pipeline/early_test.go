@@ -9,7 +9,9 @@ import (
 )
 
 // TestEarlyReleaseCorrectness: the comparator scheme must be architecturally
-// transparent across the workload suite, including under interrupts.
+// transparent across the workload suite, including under interrupts. Debug
+// invariants check the incremental speculation boundary against a ROB walk
+// every cycle, across squashes and the interrupts' full flushes.
 func TestEarlyReleaseCorrectness(t *testing.T) {
 	if testing.Short() {
 		t.Skip("differential in -short mode")
@@ -21,6 +23,7 @@ func TestEarlyReleaseCorrectness(t *testing.T) {
 		}
 		cfg := DefaultConfig(EarlyRelease)
 		cfg.CheckOracle = true
+		cfg.DebugInvariants = true
 		cfg.MaxCycles = 100_000_000
 		cfg.InterruptEvery = 7000
 		c := New(cfg, w.Program())

@@ -258,8 +258,8 @@ func (c *Core) processEvents() {
 		if e.hasDest {
 			c.rf(e.destClass).Write(e.dest.Tag.Reg, e.dest.Tag.Ver, e.resultVal)
 			c.broadcast(e.destClass, e.dest.Tag, e.resultVal)
-			if t := c.tracker(e.destClass); t != nil {
-				t.NoteWriteback(e.dest.Tag)
+			if c.cfg.Scheme == EarlyRelease {
+				c.early(e.destClass).NoteWriteback(e.dest.Tag)
 			}
 		}
 		e.completed = true
@@ -278,10 +278,10 @@ func (c *Core) processEvents() {
 }
 
 // broadcast wakes the IQ source slots subscribed to (class, tag) and captures
-// the value. Waiters are registered in dispatch order, so tracker
-// notifications and value-read notes fire in the same order the old full-IQ
-// scan produced. Stale waiters — entry issued, squashed, or slot reused —
-// are detected by the generation check and skipped.
+// the value. Waiters are registered in dispatch order, so early-release
+// consume notifications and value-read notes fire in the same order the old
+// full-IQ scan produced. Stale waiters — entry issued, squashed, or slot
+// reused — are detected by the generation check and skipped.
 //
 //repro:hotpath
 func (c *Core) broadcast(class isa.RegClass, tag rename.Tag, val uint64) {
@@ -301,8 +301,8 @@ func (c *Core) broadcast(class isa.RegClass, tag rename.Tag, val uint64) {
 		}
 		src.ready = true
 		src.val = val
-		if t := c.tracker(class); t != nil {
-			t.NoteSrcConsumed(tag)
+		if c.cfg.Scheme == EarlyRelease {
+			c.early(class).NoteSrcConsumed(tag)
 		}
 		c.noteValueRead(class, tag.Reg)
 		ent.pending--
@@ -344,15 +344,12 @@ func (c *Core) squashAfter(branchIdx int, resumePC uint64) {
 	e := &c.rob[branchIdx]
 	bseq := e.seq
 
-	// Position of the branch within the ROB window.
-	pos := -1
-	for i := 0; i < c.robCount; i++ {
-		if c.robIdxAt(i) == branchIdx {
-			pos = i
-			break
-		}
-	}
+	// Position of the branch within the ROB window (robIdxAt inverted).
+	pos := branchIdx - c.robHead
 	if pos < 0 {
+		pos += len(c.rob)
+	}
+	if pos >= c.robCount {
 		panic("pipeline: squash from entry outside ROB")
 	}
 	for i := pos + 1; i < c.robCount; i++ {
@@ -374,7 +371,8 @@ func (c *Core) squashAfter(branchIdx int, resumePC uint64) {
 	// Issue queue, load queue, store queue, fetch queue. Squashed entries
 	// with unconsumed source slots must be un-noted so the early-release
 	// scheme's pending-reader counters stay exact — in ascending seq order,
-	// because the notification order decides the tracker's free-list order.
+	// because the notification order decides the early renamer's free-list
+	// order.
 	buf := c.squashBuf[:0]
 	for i := range c.iqPool {
 		if c.iqPool[i].active && c.iqPool[i].seq > bseq {
@@ -388,10 +386,10 @@ func (c *Core) squashAfter(branchIdx int, resumePC uint64) {
 	}
 	for _, idx := range buf {
 		ent := &c.iqPool[idx]
-		if c.trackI != nil {
+		if c.cfg.Scheme == EarlyRelease {
 			for s := range ent.src {
 				if ent.src[s].used && !ent.src[s].ready {
-					c.tracker(ent.src[s].class).NoteSrcConsumed(ent.src[s].tag)
+					c.early(ent.src[s].class).NoteSrcConsumed(ent.src[s].tag)
 				}
 			}
 		}
@@ -418,9 +416,12 @@ func (c *Core) squashAfter(branchIdx int, resumePC uint64) {
 	c.fetchHalted = false
 	c.fetchLine = ^uint64(0)
 
-	if c.trackI != nil {
-		c.trackI.SquashTo(bseq)
-		c.trackF.SquashTo(bseq)
+	if c.cfg.Scheme == EarlyRelease {
+		for c.specBrCount > 0 && c.specBrAt(c.specBrCount-1).seq > bseq {
+			c.specBrCount--
+		}
+		c.earlyI.SquashTo(bseq)
+		c.earlyF.SquashTo(bseq)
 	}
 
 	// Renamer checkpoints + shadow-cell recovery cost (§IV-C2).

@@ -283,6 +283,10 @@ func (c *Core) dispatchFill(rec *fetchRec, srcs [2]iqSrc, destClass isa.RegClass
 		// survives its own misprediction.
 		e.ckptI = c.renI.Checkpoint()
 		e.ckptF = c.renF.Checkpoint()
+		if c.cfg.Scheme == EarlyRelease {
+			*c.specBrAt(c.specBrCount) = specBranch{robIdx: c.lastROBIdx(), seq: e.seq}
+			c.specBrCount++
+		}
 		c.stats.Branches++
 		if c.o != nil {
 			c.obsCore(obs.CoreCheckpointCreate, e.seq, 0)
@@ -422,7 +426,8 @@ func (c *Core) captureIfReady(s *iqSrc, micro bool) {
 	if !rf.Produced(s.tag.Reg, s.tag.Ver) {
 		return
 	}
-	if !micro && c.trackI == nil && rf.MainVer(s.tag.Reg) > s.tag.Ver {
+	early := c.cfg.Scheme == EarlyRelease
+	if !micro && !early && rf.MainVer(s.tag.Reg) > s.tag.Ver {
 		// Only repair micro-ops may read superseded versions (they come
 		// from shadow cells, which have no ports). Under the early-release
 		// scheme this cannot happen either: a register is only reallocated
@@ -431,8 +436,8 @@ func (c *Core) captureIfReady(s *iqSrc, micro bool) {
 	}
 	s.ready = true
 	s.val = rf.Read(s.tag.Reg, s.tag.Ver)
-	if t := c.tracker(s.class); t != nil {
-		t.NoteSrcConsumed(s.tag)
+	if early {
+		c.early(s.class).NoteSrcConsumed(s.tag)
 	}
 	c.noteValueRead(s.class, s.tag.Reg)
 }

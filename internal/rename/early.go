@@ -6,30 +6,6 @@ import (
 	"repro/internal/regfile"
 )
 
-// ActivityTracker is the extra notification interface the pipeline drives
-// for renaming schemes that track value consumption and speculation state
-// (the early-release comparator).
-type ActivityTracker interface {
-	// NoteRenamed is called once per instruction entering rename, with the
-	// sequence number it will carry.
-	NoteRenamed(seq uint64)
-	// NoteSrcSlot records that a renamed instruction holds tag as a
-	// source operand awaiting its value (one call per issue-queue slot).
-	NoteSrcSlot(tag Tag)
-	// NoteSrcConsumed records that the slot captured its value (or was
-	// abandoned by a rename stall / squash and will not capture).
-	NoteSrcConsumed(tag Tag)
-	// NoteWriteback records that tag's value was produced.
-	NoteWriteback(tag Tag)
-	// NoteSpecBoundary reports that every instruction with seq < boundary
-	// has no unresolved branch ahead of it (it cannot be squashed by a
-	// branch misprediction anymore).
-	NoteSpecBoundary(boundary uint64)
-	// SquashTo discards speculative release bookkeeping for instructions
-	// with seq > bseq.
-	SquashTo(bseq uint64)
-}
-
 // EarlyRenamer implements a checkpointed early register release scheme in
 // the spirit of the paper's §VII related work (Monreal et al.'s
 // non-speculative-redefiner rule combined with Ergin et al.'s shadow-cell
@@ -56,10 +32,11 @@ type EarlyRenamer struct {
 	retireRefs []uint8
 	rf         *regfile.File
 
-	// Speculative per-register state. ctr/unmapped are checkpointed;
-	// pending and the armed set are kept exact by explicit squash
-	// notifications instead (a snapshot would resurrect counts consumed
-	// by surviving instructions during the wrong-path window).
+	// Speculative per-register state. Restore rewinds ctr and unmapped
+	// from the ring slots and sequence numbers (see Checkpoint); pending
+	// and the armed set are kept exact by explicit squash notifications
+	// instead (a snapshot would resurrect counts consumed by surviving
+	// instructions during the wrong-path window).
 	ctr      []Ver    // current version
 	pending  []int32  // renamed-but-unconsumed source slots
 	unmapped []bool   // current version's logical register was redefined
@@ -88,15 +65,19 @@ type EarlyRenamer struct {
 
 	// inRing marks registers currently sitting in a free list. It guards
 	// tryArm against re-releasing an already-free register (stale consume
-	// notifications and checkpoint restores can otherwise resurrect the
-	// unmapped flag of a released register). It is recomputed from the
-	// ring contents after every checkpoint restore, so it is always
+	// notifications can otherwise re-arm a released register, and Restore
+	// leaves a free register's unmapped flag stale). Restore sets it for
+	// every register its rewind returns to a ring, so it is always
 	// squash-consistent.
 	inRing []bool
 
 	curSeq uint64
 
 	freeLists [regfile.MaxShadow + 1]*freeRing
+	// popVer[k][slot] is the version the register alloc popped from slot
+	// (head & mask) of ring k held before the pop; Restore reads it back
+	// for the slots its rewind re-exposes.
+	popVer [regfile.MaxShadow + 1][]Ver
 
 	ckptPool []*earlyCkpt
 
@@ -113,18 +94,16 @@ type armedRelease struct {
 	unmapOp uint64
 }
 
+// earlyCkpt is a branch checkpoint: the map table, the branch's sequence
+// number and the free-ring heads. Everything else Restore needs is in the
+// ring slots popped since (see Restore).
 type earlyCkpt struct {
 	mapTable  []Tag
-	ctr       []Ver
-	unmapped  []bool
-	unmapSeq  []uint64
+	seq       uint64
 	freeMarks [regfile.MaxShadow + 1]uint64
 }
 
-var (
-	_ Renamer         = (*EarlyRenamer)(nil)
-	_ ActivityTracker = (*EarlyRenamer)(nil)
-)
+var _ Renamer = (*EarlyRenamer)(nil)
 
 // NewEarly creates an early-release renamer for numLog logical registers
 // over the banked file rf (registers in shadow banks are the early-release
@@ -152,6 +131,7 @@ func NewEarly(numLog int, rf *regfile.File) *EarlyRenamer {
 	}
 	for k := range e.freeLists {
 		e.freeLists[k] = newFreeRing(rf.Size())
+		e.popVer[k] = make([]Ver, len(e.freeLists[k].buf))
 	}
 	for l := 0; l < numLog; l++ {
 		t := Tag{Reg: PhysReg(l)}
@@ -174,7 +154,7 @@ func NewEarly(numLog int, rf *regfile.File) *EarlyRenamer {
 func (e *EarlyRenamer) PeekSrc(log uint8) SrcInfo { return SrcInfo{Tag: e.mapTable[log]} }
 
 // MarkSrcRead implements Renamer; consumption is tracked per issue-queue
-// slot through the ActivityTracker interface instead.
+// slot through NoteSrcSlot/NoteSrcConsumed instead.
 //
 //repro:hotpath
 func (e *EarlyRenamer) MarkSrcRead(log uint8) Tag { return e.mapTable[log] }
@@ -214,7 +194,10 @@ func (e *EarlyRenamer) alloc() (PhysReg, Ver, bool) {
 	if best < 0 {
 		return 0, 0, false
 	}
-	p, _ := e.freeLists[best].pop()
+	fl := e.freeLists[best]
+	slot := fl.head & fl.mask
+	p, _ := fl.pop()
+	e.popVer[best][slot] = e.ctr[p]
 	e.inRing[p] = false
 	e.pending[p] = 0
 	e.unmapped[p] = false
@@ -250,17 +233,20 @@ func (e *EarlyRenamer) tryArm(p PhysReg) {
 	e.armedList = append(e.armedList, armedRelease{reg: p, unmapOp: e.unmapSeq[p]})
 }
 
-// NoteRenamed implements ActivityTracker.
+// NoteRenamed is called once per instruction entering rename, with the
+// sequence number it will carry.
 //
 //repro:hotpath
 func (e *EarlyRenamer) NoteRenamed(seq uint64) { e.curSeq = seq }
 
-// NoteSrcSlot implements ActivityTracker.
+// NoteSrcSlot records that a renamed instruction holds tag as a source
+// operand awaiting its value (one call per issue-queue slot).
 //
 //repro:hotpath
 func (e *EarlyRenamer) NoteSrcSlot(tag Tag) { e.pending[tag.Reg]++ }
 
-// NoteSrcConsumed implements ActivityTracker.
+// NoteSrcConsumed records that the slot captured its value (or was
+// abandoned by a rename stall or squash and will not capture).
 //
 //repro:hotpath
 func (e *EarlyRenamer) NoteSrcConsumed(tag Tag) {
@@ -270,12 +256,13 @@ func (e *EarlyRenamer) NoteSrcConsumed(tag Tag) {
 	e.tryArm(tag.Reg)
 }
 
-// NoteWriteback implements ActivityTracker.
+// NoteWriteback records that tag's value was produced.
 //
 //repro:hotpath
 func (e *EarlyRenamer) NoteWriteback(tag Tag) { e.tryArm(tag.Reg) }
 
-// NoteSpecBoundary implements ActivityTracker: armed releases whose
+// NoteSpecBoundary reports that no instruction with seq < boundary can be
+// squashed by a branch misprediction anymore: armed releases whose
 // redefiner is older than the boundary fire now. Their free-list pushes are
 // non-speculative — a branch squash can no longer revoke them — which is
 // what keeps the checkpointable free-ring invariants intact.
@@ -311,9 +298,9 @@ func (e *EarlyRenamer) NoteSpecBoundary(boundary uint64) {
 	e.armedList = kept
 }
 
-// SquashTo implements ActivityTracker: drop armed candidates whose
-// redefiner was squashed (their registers return to mapped state through
-// the map-table checkpoint restore).
+// SquashTo discards speculative release bookkeeping for instructions with
+// seq > bseq: it drops armed candidates whose redefiner was squashed (their
+// registers return to mapped state through the checkpoint restore).
 func (e *EarlyRenamer) SquashTo(bseq uint64) {
 	kept := e.armedList[:0]
 	for _, a := range e.armedList {
@@ -354,24 +341,20 @@ func (e *EarlyRenamer) Commit(r DestResult) {
 	}
 }
 
-// Checkpoint implements Renamer, recycling released snapshots.
+// Checkpoint implements Renamer, recycling released snapshots. It keeps
+// the map table, the branch's sequence number (the last NoteRenamed) and
+// the free-ring heads: ring slots [mark, head) are exactly the registers
+// allocated since, and popVer holds the version each held before.
 func (e *EarlyRenamer) Checkpoint() Checkpoint {
 	var c *earlyCkpt
 	if n := len(e.ckptPool); n > 0 {
 		c = e.ckptPool[n-1]
 		e.ckptPool = e.ckptPool[:n-1]
 		copy(c.mapTable, e.mapTable)
-		copy(c.ctr, e.ctr)
-		copy(c.unmapped, e.unmapped)
-		copy(c.unmapSeq, e.unmapSeq)
 	} else {
-		c = &earlyCkpt{
-			mapTable: append([]Tag(nil), e.mapTable...),
-			ctr:      append([]Ver(nil), e.ctr...),
-			unmapped: append([]bool(nil), e.unmapped...),
-			unmapSeq: append([]uint64(nil), e.unmapSeq...),
-		}
+		c = &earlyCkpt{mapTable: append([]Tag(nil), e.mapTable...)}
 	}
+	c.seq = e.curSeq
 	for k := range e.freeLists {
 		c.freeMarks[k] = e.freeLists[k].mark()
 	}
@@ -385,41 +368,40 @@ func (e *EarlyRenamer) ReleaseCheckpoint(c Checkpoint) {
 	}
 }
 
-// Restore implements Renamer. pending/armed/suppress are intentionally not
-// snapshot state: pending and the armed list are maintained exactly by the
-// pipeline's squash notifications, and suppress is only touched by
-// squash-immune events.
+// Restore implements Renamer. Only alloc changes ctr, and a register is
+// popped at most once between a checkpoint and its restore (it cannot be
+// freed again before its allocator, younger than the branch, commits), so
+// resetting the popped slots' registers to their popVer versions — and
+// rolling back only those — rewinds ctr and the register file exactly.
+// A register unmapped after the checkpoint carries an unmapSeq younger than
+// the branch; clearing those flags rewinds unmapped for every register
+// that is not on a free list (a free register's flag decides nothing:
+// tryArm and NoteSpecBoundary also test inRing, and alloc resets it).
+// pending/armed/suppress are intentionally not snapshot state: pending and
+// the armed list are maintained exactly by the pipeline's squash
+// notifications, and suppress is only touched by squash-immune events.
 func (e *EarlyRenamer) Restore(c Checkpoint) int {
 	ck := c.(*earlyCkpt)
 	copy(e.mapTable, ck.mapTable)
-	copy(e.unmapped, ck.unmapped)
-	copy(e.unmapSeq, ck.unmapSeq)
 	recoveries := 0
-	for p := range e.ctr {
-		e.ctr[p] = ck.ctr[p]
-		if e.rf.Rollback(PhysReg(p), ck.ctr[p]) {
-			recoveries++
+	for k, fl := range e.freeLists {
+		vers := e.popVer[k]
+		for i := ck.freeMarks[k]; i < fl.head; i++ {
+			p, v := fl.buf[i&fl.mask], vers[i&fl.mask]
+			e.ctr[p] = v
+			e.inRing[p] = true
+			if e.rf.Rollback(p, v) {
+				recoveries++
+			}
+		}
+		fl.rewind(ck.freeMarks[k])
+	}
+	for p, s := range e.unmapSeq {
+		if s > ck.seq {
+			e.unmapped[p] = false
 		}
 	}
-	for k := range e.freeLists {
-		e.freeLists[k].rewind(ck.freeMarks[k])
-	}
-	e.recomputeInRing()
 	return recoveries
-}
-
-// recomputeInRing rebuilds the free-membership flags from the actual ring
-// contents (after a rewind changed which entries are exposed).
-func (e *EarlyRenamer) recomputeInRing() {
-	for p := range e.inRing {
-		e.inRing[p] = false
-	}
-	for k := range e.freeLists {
-		fl := e.freeLists[k]
-		for i := fl.head; i < fl.tail; i++ {
-			e.inRing[fl.buf[i%uint64(len(fl.buf))]] = true
-		}
-	}
 }
 
 // RestoreArch implements Renamer.

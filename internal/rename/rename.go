@@ -164,12 +164,17 @@ type Renamer interface {
 	// updates the retirement map and releases dead physical registers.
 	Commit(r DestResult)
 
-	// Checkpoint snapshots speculative state (map table, PRT, free
-	// lists); Restore rewinds to it, issuing register-file recover
-	// commands, and returns how many recoveries were needed (the pipeline
-	// charges them as extra redirect cycles). ReleaseCheckpoint returns a
-	// snapshot that will never be restored (its branch committed or was
-	// squashed) to the renamer's internal pool.
+	// Checkpoint records what Restore needs to rewind speculative state
+	// to this point. Every scheme keeps the map table and the free-ring
+	// heads. Reuse also copies its PRT arrays (ctr, Read bits, maxVer).
+	// Early keeps only the branch's sequence number besides: it rebuilds
+	// the rest from the ring slots popped since, which are exactly the
+	// registers allocated after the checkpoint. Restore rewinds to it,
+	// issuing register-file recover commands, and returns how many
+	// recoveries were needed (the pipeline charges them as extra redirect
+	// cycles). ReleaseCheckpoint returns a checkpoint that will never be
+	// restored (its branch committed or was squashed) to the renamer's
+	// internal pool.
 	Checkpoint() Checkpoint
 	Restore(c Checkpoint) int
 	ReleaseCheckpoint(c Checkpoint)
