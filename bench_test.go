@@ -301,8 +301,17 @@ func BenchmarkEmulatorThroughput(b *testing.B) {
 // loop) and BenchmarkFastForward (StepN with no analysis) to see what the
 // collector costs on top of execution; benchjson records the rate as
 // analysis_minst_per_s in BENCH_core.json and floors it in benchsmoke.
-func BenchmarkAnalysisThroughput(b *testing.B) {
-	w, _ := workloads.ByName("dgemm", 1)
+// dgemm is the collector's best case: nearly every candidate row settles
+// when it commits.
+func BenchmarkAnalysisThroughput(b *testing.B) { benchAnalysis(b, "dgemm") }
+
+// BenchmarkAnalysisThroughputRadixsort is the ungated sibling over
+// radixsort, where most candidate rows open a sole group that waits on
+// later commits.
+func BenchmarkAnalysisThroughputRadixsort(b *testing.B) { benchAnalysis(b, "radixsort") }
+
+func benchAnalysis(b *testing.B, name string) {
+	w, _ := workloads.ByName(name, 1)
 	p := w.Program()
 	var insts uint64
 	b.ReportAllocs()

@@ -15,6 +15,11 @@
 // way, and -allocs "Benchmark=Max,..." fails unless every named benchmark
 // ran with -benchmem and stayed at or under its allocs/op ceiling (the
 // zero-allocation guarantee of the streaming figure collectors).
+//
+// The input may repeat a benchmark (-count N, or N runs concatenated).
+// Each headline rate is then the median over its repeats, so one slow run
+// on a busy host neither fails a floor nor sets the recorded rate, and the
+// allocs ceilings hold for every repeat.
 package main
 
 import (
@@ -25,6 +30,7 @@ import (
 	"os"
 	"os/exec"
 	"runtime"
+	"sort"
 	"strconv"
 	"strings"
 	"time"
@@ -61,12 +67,12 @@ type artifact struct {
 	// artifact, and when. GitCommit is best-effort — absent outside a git
 	// checkout — so driftd's ingest can cross-check an artifact against the
 	// commit it is recorded under.
-	GitCommit      string        `json:"git_commit,omitempty"`
-	GoVersion      string        `json:"go_version,omitempty"`
-	GeneratedUTC   string        `json:"generated_utc,omitempty"`
-	Benchmarks     []benchRecord `json:"benchmarks"`
-	DetailedRate   *float64      `json:"detailed_minst_per_s,omitempty"`
-	SampledRate    *float64      `json:"sampled_minst_per_s,omitempty"`
+	GitCommit    string        `json:"git_commit,omitempty"`
+	GoVersion    string        `json:"go_version,omitempty"`
+	GeneratedUTC string        `json:"generated_utc,omitempty"`
+	Benchmarks   []benchRecord `json:"benchmarks"`
+	DetailedRate *float64      `json:"detailed_minst_per_s,omitempty"`
+	SampledRate  *float64      `json:"sampled_minst_per_s,omitempty"`
 	// AnalysisRate is the streaming trace-analysis rate (Minst/s): committed
 	// instructions per wall second through the batched commit sink and the
 	// bounded-memory figure collector.
@@ -164,7 +170,8 @@ func main() {
 			os.Exit(1)
 		}
 		if gate.rate < gate.floor {
-			fmt.Fprintf(os.Stderr, "benchjson: %s at %.3f Minst/s, below floor %.3f\n", gate.label, gate.rate, gate.floor)
+			fmt.Fprintf(os.Stderr, "benchjson: %s at %.3f Minst/s (median of %d), below floor %.3f\n",
+				gate.label, gate.rate, len(repeats(doc.Benchmarks, gate.bench)), gate.floor)
 			os.Exit(1)
 		}
 	}
@@ -233,35 +240,40 @@ func parseLine(line string) (benchRecord, bool) {
 	return r, sawNs
 }
 
-// rateOf finds the Minst/s metric of the benchmark whose name starts with
-// prefix (names carry a -GOMAXPROCS suffix).
+// rateOf returns the median Minst/s over every record of the benchmark
+// named prefix.
 func rateOf(recs []benchRecord, prefix string) (float64, bool) {
-	for _, r := range recs {
-		if r.Name == prefix || strings.HasPrefix(r.Name, prefix+"-") {
-			if v, ok := r.Metrics[rateUnit]; ok {
-				return v, true
-			}
+	var rates []float64
+	for _, r := range repeats(recs, prefix) {
+		if v, ok := r.Metrics[rateUnit]; ok {
+			rates = append(rates, v)
 		}
 	}
-	return 0, false
+	if len(rates) == 0 {
+		return 0, false
+	}
+	sort.Float64s(rates)
+	n := len(rates)
+	return (rates[(n-1)/2] + rates[n/2]) / 2, true
 }
 
-// findBench locates the record for a benchmark name, tolerating the
-// -GOMAXPROCS suffix like rateOf.
-func findBench(recs []benchRecord, prefix string) (benchRecord, bool) {
+// repeats returns every record of the benchmark named prefix, in input
+// order; names carry a -GOMAXPROCS suffix.
+func repeats(recs []benchRecord, prefix string) []benchRecord {
+	var out []benchRecord
 	for _, r := range recs {
 		if r.Name == prefix || strings.HasPrefix(r.Name, prefix+"-") {
-			return r, true
+			out = append(out, r)
 		}
 	}
-	return benchRecord{}, false
+	return out
 }
 
 // checkAllocs enforces a "Benchmark=Max,Benchmark=Max" allocs/op spec: every
-// named benchmark must be present, carry allocs/op data (the run needs
-// -benchmem), and stay at or under its ceiling. A missing benchmark is an
-// error — a ceiling that silently stops being checked is how allocation
-// regressions sneak back in.
+// named benchmark must be present, and every repeat of it must carry
+// allocs/op data (the run needs -benchmem) and stay at or under its
+// ceiling. A missing benchmark is an error — a ceiling that silently stops
+// being checked is how allocation regressions sneak back in.
 func checkAllocs(recs []benchRecord, spec string) error {
 	if spec == "" {
 		return nil
@@ -275,15 +287,17 @@ func checkAllocs(recs []benchRecord, spec string) error {
 		if err != nil {
 			return fmt.Errorf("-allocs entry %q: bad ceiling: %v", entry, err)
 		}
-		r, found := findBench(recs, name)
-		if !found {
+		rs := repeats(recs, name)
+		if len(rs) == 0 {
 			return fmt.Errorf("-allocs: benchmark %s did not run", name)
 		}
-		if r.AllocsPerOp == nil {
-			return fmt.Errorf("-allocs: benchmark %s has no allocs/op (run with -benchmem)", name)
-		}
-		if *r.AllocsPerOp > max {
-			return fmt.Errorf("%s at %.0f allocs/op, above ceiling %.0f", name, *r.AllocsPerOp, max)
+		for _, r := range rs {
+			if r.AllocsPerOp == nil {
+				return fmt.Errorf("-allocs: benchmark %s has no allocs/op (run with -benchmem)", name)
+			}
+			if *r.AllocsPerOp > max {
+				return fmt.Errorf("%s at %.0f allocs/op, above ceiling %.0f", name, *r.AllocsPerOp, max)
+			}
 		}
 	}
 	return nil

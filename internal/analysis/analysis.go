@@ -10,14 +10,17 @@
 //     or more reuses of the same register).
 //
 // Stream (stream.go) is the one collector: it rides the emulator's batched
-// commit sink (emu.RunToHaltBatch), retires records as soon as redefinition
-// closes them, and runs in bounded memory with zero steady-state
-// allocations; AnalyzeProgram is its entry point. The package tests keep a
-// reference per-commit collector (collector_test.go) that retains one
-// record per dynamic definition and classifies everything at the end. It
-// is easy to audit, and exact Report equality against it is pinned over
-// every workload and seeded random programs (stream_test.go), so it stays
-// the executable specification.
+// commit sink (emu.RunToHaltBatch) and keeps its state per logical
+// register, so most committed rows cost a few array updates. Only a
+// definition whose Figure 1 and Figure 3 fate waits on later commits takes
+// a pooled record, and redefinition retires it. It runs in bounded memory
+// with zero steady-state allocations; AnalyzeProgram is its entry point.
+// The package tests keep a reference per-commit collector
+// (collector_test.go) that retains one record per dynamic definition and
+// classifies everything at the end. It is easy to audit, and exact Report
+// equality against it is pinned over every workload, seeded random
+// programs and a native fuzz target (stream_test.go), so it stays the
+// executable specification.
 //
 //repro:deterministic
 package analysis

@@ -20,34 +20,77 @@ import (
 // first-consumed by one instruction S forms a "sole group" whose Figure 1
 // classification (counted once per S; redefining preferred) and Figure 3
 // claim (the earliest-created member whose sole status survives passes
-// depth+1 to the consumer's own def) resolve as members close. Groups and
-// their member records live in pooled freelist-backed slices, so the
-// steady state allocates nothing (Reset + rerun is allocation-free, pinned
-// by TestStreamSteadyStateZeroAllocs) and memory is bounded by the number
-// of still-unresolved groups, which register pressure keeps tiny in
-// practice: every member is pinned by one of 64 live slots or already
-// closed, and closed members resolve their group eagerly.
+// depth+1 to the consumer's own def) resolve as members close.
+//
+// A committed row reads one packed operand record and updates the
+// per-register slots of its sources and destination: an open def's
+// consumer count, creation seq and chain depth live in its slot. Most rows
+// need no group. When the earliest-created candidate is the register S
+// redefines, it closes at S with one consumer, so it is sole and wins the
+// claim; if its depth is known, S's Figure 1 and Figure 3 counts are final
+// at once. Only a def that joins a waiting group, or is the child of one,
+// takes a pooled record. A settled claim fixes one child's depth, so it can
+// unblock only the one group that child is a member of: each close walks
+// one chain of groups, with no work list. Groups and records live in
+// freelist-backed pools, so the steady state allocates nothing (Reset +
+// rerun is allocation-free, pinned by TestStreamSteadyStateZeroAllocs) and
+// memory is bounded by the number of still-unresolved groups, which
+// register pressure keeps small in practice.
 //
 // Exact Report equality against the test-only reference Collector
-// (collector_test.go) over every workload and seeded random programs is
-// pinned by TestStreamMatchesOracle*.
+// (collector_test.go) is pinned over every workload, seeded random programs
+// and the FuzzStreamMatchesOracle corpus.
 type Stream struct {
-	table *prog.UOpTable
+	rows []srow // packed operands of each static instruction
 
-	// live[class][reg] is the pool handle of the currently-live def
-	// (noRec when the register still holds its pre-trace value).
-	live [2][32]int32
+	// regs[slot] is the open def of one logical register; slot noSlot is
+	// never written, so it always reads as a pre-trace value.
+	regs [noSlot + 1]sreg
+	// hist[k] counts closed defs with k consumers (7 meaning 7 or more);
+	// closes of pre-trace values land in hist[preTrace], which Finalize drops.
+	hist [preTrace + 1]uint64
 
 	recs       []srec
 	groups     []sgrp
 	freeRecs   []int32
 	freeGroups []int32
-	work       []int32 // group handles with a pending state change to apply
 
 	defSeq    uint64 // def creation counter (claim arbitration order)
 	rep       Report
 	finalized bool
 }
+
+// noSlot marks an absent operand in srow. Register slots are
+// class*32 + register, so slot>>5 is the register class.
+const noSlot uint8 = 2 * 32
+
+// srow is one static instruction's register operands as slots. A second
+// source that repeats the first is dropped when the row is packed: a
+// register read twice is one consumer.
+type srow struct {
+	src1, src2, dest uint8
+}
+
+// sreg is the open def of one logical register.
+type sreg struct {
+	seq   uint64 // creation order
+	depth int32  // Figure 3 chain position, valid while rec == noRec
+	rec   int32  // pooled record, noRec unless the def is in or under a group
+	cons  uint8  // consumers so far, saturating at 7 (sole needs ==1), or preTrace
+}
+
+// preTrace is the consumer count of a register that still holds its
+// pre-trace value. It reads as saturated, so a read of it is never a first
+// consumption.
+const preTrace uint8 = 8
+
+// preTraceRegs is the register file before the first commit.
+var preTraceRegs = func() (r [noSlot + 1]sreg) {
+	for i := range r {
+		r[i] = sreg{rec: noRec, cons: preTrace}
+	}
+	return r
+}()
 
 // noRec / noGroup are the null pool handles.
 const (
@@ -55,205 +98,218 @@ const (
 	noGroup int32 = -1
 )
 
-// Member resolution states. A member is pending until its sole-consumer
-// status is known: sole once it closes with exactly one consumer, multi as
-// soon as a second consumer arrives (no need to wait for the close).
+// Member resolution states. A member is pending until it closes: sole with
+// exactly one consumer, multi otherwise. An absent second member reads as
+// multi: it never counts and never wins.
 const (
 	mPending uint8 = iota
 	mSole
 	mMulti
 )
 
-// srec is one pooled def record. It is reference-counted: one reference
-// for the live register slot, one for group membership, one for being a
-// group's child; the handle returns to the freelist at zero.
+// srec is the pooled record of a def that joined a waiting group or is the
+// child of one. It is reference-counted: one reference for the live
+// register slot, one for group membership, one for being a group's child;
+// the handle returns to the freelist at zero.
 type srec struct {
-	seq        uint64 // creation order
-	refs       int32
-	depth      int32 // Figure 3 chain position (valid when depthKnown)
-	consGroup  int32 // group joined at first consumption (noGroup if none)
-	memberIdx  uint8 // index of this rec in consGroup's members
-	consumers  uint8 // saturates at 7 (histogram lumps 6+; sole needs ==1)
-	depthKnown bool
-	closed     bool
+	refs   int32
+	depth  int32 // Figure 3 chain position, -1 until the claim on it settles
+	group  int32 // group joined at first consumption (noGroup if none)
+	member uint8 // index of this rec in group's members
 }
 
 // sgrp is the sole group of one consuming instruction S: the defs
 // first-consumed at S whose register class matches S's destination class
 // (members of other classes provably never affect any Report counter).
-// members[0..n-1] are ordered by creation seq, mirroring the oracle's
-// creation-order claim scan.
+// members are ordered by creation seq, mirroring the oracle's
+// creation-order claim scan. A group is freed when its claim settles,
+// which also settles Figure 1: a claim needs a sole winner or every member
+// multi.
 type sgrp struct {
-	members   [2]int32
-	child     int32 // the def S itself created
-	state     [2]uint8
-	n         uint8
-	alive     bool
-	fig1Done  bool // Figure 1 classification of S settled
-	claimDone bool // Figure 3 claim on child settled
+	members  [2]int32
+	child    int32 // the def S itself created
+	state    [2]uint8
+	fig1Done bool // Figure 1 classification of S settled
 }
 
-// NewStream returns an empty collector for p's micro-op table with warm
-// pools sized for typical register pressure.
+// NewStream returns an empty collector for p, with p's operands packed one
+// record per static instruction and warm pools sized for typical register
+// pressure.
 func NewStream(p *prog.Program) *Stream {
+	t := p.UOps()
 	c := &Stream{
-		table:      p.UOps(),
-		recs:       make([]srec, 0, 256),
-		groups:     make([]sgrp, 0, 128),
-		freeRecs:   make([]int32, 0, 256),
-		freeGroups: make([]int32, 0, 128),
-		work:       make([]int32, 0, 64),
+		rows:       make([]srow, len(t.Inst)),
+		regs:       preTraceRegs,
+		recs:       make([]srec, 0, 64),
+		groups:     make([]sgrp, 0, 64),
+		freeRecs:   make([]int32, 0, 64),
+		freeGroups: make([]int32, 0, 64),
 	}
-	for cl := range c.live {
-		for r := range c.live[cl] {
-			c.live[cl][r] = noRec
+	for i := range c.rows {
+		in := &t.Inst[i]
+		r := srow{
+			src1: slotOf(t.Src1Class[i], in.Rs1),
+			src2: slotOf(t.Src2Class[i], in.Rs2),
+			dest: slotOf(t.DestClass[i], t.DestLog[i]),
 		}
+		if r.src2 == r.src1 {
+			r.src2 = noSlot
+		}
+		c.rows[i] = r
 	}
 	return c
+}
+
+func slotOf(class isa.RegClass, reg uint8) uint8 {
+	if class == isa.NoReg {
+		return noSlot
+	}
+	return uint8(class)<<5 | reg
 }
 
 // Reset returns the collector to its initial state, keeping pool capacity,
 // so a warmed collector re-analyzes a trace without allocating.
 func (c *Stream) Reset() {
-	for cl := range c.live {
-		for r := range c.live[cl] {
-			c.live[cl][r] = noRec
-		}
-	}
+	c.regs = preTraceRegs
+	c.hist = [preTrace + 1]uint64{}
 	c.recs = c.recs[:0]
 	c.groups = c.groups[:0]
 	c.freeRecs = c.freeRecs[:0]
 	c.freeGroups = c.freeGroups[:0]
-	c.work = c.work[:0]
 	c.defSeq = 0
 	c.rep = Report{}
 	c.finalized = false
 }
 
-// CommitBatch implements emu.CommitSink: it processes rows committed rows,
-// reading operand metadata off the shared pre-decoded micro-op table.
+// CommitBatch implements emu.CommitSink: it processes the committed rows,
+// reading each one's packed operand record.
 //
 //repro:hotpath
 func (c *Stream) CommitBatch(_ uint64, rows []uint32) {
-	t := c.table
+	c.rep.TotalInsts += uint64(len(rows))
 	for _, row := range rows {
-		c.rep.TotalInsts++
-		in := &t.Inst[row]
-		s1 := t.Src1Class[row]
-		s2 := t.Src2Class[row]
-		destClass := t.DestClass[row]
-		destLog := t.DestLog[row]
-
-		// Record consumption of each (deduplicated) register source; fN
-		// reports the source's first-ever consumption, which is what makes
-		// it a candidate group member below.
-		var h1, h2 int32 = noRec, noRec
-		var f1, f2 bool
-		if s1 != isa.NoReg {
-			h1, f1 = c.consume(s1, in.Rs1)
-		}
-		if s2 != isa.NoReg && !(s2 == s1 && in.Rs2 == in.Rs1) {
-			h2, f2 = c.consume(s2, in.Rs2)
-		}
-
-		if destClass == isa.NoReg {
+		r := c.rows[row]
+		// fN reports the source's first-ever consumption, which is what
+		// makes it a candidate group member below.
+		f1 := c.consume(r.src1)
+		f2 := c.consume(r.src2)
+		if r.dest == noSlot {
 			continue
 		}
-		c.rep.DestInsts++
-		c.rep.TotalDefs++
-		child := c.allocRec()
+		c.defSeq++
 
-		// Gather the sole-group members: sources first-consumed here whose
-		// class matches the destination's. A member that is also the
-		// destination register is the redefining case — it closes at this
-		// very instruction with exactly one consumer, so it is always sole
-		// and Figure 1 classifies the group immediately.
-		var m0, m1 int32 = noRec, noRec
-		var r0, r1 bool
-		if f1 && s1 == destClass {
-			m0 = h1
-			r0 = in.Rs1 == destLog
+		// The candidates are the sources first-consumed here whose class
+		// matches the destination's, m0 the earlier-created.
+		m0, m1 := noSlot, noSlot
+		if f1 && r.src1>>5 == r.dest>>5 {
+			m0 = r.src1
 		}
-		if f2 && s2 == destClass {
-			if m0 == noRec {
-				m0, r0 = h2, in.Rs2 == destLog
+		if f2 && r.src2>>5 == r.dest>>5 {
+			if m0 == noSlot {
+				m0 = r.src2
+			} else if c.regs[r.src2].seq < c.regs[m0].seq {
+				m0, m1 = r.src2, m0
 			} else {
-				m1, r1 = h2, in.Rs2 == destLog
+				m1 = r.src2
 			}
 		}
-		if m0 != noRec {
-			c.newGroup(m0, r0, m1, r1, child)
-		} else {
-			// No group will ever claim this def: its chain depth is 0 now.
-			c.recs[child].depthKnown = true
+
+		var depth int32 // no candidate: a fresh allocation at depth 0
+		child := noRec
+		if m0 != noSlot {
+			// An earliest candidate that is also the destination closes at
+			// this very instruction with one consumer: it is sole, so S is a
+			// redefining single use and the candidate wins the claim.
+			if w := c.depthOf(m0); m0 == r.dest && w >= 0 {
+				c.rep.SingleUseRedef++
+				depth = w + 1
+				c.countReuse(depth)
+			} else {
+				child = c.newGroup(m0, m1, r.dest)
+			}
 		}
 
 		// Redefinition closes the previous def of the destination register.
-		if prev := c.live[destClass][destLog]; prev != noRec {
-			c.closeRec(prev)
-		}
-		c.live[destClass][destLog] = child
-		c.drain()
+		d := &c.regs[r.dest]
+		c.close(d)
+		*d = sreg{seq: c.defSeq, depth: depth, rec: child}
 	}
 }
 
-// consume records one consumption of the live def of (class, reg),
-// returning its handle and whether this was its first consumption.
+// consume records one read of register slot i and reports whether it was
+// the first consumption of a def.
 //
 //repro:hotpath
-func (c *Stream) consume(class isa.RegClass, reg uint8) (int32, bool) {
-	h := c.live[class][reg]
-	if h == noRec {
-		return noRec, false // consuming the initial (pre-trace) value
+func (c *Stream) consume(i uint8) bool {
+	s := &c.regs[i]
+	n := s.cons
+	if n < 7 {
+		s.cons = n + 1
 	}
-	r := &c.recs[h]
-	first := r.consumers == 0
-	if r.consumers < 7 {
-		r.consumers++
-		if r.consumers == 2 && r.consGroup != noGroup {
-			// Second consumer: the member can never be sole. Its group
-			// learns this immediately rather than at close, which lets
-			// blocked claims settle as early as possible.
-			g := &c.groups[r.consGroup]
-			if g.state[r.memberIdx] == mPending {
-				g.state[r.memberIdx] = mMulti
-				c.work = append(c.work, r.consGroup)
-			}
-		}
-	}
-	return h, first
+	return n == 0
 }
 
-// allocRec takes a record off the freelist (or grows the pool) and
-// initializes it with one reference for the live slot it is about to fill.
+// depthOf returns the chain depth of the def open in slot i, -1 while the
+// claim on it is pending.
 //
 //repro:hotpath
-func (c *Stream) allocRec() int32 {
-	var h int32
-	if n := len(c.freeRecs); n > 0 {
-		h = c.freeRecs[n-1]
-		c.freeRecs = c.freeRecs[:n-1]
+func (c *Stream) depthOf(i uint8) int32 {
+	s := &c.regs[i]
+	if s.rec == noRec {
+		return s.depth
+	}
+	return c.recs[s.rec].depth
+}
+
+// countReuse credits one Figure 3 reuse at chain depth d >= 1.
+//
+//repro:hotpath
+func (c *Stream) countReuse(d int32) {
+	if d <= 3 {
+		c.rep.ReuseAtDepth[d]++
 	} else {
-		h = int32(len(c.recs))
-		c.recs = append(c.recs, srec{})
+		c.rep.ReuseDeeper++
 	}
-	c.defSeq++
-	c.recs[h] = srec{seq: c.defSeq, refs: 1, consGroup: noGroup}
-	return h
 }
 
-// newGroup creates the sole group of the current instruction with members
-// m0 (and optionally m1), redefinition flags r0/r1, and the instruction's
-// own def as child.
+// close seals the def open in s: its consumer count is final, which settles
+// its Figure 2 bucket and (if it has a record) its group membership.
 //
 //repro:hotpath
-func (c *Stream) newGroup(m0 int32, r0 bool, m1 int32, r1 bool, child int32) {
-	// Order members by creation seq: the claim arbitration below walks them
-	// in order, mirroring the oracle's creation-order scan.
-	if m1 != noRec && c.recs[m1].seq < c.recs[m0].seq {
-		m0, m1 = m1, m0
-		r0, r1 = r1, r0
+func (c *Stream) close(s *sreg) {
+	c.hist[s.cons]++
+	if s.rec != noRec {
+		c.closeRec(s)
 	}
+}
+
+// closeRec resolves the group membership of a closing def that has a
+// record, walks the chain of groups that can settle, and drops the live
+// slot's reference. It is kept out of close so that close inlines.
+//
+//repro:hotpath
+func (c *Stream) closeRec(s *sreg) {
+	r := &c.recs[s.rec]
+	if gh := r.group; gh != noGroup {
+		st := mMulti
+		if s.cons == 1 {
+			st = mSole
+		}
+		c.groups[gh].state[r.member] = st
+		for gh != noGroup {
+			gh = c.advance(gh)
+		}
+	}
+	c.unref(s.rec)
+}
+
+// newGroup opens the sole group of the current instruction over candidate
+// slots m0 and m1 (m1 later-created, or noSlot), one of which may be the
+// destination, and returns the record of the instruction's own def: the
+// group's child, installed in the destination slot by the caller.
+//
+//repro:hotpath
+func (c *Stream) newGroup(m0, m1, dest uint8) int32 {
 	var gh int32
 	if n := len(c.freeGroups); n > 0 {
 		gh = c.freeGroups[n-1]
@@ -262,57 +318,58 @@ func (c *Stream) newGroup(m0 int32, r0 bool, m1 int32, r1 bool, child int32) {
 		gh = int32(len(c.groups))
 		c.groups = append(c.groups, sgrp{})
 	}
+	child := c.allocRec(-1)
+	c.recs[child].refs++ // the group's child reference
 	g := &c.groups[gh]
-	*g = sgrp{child: child, n: 1, alive: true}
-	g.members[0] = m0
-	g.members[1] = noRec
-	if m1 != noRec {
-		g.members[1] = m1
-		g.n = 2
-	}
-	c.recs[m0].consGroup = gh
-	c.recs[m0].memberIdx = 0
-	c.recs[m0].refs++
-	if m1 != noRec {
-		c.recs[m1].consGroup = gh
-		c.recs[m1].memberIdx = 1
-		c.recs[m1].refs++
-	}
-	c.recs[child].refs++
-	if r0 || r1 {
-		// The redefining member is closed by this very instruction with
-		// exactly one consumer, so it is certainly sole and the redefining
-		// classification wins regardless of the other member's fate.
+	*g = sgrp{members: [2]int32{noRec, noRec}, child: child, state: [2]uint8{mMulti, mMulti}}
+	if dest == m0 || dest == m1 {
+		// The redefining member closes at this instruction with one
+		// consumer, so it is sole: S is a redefining single use whatever
+		// the other member's fate. The claim still waits, on m0's status
+		// or on the winner's depth.
 		c.rep.SingleUseRedef++
 		g.fig1Done = true
 	}
-	c.work = append(c.work, gh)
+	c.join(gh, 0, m0)
+	if m1 != noSlot {
+		c.join(gh, 1, m1)
+	}
+	return child
 }
 
-// closeRec seals a def: its consumer count is final, which settles its
-// Figure 2 bucket and (if it is a pending group member) its sole status.
+// join makes the def open in slot i the pending member k of group gh,
+// giving it a record if it has none.
 //
 //repro:hotpath
-func (c *Stream) closeRec(h int32) {
-	r := &c.recs[h]
-	r.closed = true
-	k := r.consumers
-	if k > 6 {
-		k = 6
+func (c *Stream) join(gh int32, k uint8, i uint8) {
+	s := &c.regs[i]
+	if s.rec == noRec {
+		s.rec = c.allocRec(s.depth)
 	}
-	c.rep.ConsumerHist[k]++
-	if r.consGroup != noGroup {
-		g := &c.groups[r.consGroup]
-		if g.state[r.memberIdx] == mPending {
-			if r.consumers == 1 {
-				g.state[r.memberIdx] = mSole
-			} else {
-				g.state[r.memberIdx] = mMulti
-			}
-			c.work = append(c.work, r.consGroup)
-		}
+	r := &c.recs[s.rec]
+	r.refs++
+	r.group = gh
+	r.member = k
+	g := &c.groups[gh]
+	g.members[k] = s.rec
+	g.state[k] = mPending
+}
+
+// allocRec takes a record off the freelist (or grows the pool) and
+// initializes it with one reference, for the live slot it is about to fill.
+//
+//repro:hotpath
+func (c *Stream) allocRec(depth int32) int32 {
+	var h int32
+	if n := len(c.freeRecs); n > 0 {
+		h = c.freeRecs[n-1]
+		c.freeRecs = c.freeRecs[:n-1]
+	} else {
+		h = int32(len(c.recs))
+		c.recs = append(c.recs, srec{})
 	}
-	c.unref(h)
+	c.recs[h] = srec{refs: 1, depth: depth, group: noGroup}
+	return h
 }
 
 // unref drops one reference; at zero the handle returns to the freelist.
@@ -326,113 +383,60 @@ func (c *Stream) unref(h int32) {
 	}
 }
 
-// settleDepth records a def's final Figure 3 chain position and re-wakes
-// the group (if any) whose claim may be waiting on it.
+// advance settles what group gh's member states now allow. When its claim
+// settles it fixes the child's depth, frees the group and returns the one
+// group that depth can unblock — the group the child is a member of, or
+// noGroup. Otherwise it returns noGroup.
 //
 //repro:hotpath
-func (c *Stream) settleDepth(h int32, d int32) {
-	r := &c.recs[h]
-	r.depth = d
-	r.depthKnown = true
-	if r.consGroup != noGroup {
-		c.work = append(c.work, r.consGroup)
-	}
-}
-
-// drain applies pending group state changes until none remain. advance is
-// idempotent, so spurious wakes are harmless; termination follows because
-// every push is caused by a state transition that happens at most once per
-// member (pending→sole/multi, depth settling) and claim chains are acyclic
-// (a claim winner is always created strictly before the child it claims).
-//
-//repro:hotpath
-func (c *Stream) drain() {
-	for len(c.work) > 0 {
-		gh := c.work[len(c.work)-1]
-		c.work = c.work[:len(c.work)-1]
-		c.advance(gh)
-	}
-}
-
-// advance tries to settle a group's Figure 1 classification and Figure 3
-// claim from the member states known so far, freeing the group once both
-// are done.
-//
-//repro:hotpath
-func (c *Stream) advance(gh int32) {
+func (c *Stream) advance(gh int32) int32 {
 	g := &c.groups[gh]
-	if !g.alive {
-		return
-	}
-
 	if !g.fig1Done {
 		// Counted (as non-redefining) as soon as any member is certainly
 		// sole; certainly uncounted once every member is multi. The
 		// redefining case was settled at group creation.
-		sole := false
-		pending := false
-		for i := uint8(0); i < g.n; i++ {
-			switch g.state[i] {
-			case mSole:
-				sole = true
-			case mPending:
-				pending = true
-			}
-		}
-		if sole {
+		switch {
+		case g.state[0] == mSole || g.state[1] == mSole:
 			c.rep.SingleUseOther++
 			g.fig1Done = true
-		} else if !pending {
-			g.fig1Done = true // all multi: S never counted
+		case g.state[0] == mMulti && g.state[1] == mMulti:
+			g.fig1Done = true // S is never counted
 		}
 	}
 
-	if !g.claimDone {
-		// The claim winner is the earliest-created member whose sole status
-		// survives; it passes depth+1 to the child. Arbitration must wait
-		// both on earlier members still pending (they would win) and on the
-		// winner's own depth still propagating down its chain.
-		claimed := false
-		for i := uint8(0); i < g.n; i++ {
-			st := g.state[i]
-			if st == mPending {
-				return // an earlier member could still win the claim
+	// The claim winner is the earliest-created member whose sole status
+	// survives; it passes depth+1 to the child. Arbitration waits both on
+	// earlier members still pending (they would win) and on the winner's
+	// own depth still propagating down its chain.
+	var depth int32 // no sole member: the child is a fresh allocation
+	for k, st := range g.state {
+		if st == mPending {
+			return noGroup
+		}
+		if st == mSole {
+			w := c.recs[g.members[k]].depth
+			if w < 0 {
+				return noGroup // walked to again when the winner's depth settles
 			}
-			if st == mMulti {
-				continue
-			}
-			w := &c.recs[g.members[i]]
-			if !w.depthKnown {
-				return // re-woken when the winner's depth settles
-			}
-			nd := w.depth + 1
-			if nd <= 3 {
-				c.rep.ReuseAtDepth[nd]++
-			} else {
-				c.rep.ReuseDeeper++
-			}
-			c.settleDepth(g.child, nd)
-			claimed = true
+			depth = w + 1
+			c.countReuse(depth)
 			break
 		}
-		if !claimed {
-			c.settleDepth(g.child, 0) // no sole member: fresh allocation
-		}
-		g.claimDone = true
 	}
-
-	if g.fig1Done && g.claimDone {
-		g.alive = false
-		for i := uint8(0); i < g.n; i++ {
-			mh := g.members[i]
-			// A multi member may still be live; detach it so later
-			// consumptions and its eventual close skip the dead group.
-			c.recs[mh].consGroup = noGroup
+	ch := &c.recs[g.child]
+	ch.depth = depth
+	next := ch.group
+	for _, mh := range g.members {
+		if mh != noRec {
+			// A multi member may still be live; detach it so its eventual
+			// close skips the dead group.
+			c.recs[mh].group = noGroup
 			c.unref(mh)
 		}
-		c.unref(g.child)
-		c.freeGroups = append(c.freeGroups, gh)
 	}
+	c.unref(g.child)
+	c.freeGroups = append(c.freeGroups, gh)
+	return next
 }
 
 // Finalize closes every still-live def (end of trace) and returns the
@@ -441,15 +445,14 @@ func (c *Stream) advance(gh int32) {
 func (c *Stream) Finalize() Report {
 	if !c.finalized {
 		c.finalized = true
-		for cl := range c.live {
-			for r := range c.live[cl] {
-				if h := c.live[cl][r]; h != noRec {
-					c.closeRec(h)
-					c.live[cl][r] = noRec
-				}
-			}
+		for i := range c.regs {
+			c.close(&c.regs[i])
 		}
-		c.drain()
+		c.regs = preTraceRegs
+		copy(c.rep.ConsumerHist[:6], c.hist[:6])
+		c.rep.ConsumerHist[6] = c.hist[6] + c.hist[7]
+		c.rep.DestInsts = c.defSeq
+		c.rep.TotalDefs = c.defSeq
 	}
 	return c.rep
 }
@@ -457,13 +460,7 @@ func (c *Stream) Finalize() Report {
 // pendingGroups counts unresolved groups — zero after Finalize (asserted
 // by tests; nonzero would mean a lost wakeup).
 func (c *Stream) pendingGroups() int {
-	n := 0
-	for i := range c.groups {
-		if c.groups[i].alive {
-			n++
-		}
-	}
-	return n
+	return len(c.groups) - len(c.freeGroups)
 }
 
 // poolInUse counts records not returned to the freelist — zero after

@@ -189,42 +189,125 @@ func TestStreamDuplicateAndRedefShapes(t *testing.T) {
 	}
 }
 
+// shapeProgram assembles one instruction per byte of shapes, each a shape
+// from randomProgram's menu. The top three bits pick the shape; the low
+// five pick the operands from a three-register window per class (x1-x3,
+// f0-f2), so a few bytes already redefine registers densely. Nothing
+// writes the window before the first shape, so every register starts with
+// its pre-trace value.
+func shapeProgram(shapes []byte) string {
+	var b strings.Builder
+	n := len(shapes)
+	x := func(r int) string { return fmt.Sprintf("x%d", r%3+1) }
+	f := func(r int) string { return fmt.Sprintf("f%d", r%3) }
+	b.WriteString("\tla x28, buf\n")
+	for i, s := range shapes {
+		v := int(s & 31)
+		d, s1, s2 := v%3, v/3%3, v/9 // s2 is 0-3; as a register it wraps
+		fmt.Fprintf(&b, "L%d:\n", i)
+		switch s >> 5 {
+		case 0:
+			fmt.Fprintf(&b, "\tadd %s, %s, %s\n", x(d), x(s1), x(s2))
+		case 1: // s2 1 and 2 put XZR in the source and destination
+			src, dst := x(s1), x(d)
+			switch s2 {
+			case 1:
+				src = "xzr"
+			case 2:
+				dst = "xzr"
+			}
+			fmt.Fprintf(&b, "\taddi %s, %s, #%d\n", dst, src, v)
+		case 2:
+			fmt.Fprintf(&b, "\tfadd %s, %s, %s\n", f(d), f(s1), f(s2))
+		case 3: // cross-class conversions: class-mismatched consumption
+			fmt.Fprintf(&b, "\tscvtf %s, %s\n", f(d), x(s1))
+		case 4:
+			fmt.Fprintf(&b, "\tfcvtzs %s, %s\n", x(d), f(s1))
+		case 5: // memory: stores are destination-free consumers
+			op, reg := [...]string{"ldr", "str", "fldr", "fstr"}[s2], x(d)
+			if s2 >= 2 {
+				reg = f(d)
+			}
+			fmt.Fprintf(&b, "\t%s %s, [x28, #%d]\n", op, reg, 8*s1)
+		case 6:
+			fmt.Fprintf(&b, "\tfcmplt %s, %s, %s\n", x(d), f(s1), f(s2))
+		case 7: // forward-only branch: destination-free consumer
+			fmt.Fprintf(&b, "\t%s %s, %s, L%d\n", [...]string{"beq", "bne", "blt", "bge"}[s2], x(s1), x(d), min(n, i+2))
+		}
+	}
+	fmt.Fprintf(&b, "L%d:\n\thalt\n.data\nbuf: .space 128\n", n)
+	return b.String()
+}
+
+// FuzzStreamMatchesOracle requires exact Report equality between the
+// streaming collector and the reference collector over programs built one
+// shape per input byte, and a drained collector after Finalize. The seed
+// corpus (testdata/fuzz/FuzzStreamMatchesOracle) covers a pre-trace read of
+// the redefined register beside a first read of a live def, two candidates
+// where only the later-created one redefines, two candidates read in the
+// opposite order to their creation, chains deeper than three through
+// waiting groups, a second consumer before the member closes, and
+// cross-class conversions.
+func FuzzStreamMatchesOracle(f *testing.F) {
+	f.Fuzz(func(t *testing.T, shapes []byte) {
+		if len(shapes) > 512 {
+			shapes = shapes[:512]
+		}
+		src := shapeProgram(shapes)
+		p, err := asm.Assemble(src)
+		if err != nil {
+			t.Fatalf("assemble: %v\n%s", err, src)
+		}
+		want := oracleReport(t, p)
+		got := streamReport(t, p)
+		if got != want {
+			t.Fatalf("streaming report diverged from oracle:\n got: %+v\nwant: %+v\nprogram:\n%s", got, want, src)
+		}
+	})
+}
+
 // TestStreamSteadyStateZeroAllocs proves the tentpole's allocation claim at
 // the collector level: after one warmup pass grows the pools, re-analyzing
 // a full workload trace through Reset + CommitBatch + Finalize allocates
-// nothing.
+// nothing. dgemm settles nearly every candidate row at creation; radixsort
+// settles about a fifth and keeps up to 18 groups waiting at once, so its
+// replay exercises the record and group pools.
 func TestStreamSteadyStateZeroAllocs(t *testing.T) {
-	w, ok := workloads.ByName("dgemm", 1)
-	if !ok {
-		t.Fatal("dgemm workload missing")
-	}
-	p := w.Program()
+	for _, name := range []string{"dgemm", "radixsort"} {
+		t.Run(name, func(t *testing.T) {
+			w, ok := workloads.ByName(name, 1)
+			if !ok {
+				t.Fatalf("%s workload missing", name)
+			}
+			p := w.Program()
 
-	// Record the batched commit stream once so the measured loop runs only
-	// collector code.
-	type batch struct {
-		seq  uint64
-		rows []uint32
-	}
-	var batches []batch
-	rec := func(seq uint64, rows []uint32) {
-		batches = append(batches, batch{seq, append([]uint32(nil), rows...)})
-	}
-	if _, err := emu.New(p).RunToHaltBatch(1<<32, sinkFunc(rec)); err != nil {
-		t.Fatal(err)
-	}
+			// Record the batched commit stream once so the measured loop runs
+			// only collector code.
+			type batch struct {
+				seq  uint64
+				rows []uint32
+			}
+			var batches []batch
+			rec := func(seq uint64, rows []uint32) {
+				batches = append(batches, batch{seq, append([]uint32(nil), rows...)})
+			}
+			if _, err := emu.New(p).RunToHaltBatch(1<<32, sinkFunc(rec)); err != nil {
+				t.Fatal(err)
+			}
 
-	c := NewStream(p)
-	replay := func() {
-		c.Reset()
-		for _, b := range batches {
-			c.CommitBatch(b.seq, b.rows)
-		}
-		c.Finalize()
-	}
-	replay() // warm the pools
-	if allocs := testing.AllocsPerRun(5, replay); allocs != 0 {
-		t.Fatalf("steady-state replay allocates %.1f times per run, want 0", allocs)
+			c := NewStream(p)
+			replay := func() {
+				c.Reset()
+				for _, b := range batches {
+					c.CommitBatch(b.seq, b.rows)
+				}
+				c.Finalize()
+			}
+			replay() // warm the pools
+			if allocs := testing.AllocsPerRun(5, replay); allocs != 0 {
+				t.Fatalf("steady-state replay allocates %.1f times per run, want 0", allocs)
+			}
+		})
 	}
 }
 

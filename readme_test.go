@@ -74,8 +74,8 @@ func TestReadmeThroughputMatchesArtifact(t *testing.T) {
 		}
 		check(m[2], claimed, recorded)
 	}
-	if rows != 4 {
-		t.Errorf("found %d throughput rows in README, want 4 (detailed, sampled, fast-forward, analysis)", rows)
+	if rows != 5 {
+		t.Errorf("found %d throughput rows in README, want 5 (detailed, sampled, fast-forward, analysis on dgemm and radixsort)", rows)
 	}
 
 	speedup := regexp.MustCompile("`sampled_speedup` in\\s+`BENCH_core.json`, ~([0-9.]+)x").FindSubmatch(readme)
