@@ -163,7 +163,7 @@ smoke:
 # unless the median of every headline rate clears its floor and every round
 # of the streaming figure collectors stays within its allocs/op ceiling.
 # Floors sit at or below half the committed baselines (BENCH_core.json
-# records ~4.8 Minst/s raw detailed, ~34 sampled, ~94 streaming analysis),
+# records ~5.7 Minst/s raw detailed, ~44 sampled, ~112 streaming analysis),
 # so they only trip on large regressions; the median keeps one slow round on
 # a busy host from failing the gate.
 BENCHSMOKE = ^(BenchmarkSimulatorThroughput|BenchmarkFastForward|BenchmarkSampledThroughput|BenchmarkAnalysisThroughput|BenchmarkFig1SingleUse|BenchmarkFig2Consumers|BenchmarkFig3ReuseDepth)$$

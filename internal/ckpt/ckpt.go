@@ -12,7 +12,6 @@ package ckpt
 
 import (
 	"crypto/sha256"
-	"encoding/binary"
 	"fmt"
 	"sync"
 
@@ -31,49 +30,9 @@ func (d Digest) String() string { return fmt.Sprintf("%x", d[:]) }
 // Short returns a 16-hex-digit prefix for filenames and log lines.
 func (d Digest) Short() string { return fmt.Sprintf("%x", d[:8]) }
 
-// ProgramDigest hashes a program's observable content. The encoding is
-// explicit field-by-field serialization (same discipline as the sweep cache
-// key): any change to instruction encoding or layout constants that alters
-// execution also alters the digest.
-func ProgramDigest(p *prog.Program) Digest {
-	h := sha256.New()
-	var buf [8]byte
-	u64 := func(v uint64) {
-		binary.LittleEndian.PutUint64(buf[:], v)
-		h.Write(buf[:])
-	}
-	h.Write([]byte("regreuse-ckpt-program|v1|"))
-	u64(p.Entry())
-	insts := p.Insts()
-	u64(uint64(len(insts)))
-	for i := range insts {
-		in := &insts[i]
-		u64(uint64(in.Op))
-		u64(uint64(in.Rd) | uint64(in.Rs1)<<8 | uint64(in.Rs2)<<16)
-		u64(uint64(in.Imm))
-	}
-	// The data image hashes as (address, byte) pairs in ascending address
-	// order. The runs are already in that order, so they stream through
-	// recs, one Write per full buffer.
-	u64(uint64(p.DataLen()))
-	const rec = 9
-	var recs [rec * 512]byte
-	n := 0
-	for _, seg := range p.DataSegments() {
-		for i, b := range seg.Bytes {
-			binary.LittleEndian.PutUint64(recs[n:], seg.Addr+uint64(i))
-			recs[n+8] = b
-			if n += rec; n == len(recs) {
-				h.Write(recs[:])
-				n = 0
-			}
-		}
-	}
-	h.Write(recs[:n])
-	var d Digest
-	h.Sum(d[:0])
-	return d
-}
+// ProgramDigest returns p's content digest (prog.Program.Digest), the key
+// every checkpoint of p is stored under. It is computed once per Program.
+func ProgramDigest(p *prog.Program) Digest { return Digest(p.Digest()) }
 
 // FastForward functionally executes p from reset to exactly n instructions
 // (or halt, whichever comes first) and returns the architectural snapshot.

@@ -1,6 +1,7 @@
 package emu
 
 import (
+	"encoding/binary"
 	"fmt"
 	"math"
 
@@ -13,7 +14,7 @@ import (
 // batch, instructions come straight off the micro-op table's pre-decoded
 // instruction column (the same table the detailed pipeline reads its decoded
 // operand metadata from, so the two paths cannot disagree on what a pc
-// holds), and memory goes through the single-page word fast paths. It is the
+// holds), and memory goes through Memory's page table inline. It is the
 // fast-forward engine behind internal/ckpt — architecturally it is
 // bit-identical to n calls of Step.
 //
@@ -43,6 +44,11 @@ func (s *State) run(max uint64, sink CommitSink) (uint64, error) {
 		}
 		return 0, s.crash("step after halt")
 	}
+	// Integer registers are read and written raw: an XZR write goes
+	// through and is undone at the end of the instruction, as in Step, so
+	// X[31] reads zero at the start of every instruction, the first one
+	// included.
+	s.X[isa.ZeroReg] = 0
 	insts := s.prog.UOps().Inst
 	mem := s.Mem
 	pc := s.PC
@@ -93,78 +99,91 @@ func (s *State) run(max uint64, sink CommitSink) (uint64, error) {
 			return executed, nil
 
 		case isa.ADD:
-			s.setXFast(in.Rd, s.xFast(in.Rs1)+s.xFast(in.Rs2))
+			s.X[in.Rd] = s.X[in.Rs1] + s.X[in.Rs2]
 		case isa.SUB:
-			s.setXFast(in.Rd, s.xFast(in.Rs1)-s.xFast(in.Rs2))
+			s.X[in.Rd] = s.X[in.Rs1] - s.X[in.Rs2]
 		case isa.AND:
-			s.setXFast(in.Rd, s.xFast(in.Rs1)&s.xFast(in.Rs2))
+			s.X[in.Rd] = s.X[in.Rs1] & s.X[in.Rs2]
 		case isa.ORR:
-			s.setXFast(in.Rd, s.xFast(in.Rs1)|s.xFast(in.Rs2))
+			s.X[in.Rd] = s.X[in.Rs1] | s.X[in.Rs2]
 		case isa.EOR:
-			s.setXFast(in.Rd, s.xFast(in.Rs1)^s.xFast(in.Rs2))
+			s.X[in.Rd] = s.X[in.Rs1] ^ s.X[in.Rs2]
 		case isa.LSL:
-			s.setXFast(in.Rd, s.xFast(in.Rs1)<<(s.xFast(in.Rs2)&63))
+			s.X[in.Rd] = s.X[in.Rs1] << (s.X[in.Rs2] & 63)
 		case isa.LSR:
-			s.setXFast(in.Rd, s.xFast(in.Rs1)>>(s.xFast(in.Rs2)&63))
+			s.X[in.Rd] = s.X[in.Rs1] >> (s.X[in.Rs2] & 63)
 		case isa.ASR:
-			s.setXFast(in.Rd, uint64(int64(s.xFast(in.Rs1))>>(s.xFast(in.Rs2)&63)))
+			s.X[in.Rd] = uint64(int64(s.X[in.Rs1]) >> (s.X[in.Rs2] & 63))
 		case isa.SLT:
-			s.setXFast(in.Rd, b2u(int64(s.xFast(in.Rs1)) < int64(s.xFast(in.Rs2))))
+			s.X[in.Rd] = b2u(int64(s.X[in.Rs1]) < int64(s.X[in.Rs2]))
 		case isa.SLTU:
-			s.setXFast(in.Rd, b2u(s.xFast(in.Rs1) < s.xFast(in.Rs2)))
+			s.X[in.Rd] = b2u(s.X[in.Rs1] < s.X[in.Rs2])
 		case isa.MUL:
-			s.setXFast(in.Rd, s.xFast(in.Rs1)*s.xFast(in.Rs2))
+			s.X[in.Rd] = s.X[in.Rs1] * s.X[in.Rs2]
 		case isa.SDIV:
-			s.setXFast(in.Rd, uint64(sdiv(int64(s.xFast(in.Rs1)), int64(s.xFast(in.Rs2)))))
+			s.X[in.Rd] = uint64(sdiv(int64(s.X[in.Rs1]), int64(s.X[in.Rs2])))
 		case isa.UDIV:
-			s.setXFast(in.Rd, udiv(s.xFast(in.Rs1), s.xFast(in.Rs2)))
+			s.X[in.Rd] = udiv(s.X[in.Rs1], s.X[in.Rs2])
 		case isa.REM:
-			s.setXFast(in.Rd, uint64(srem(int64(s.xFast(in.Rs1)), int64(s.xFast(in.Rs2)))))
+			s.X[in.Rd] = uint64(srem(int64(s.X[in.Rs1]), int64(s.X[in.Rs2])))
 
 		case isa.ADDI:
-			s.setXFast(in.Rd, s.xFast(in.Rs1)+uint64(in.Imm))
+			s.X[in.Rd] = s.X[in.Rs1] + uint64(in.Imm)
 		case isa.ANDI:
-			s.setXFast(in.Rd, s.xFast(in.Rs1)&uint64(in.Imm))
+			s.X[in.Rd] = s.X[in.Rs1] & uint64(in.Imm)
 		case isa.ORRI:
-			s.setXFast(in.Rd, s.xFast(in.Rs1)|uint64(in.Imm))
+			s.X[in.Rd] = s.X[in.Rs1] | uint64(in.Imm)
 		case isa.EORI:
-			s.setXFast(in.Rd, s.xFast(in.Rs1)^uint64(in.Imm))
+			s.X[in.Rd] = s.X[in.Rs1] ^ uint64(in.Imm)
 		case isa.LSLI:
-			s.setXFast(in.Rd, s.xFast(in.Rs1)<<(uint64(in.Imm)&63))
+			s.X[in.Rd] = s.X[in.Rs1] << (uint64(in.Imm) & 63)
 		case isa.LSRI:
-			s.setXFast(in.Rd, s.xFast(in.Rs1)>>(uint64(in.Imm)&63))
+			s.X[in.Rd] = s.X[in.Rs1] >> (uint64(in.Imm) & 63)
 		case isa.ASRI:
-			s.setXFast(in.Rd, uint64(int64(s.xFast(in.Rs1))>>(uint64(in.Imm)&63)))
+			s.X[in.Rd] = uint64(int64(s.X[in.Rs1]) >> (uint64(in.Imm) & 63))
 		case isa.SLTI:
-			s.setXFast(in.Rd, b2u(int64(s.xFast(in.Rs1)) < in.Imm))
+			s.X[in.Rd] = b2u(int64(s.X[in.Rs1]) < in.Imm)
 		case isa.MOVI:
-			s.setXFast(in.Rd, uint64(in.Imm))
+			s.X[in.Rd] = uint64(in.Imm)
 
 		case isa.LDR, isa.FLDR:
-			addr := s.xFast(in.Rs1) + uint64(in.Imm)
+			addr := s.X[in.Rs1] + uint64(in.Imm)
 			if addr%8 != 0 {
 				sync()
 				return executed, s.crash(fmt.Sprintf("misaligned load at %#x", addr))
 			}
-			v := mem.LoadWord64(addr)
+			// An aligned word never straddles a page, so a table hit is
+			// one read; only a miss calls into Memory. Masking with
+			// pageMask&^7, a no-op on an aligned address, lets the
+			// compiler drop the bounds check here and in the store.
+			var v uint64
+			if p := mem.cached(addr); p != nil {
+				v = binary.LittleEndian.Uint64(p[addr&(pageMask&^7):])
+			} else {
+				v = mem.LoadWord64(addr)
+			}
 			if in.Op == isa.LDR {
-				s.setXFast(in.Rd, v)
+				s.X[in.Rd] = v
 			} else {
 				s.F[in.Rd] = math.Float64frombits(v)
 			}
 		case isa.STR, isa.FSTR:
-			addr := s.xFast(in.Rs1) + uint64(in.Imm)
+			addr := s.X[in.Rs1] + uint64(in.Imm)
 			if addr%8 != 0 {
 				sync()
 				return executed, s.crash(fmt.Sprintf("misaligned store at %#x", addr))
 			}
 			var v uint64
 			if in.Op == isa.STR {
-				v = s.xFast(in.Rs2)
+				v = s.X[in.Rs2]
 			} else {
 				v = math.Float64bits(s.F[in.Rs2])
 			}
-			mem.StoreWord64(addr, v)
+			if p := mem.cached(addr); p != nil {
+				binary.LittleEndian.PutUint64(p[addr&(pageMask&^7):], v)
+			} else {
+				mem.StoreWord64(addr, v)
+			}
 
 		case isa.FADD:
 			s.F[in.Rd] = s.F[in.Rs1] + s.F[in.Rs2]
@@ -185,27 +204,27 @@ func (s *State) run(max uint64, sink CommitSink) (uint64, error) {
 		case isa.FSQRT:
 			s.F[in.Rd] = math.Sqrt(s.F[in.Rs1])
 		case isa.FCMPLT:
-			s.setXFast(in.Rd, b2u(s.F[in.Rs1] < s.F[in.Rs2]))
+			s.X[in.Rd] = b2u(s.F[in.Rs1] < s.F[in.Rs2])
 		case isa.FCMPLE:
-			s.setXFast(in.Rd, b2u(s.F[in.Rs1] <= s.F[in.Rs2]))
+			s.X[in.Rd] = b2u(s.F[in.Rs1] <= s.F[in.Rs2])
 		case isa.FCMPEQ:
-			s.setXFast(in.Rd, b2u(s.F[in.Rs1] == s.F[in.Rs2]))
+			s.X[in.Rd] = b2u(s.F[in.Rs1] == s.F[in.Rs2])
 		case isa.SCVTF:
-			s.F[in.Rd] = float64(int64(s.xFast(in.Rs1)))
+			s.F[in.Rd] = float64(int64(s.X[in.Rs1]))
 		case isa.FCVTZS:
-			s.setXFast(in.Rd, uint64(fcvtzs(s.F[in.Rs1])))
+			s.X[in.Rd] = uint64(fcvtzs(s.F[in.Rs1]))
 		case isa.FMOVI:
 			s.F[in.Rd] = isa.Float64FromBits(in.Imm)
 
 		case isa.B:
 			next = uint64(in.Imm)
 		case isa.BL:
-			s.setXFast(in.Rd, pc+isa.InstBytes)
+			s.X[in.Rd] = pc + isa.InstBytes
 			next = uint64(in.Imm)
 		case isa.BR:
-			next = s.xFast(in.Rs1)
+			next = s.X[in.Rs1]
 		case isa.BEQ, isa.BNE, isa.BLT, isa.BGE, isa.BLTU, isa.BGEU:
-			if CondTaken(in.Op, s.xFast(in.Rs1), s.xFast(in.Rs2)) {
+			if CondTaken(in.Op, s.X[in.Rs1], s.X[in.Rs2]) {
 				next = uint64(in.Imm)
 			}
 
@@ -214,6 +233,7 @@ func (s *State) run(max uint64, sink CommitSink) (uint64, error) {
 			return executed, s.crash(fmt.Sprintf("unimplemented op %v", in.Op))
 		}
 
+		s.X[isa.ZeroReg] = 0
 		pc = next
 		executed++
 		if sink != nil {
@@ -227,20 +247,4 @@ func (s *State) run(max uint64, sink CommitSink) (uint64, error) {
 	}
 	sync()
 	return executed, nil
-}
-
-// xFast reads an integer register with the XZR-reads-zero rule. It is small
-// enough to inline into every StepN case.
-func (s *State) xFast(r uint8) uint64 {
-	if r == isa.ZeroReg {
-		return 0
-	}
-	return s.X[r]
-}
-
-// setXFast writes an integer register, discarding XZR writes.
-func (s *State) setXFast(r uint8, v uint64) {
-	if r != isa.ZeroReg {
-		s.X[r] = v
-	}
 }

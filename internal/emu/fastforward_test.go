@@ -64,6 +64,45 @@ func TestStepNMatchesStep(t *testing.T) {
 	}
 }
 
+// TestStepNSteadyStateZeroAllocs pins the batch loop's allocation count at
+// zero once the pages it touches exist. The loop keeps three pages that
+// share a page-table slot in play, so every access misses the table and
+// goes through the map, and it writes and reads XZR.
+func TestStepNSteadyStateZeroAllocs(t *testing.T) {
+	p, err := asm.Assemble(`
+		movi x1, #0x100000   ; pages 256, 320 and 384: one table slot
+		movi x2, #0x140000
+		movi x3, #0x180000
+		movi x4, #1
+	loop:
+		str  x4, [x1, #8]
+		ldr  x5, [x2, #8]
+		str  x5, [x3, #16]
+		ldr  xzr, [x1, #8]
+		addi xzr, x4, #1
+		add  x4, x4, x5
+		bne  x4, xzr, loop
+		halt
+	`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := New(p)
+	if _, err := s.StepN(10_000); err != nil {
+		t.Fatal(err)
+	}
+	if allocs := testing.AllocsPerRun(100, func() {
+		if _, err := s.StepN(1000); err != nil {
+			t.Fatal(err)
+		}
+	}); allocs != 0 {
+		t.Fatalf("StepN allocated %.1f times per 1000-instruction chunk, want 0", allocs)
+	}
+	if s.Halted() || s.X[4] != 1 {
+		t.Fatalf("loop left halted=%v x4=%d, want a running loop with x4=1", s.Halted(), s.X[4])
+	}
+}
+
 // TestStepNStopsAtHalt checks the partial-batch contract: a batch that
 // crosses the halt instruction stops there and reports the true count.
 func TestStepNStopsAtHalt(t *testing.T) {

@@ -9,23 +9,37 @@ const (
 	pageBits = 12
 	pageSize = 1 << pageBits
 	pageMask = pageSize - 1
+
+	// tableBits sizes the page table. Over the 33 kernels at scale 4, 64
+	// slots miss on 0.7 % of loads and stores, where a single cached page
+	// missed on 54 % (DESIGN.md §14).
+	tableBits = 6
+	tableMask = 1<<tableBits - 1
 )
 
 // Memory is a sparse, paged, little-endian 64-bit byte-addressable memory.
 // Unwritten locations read as zero. The zero value is ready to use.
 //
-// The hot word-granularity accessors (LoadWord64/StoreWord64) keep a
-// one-entry page cache: workloads touch the same page many times in a row
-// (stack frames, array walks), so most accesses skip the map probe entirely.
+// The pages map is the source of truth. In front of it sits a direct-mapped
+// table of page pointers indexed by the low bits of the page number, so
+// accesses that rotate among a few pages (a stack frame and several array or
+// list walks, which a single cached page kept evicting) skip the map probe.
+// LoadWord64, StoreWord64 and the batch interpreter (State.run) test the
+// table inline and fall back to the map on a miss.
 type Memory struct {
 	pages map[uint64]*[pageSize]byte
 
-	// Last-page pointer cache. lastPN is the page number lastPage serves;
-	// lastPage == nil means the cache is empty. Pages are never removed
-	// from the map, so a cached pointer can only go stale via Restore,
-	// which resets it.
-	lastPN   uint64
-	lastPage *[pageSize]byte
+	// table[pn&tableMask] caches page pn when its tag is pn. An empty slot
+	// holds a nil page, which every caller takes for a miss, so the zero
+	// value needs no set-up. fill enters pages and SetPageData replaces a
+	// cached pointer; pages are never removed from the map, so nothing else
+	// can leave an entry stale.
+	table [1 << tableBits]pageEntry
+}
+
+type pageEntry struct {
+	tag  uint64
+	page *[pageSize]byte
 }
 
 // NewMemory returns an empty memory.
@@ -33,7 +47,28 @@ func NewMemory() *Memory {
 	return &Memory{pages: make(map[uint64]*[pageSize]byte)}
 }
 
+// cached returns the table's pointer to the page holding addr, or nil on a
+// miss. It is small enough to inline into every caller.
+func (m *Memory) cached(addr uint64) *[pageSize]byte {
+	pn := addr >> pageBits
+	if e := &m.table[pn&tableMask]; e.tag == pn {
+		return e.page
+	}
+	return nil
+}
+
+// page returns the page holding addr, creating it when create is set; nil
+// means the page was never written and create is unset.
 func (m *Memory) page(addr uint64, create bool) *[pageSize]byte {
+	if p := m.cached(addr); p != nil {
+		return p
+	}
+	return m.fill(addr, create)
+}
+
+// fill looks addr's page up in the map, creating it when create is set, and
+// enters a page it finds or creates into the table.
+func (m *Memory) fill(addr uint64, create bool) *[pageSize]byte {
 	if m.pages == nil {
 		if !create {
 			return nil
@@ -42,13 +77,14 @@ func (m *Memory) page(addr uint64, create bool) *[pageSize]byte {
 	}
 	pn := addr >> pageBits
 	p := m.pages[pn]
-	if p == nil && create {
+	if p == nil {
+		if !create {
+			return nil
+		}
 		p = new([pageSize]byte)
 		m.pages[pn] = p
 	}
-	if p != nil {
-		m.lastPN, m.lastPage = pn, p
-	}
+	m.table[pn&tableMask] = pageEntry{tag: pn, page: p}
 	return p
 }
 
@@ -75,20 +111,19 @@ func (m *Memory) StoreBytes(addr uint64, b []byte) {
 	}
 }
 
-// LoadWord64 loads the 8-byte little-endian word at addr through the
-// single-page fast path: when the word lies inside the cached page it is one
-// bounds-checked slice read, with no map probe. Page-straddling accesses
-// fall back to the byte loop.
+// LoadWord64 loads the 8-byte little-endian word at addr. A word inside one
+// page is a table probe and a single slice read, with no call unless the
+// table misses; page-straddling words fall back to the byte loop.
 func (m *Memory) LoadWord64(addr uint64) uint64 {
 	off := addr & pageMask
 	if off <= pageSize-8 {
-		if addr>>pageBits == m.lastPN && m.lastPage != nil {
-			return binary.LittleEndian.Uint64(m.lastPage[off : off+8])
+		p := m.cached(addr)
+		if p == nil {
+			if p = m.fill(addr, false); p == nil {
+				return 0
+			}
 		}
-		if p := m.page(addr, false); p != nil {
-			return binary.LittleEndian.Uint64(p[off : off+8])
-		}
-		return 0
+		return binary.LittleEndian.Uint64(p[off : off+8])
 	}
 	var v uint64
 	for i := uint64(0); i < 8; i++ {
@@ -97,16 +132,15 @@ func (m *Memory) LoadWord64(addr uint64) uint64 {
 	return v
 }
 
-// StoreWord64 stores an 8-byte little-endian word at addr through the
-// single-page fast path (see LoadWord64).
+// StoreWord64 stores an 8-byte little-endian word at addr (see LoadWord64).
 func (m *Memory) StoreWord64(addr uint64, v uint64) {
 	off := addr & pageMask
 	if off <= pageSize-8 {
-		if addr>>pageBits == m.lastPN && m.lastPage != nil {
-			binary.LittleEndian.PutUint64(m.lastPage[off:off+8], v)
-			return
+		p := m.cached(addr)
+		if p == nil {
+			p = m.fill(addr, true)
 		}
-		binary.LittleEndian.PutUint64(m.page(addr, true)[off:off+8], v)
+		binary.LittleEndian.PutUint64(p[off:off+8], v)
 		return
 	}
 	for i := uint64(0); i < 8; i++ {
@@ -170,5 +204,7 @@ func (m *Memory) SetPageData(pn uint64, data *[pageSize]byte) {
 	np := new([pageSize]byte)
 	*np = *data
 	m.pages[pn] = np
-	m.lastPN, m.lastPage = 0, nil
+	if e := &m.table[pn&tableMask]; e.tag == pn {
+		e.page = np
+	}
 }

@@ -191,3 +191,126 @@ func TestStoreBytesMatchesByteLoop(t *testing.T) {
 		}
 	}
 }
+
+// TestMemoryPageTableCoherent checks the page table against a byte-map
+// model under random word and byte traffic. Pages whose numbers differ by a
+// multiple of the table size share a slot and must evict each other without
+// mixing data; words straddling two pages must split byte-exactly;
+// SetPageData must replace a cached page and leave a conflicting cached page
+// alone; a clone, or a memory restored from a snapshot, must never share a
+// page the original has cached; and the zero-value Memory's empty slots
+// (tag 0, nil page) must read as misses, page 0 included.
+func TestMemoryPageTableCoherent(t *testing.T) {
+	const stride = (1 << tableBits) * pageSize // same slot, next page that maps to it
+	type model map[uint64]byte
+	word := func(md model, addr uint64) uint64 {
+		var v uint64
+		for i := uint64(0); i < 8; i++ {
+			v |= uint64(md[addr+i]) << (8 * i)
+		}
+		return v
+	}
+	check := func(what string, m *Memory, md model, addr uint64) {
+		t.Helper()
+		if got, want := m.LoadWord64(addr), word(md, addr); got != want {
+			t.Fatalf("%s: LoadWord64(%#x) = %#x, want %#x", what, addr, got, want)
+		}
+		if got, want := m.LoadByte(addr), md[addr]; got != want {
+			t.Fatalf("%s: LoadByte(%#x) = %#x, want %#x", what, addr, got, want)
+		}
+	}
+
+	// Sites in pages 0, 64, 128 and 192 (one slot), their successors (the
+	// next slot) and the words straddling each pair.
+	var sites []uint64
+	for k := uint64(0); k < 4; k++ {
+		for _, off := range []uint64{0, 8, 2048, pageSize - 8, pageSize - 4, pageSize, pageSize + 16} {
+			sites = append(sites, k*stride+off)
+		}
+	}
+	var m Memory
+	md := model{}
+	if got := m.LoadWord64(0); got != 0 {
+		t.Fatalf("zero-value LoadWord64(0) = %#x", got)
+	}
+	r := rand.New(rand.NewSource(21))
+	traffic := func(what string, m *Memory, md model, n int) {
+		for i := 0; i < n; i++ {
+			addr := sites[r.Intn(len(sites))]
+			switch r.Intn(3) {
+			case 0:
+				v := r.Uint64()
+				m.StoreWord64(addr, v)
+				for j := uint64(0); j < 8; j++ {
+					md[addr+j] = byte(v >> (8 * j))
+				}
+			case 1:
+				b := byte(r.Intn(256))
+				m.StoreByte(addr+3, b)
+				md[addr+3] = b
+			default:
+				check(what, m, md, addr)
+			}
+		}
+		for _, addr := range sites {
+			check(what, m, md, addr)
+		}
+	}
+	traffic("interleaved", &m, md, 4000)
+
+	// Replace page 64 while it holds the shared slot, then page 128 while
+	// page 64 still does. The replaced page is read first, before any other
+	// access can evict a stale pointer.
+	for _, pn := range []uint64{64, 128} {
+		var img [pageSize]byte
+		r.Read(img[:])
+		check("before SetPageData", &m, md, stride+8) // page 64 takes the slot
+		m.SetPageData(pn, &img)
+		for i, b := range img {
+			md[pn*pageSize+uint64(i)] = b
+		}
+		check("after SetPageData", &m, md, pn*pageSize+8)
+		for _, addr := range sites {
+			check("after SetPageData", &m, md, addr)
+		}
+	}
+
+	// A clone, and a memory restored from a snapshot, are taken while page
+	// 64 sits in the original's table. A store through either side must
+	// stay on that side, before and after random traffic on both.
+	copies := []struct {
+		name string
+		copy func() *Memory
+	}{
+		{"clone", m.Clone},
+		{"restored", func() *Memory {
+			var s State
+			s.Restore(&Snapshot{Mem: &m})
+			return s.Mem
+		}},
+	}
+	for _, cp := range copies {
+		check("original", &m, md, stride+8) // page 64 takes the slot
+		c, cmd := cp.copy(), model{}
+		for k, v := range md {
+			cmd[k] = v
+		}
+		for _, side := range []struct {
+			m  *Memory
+			md model
+		}{{c, cmd}, {&m, md}} {
+			v := r.Uint64()
+			side.m.StoreWord64(stride+8, v)
+			for j := uint64(0); j < 8; j++ {
+				side.md[stride+8+j] = byte(v >> (8 * j))
+			}
+			check(cp.name, c, cmd, stride+8)
+			check("original", &m, md, stride+8)
+		}
+		traffic(cp.name, c, cmd, 2000)
+		traffic("original", &m, md, 2000)
+		for _, addr := range sites {
+			check(cp.name, c, cmd, addr)
+		}
+	}
+}

@@ -87,22 +87,6 @@ func (c *Core) commit() {
 				Micro: e.micro, Branch: e.isBranch, Taken: e.actualTaken,
 			})
 		}
-		if c.cfg.CommitHook != nil {
-			ev := CommitEvent{
-				Cycle: c.cycle, Seq: e.seq, PC: e.pc, Inst: c.instAt(e.idx).String(),
-				Micro: e.micro, Reused: e.dest.Reused,
-				IsBranch: e.isBranch, Taken: e.actualTaken,
-			}
-			if e.hasDest {
-				//repro:allow hotpath commit-hook observability slow path
-				ev.DestTag = fmt.Sprintf("P%d.%d", e.dest.Tag.Reg, e.dest.Tag.Ver)
-			}
-			if e.micro {
-				//repro:allow hotpath commit-hook observability slow path
-				ev.Inst = fmt.Sprintf("mvrepair %s <- P%d.%d", ev.DestTag, e.microFrom.Reg, e.microFrom.Ver)
-			}
-			c.cfg.CommitHook(ev)
-		}
 		c.nextCommitPC = e.nextPC
 		if e.isBranch {
 			c.releaseCkpts(e)

@@ -139,10 +139,6 @@ type Config struct {
 	// CheckOracle runs the architectural emulator in lockstep and fails
 	// on any divergence in committed PCs, register writes, or stores.
 	CheckOracle bool
-	// CommitHook, when non-nil, receives every committed instruction
-	// (repair micro-ops included), for tracing tools. New consumers
-	// should prefer Observer, which sees the whole lifecycle.
-	CommitHook func(CommitEvent)
 	// Observer, when non-nil, receives the full instruction-lifecycle and
 	// core event stream (internal/obs). Every emission site is behind a
 	// single nil check, so the disabled path adds no per-cycle cost and
@@ -166,19 +162,6 @@ type Config struct {
 	// sampling (reuse scheme only) every N cycles; 0 disables sampling and
 	// its per-cycle cost entirely.
 	OccupancySampleInterval uint64
-}
-
-// CommitEvent describes one committed instruction for CommitHook consumers.
-type CommitEvent struct {
-	Cycle    uint64
-	Seq      uint64
-	PC       uint64
-	Inst     string
-	Micro    bool
-	Reused   bool
-	DestTag  string
-	IsBranch bool
-	Taken    bool
 }
 
 // DefaultConfig returns the Table I configuration for the given scheme with

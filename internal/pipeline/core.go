@@ -49,7 +49,6 @@ type robEntry struct {
 	idx    int32
 
 	micro       bool // injected repair move micro-op (§IV-D1)
-	microFrom   rename.Tag
 	microShadow bool
 
 	hasDest   bool

@@ -12,8 +12,22 @@ import (
 	"repro/internal/ckpt"
 	"repro/internal/emu"
 	"repro/internal/isa"
+	"repro/internal/obs"
 	"repro/internal/regfile"
 )
+
+// commitPCs is an observer that records the PC of every committed
+// instruction, repair micro-ops excluded.
+type commitPCs struct{ pcs []uint64 }
+
+func (c *commitPCs) Inst(e obs.InstEvent) {
+	if e.Stage == obs.StageCommit && !e.Micro {
+		c.pcs = append(c.pcs, e.PC)
+	}
+}
+
+func (*commitPCs) Core(obs.CoreEvent) {}
+func (*commitPCs) Tick(obs.Tick)      {}
 
 // genRandomProgram emits a structured random program that terminates by
 // construction: counted loops with straight-line bodies and forward skips
@@ -238,12 +252,8 @@ func TestCheckpointResumeEquivalence(t *testing.T) {
 				return cfg
 			}
 			runOne := func(cfg Config) ([]uint64, [isa.NumIntRegs]uint64, [isa.NumFPRegs]float64, error) {
-				var pcs []uint64
-				cfg.CommitHook = func(e CommitEvent) {
-					if !e.Micro {
-						pcs = append(pcs, e.PC)
-					}
-				}
+				var rec commitPCs
+				cfg.Observer = &rec
 				core := New(cfg, p)
 				if err := core.Run(); err != nil {
 					var x [isa.NumIntRegs]uint64
@@ -251,7 +261,7 @@ func TestCheckpointResumeEquivalence(t *testing.T) {
 					return nil, x, fr, err
 				}
 				x, fr := core.ArchRegs()
-				return pcs, x, fr, nil
+				return rec.pcs, x, fr, nil
 			}
 
 			fullPCs, fullX, fullF, err := runOne(mkcfg())

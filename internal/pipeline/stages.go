@@ -375,7 +375,6 @@ func (c *Core) obsRenamed(rec *fetchRec, seq uint64, res rename.DestResult, dest
 func (c *Core) dispatchMicro(pc uint64, class isa.RegClass, rep rename.Repair) {
 	e := c.newROBEntry(pc, -1)
 	e.micro = true
-	e.microFrom = rep.From
 	e.microShadow = rep.Checkpointed
 	e.hasDest = true
 	e.destClass = class
@@ -472,7 +471,6 @@ func (c *Core) newROBEntry(pc uint64, idx int32) *robEntry {
 	e.nextPC = pc + isa.InstBytes
 	e.idx = idx
 	e.micro = false
-	e.microFrom = rename.Tag{}
 	e.microShadow = false
 	e.hasDest = false
 	e.destClass = 0

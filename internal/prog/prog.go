@@ -6,8 +6,10 @@
 package prog
 
 import (
+	"crypto/sha256"
 	"fmt"
 	"sort"
+	"sync"
 
 	"repro/internal/isa"
 )
@@ -41,6 +43,9 @@ type Program struct {
 	dataLen int
 	symbols map[string]uint64
 	entry   uint64
+
+	digestOnce sync.Once
+	digest     [sha256.Size]byte
 }
 
 // New builds a Program from the given instruction sequence (laid out

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"strings"
+	"sync"
 	"testing"
 
 	"repro/internal/isa"
@@ -176,5 +177,35 @@ func TestSymbolsSortedAndData(t *testing.T) {
 func TestLayoutConstants(t *testing.T) {
 	if !(TextBase < DataBase && DataBase < HeapBase && HeapBase < StackTop) {
 		t.Error("memory layout regions out of order")
+	}
+}
+
+// TestDigestComputedOnce: concurrent first calls agree, and later calls
+// return the kept digest instead of hashing the program again. The test
+// edits the program behind the digest's back to tell the two apart.
+func TestDigestComputedOnce(t *testing.T) {
+	p := mkProg(t, []isa.Inst{{Op: isa.MOVI, Rd: 1, Imm: 5}, {Op: isa.HALT}},
+		[]DataSeg{{Addr: DataBase, Bytes: []byte{1, 2, 3}}})
+	var wg sync.WaitGroup
+	got := make([][32]byte, 4)
+	for i := range got {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			got[i] = p.Digest()
+		}()
+	}
+	wg.Wait()
+	for i := range got {
+		if got[i] != got[0] {
+			t.Fatalf("call %d returned %x, call 0 %x", i, got[i], got[0])
+		}
+	}
+	p.insts[0].Imm = 6
+	if p.hash() == got[0] {
+		t.Fatal("editing an immediate did not change the hash")
+	}
+	if d := p.Digest(); d != got[0] {
+		t.Fatalf("Digest hashed the program again: %x, first call %x", d, got[0])
 	}
 }
