@@ -6,12 +6,19 @@ package regreuse
 // numbers recorded in EXPERIMENTS.md.
 
 import (
+	"context"
+	"encoding/json"
+	"net/http"
+	"net/http/httptest"
+	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/analysis"
 	"repro/internal/area"
 	"repro/internal/ckpt"
 	"repro/internal/emu"
+	"repro/internal/fabric"
 	"repro/internal/pipeline"
 	"repro/internal/regfile"
 	"repro/internal/workloads"
@@ -233,6 +240,79 @@ func BenchmarkSweepScale1(b *testing.B) {
 		}
 		b.ReportMetric(float64(len(pts)), "points")
 	}
+}
+
+// cacheHitGrid is BenchmarkCacheHitSubmit's grid: every kernel, scheme and
+// two sizes, 198 jobs like perfbench's fast-forward service grid. Each job
+// stops after 2000 instructions, which keeps the untimed cold pass short.
+const cacheHitGrid = `{"name":"cache-hit","schemes":["baseline","reuse","early"],"scale":1,"sizes":[56,96],"max_insts":2000}`
+
+// BenchmarkCacheHitSubmit measures the sweep service's cache-hit path. It
+// runs cacheHitGrid once through an in-process fabric.Coordinator with one
+// local worker, then times resubmissions of it to the coordinator's local
+// HTTP handler. Every resubmitted job is a cache hit served while the
+// submission is admitted, so an op is one POST /sweeps plus the status
+// request that finds the sweep done; us/job divides its time by the jobs.
+func BenchmarkCacheHitSubmit(b *testing.B) {
+	c, err := fabric.NewCoordinator(b.TempDir(), fabric.CoordinatorOptions{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer c.Close()
+	ts := httptest.NewServer(c.LocalHandler())
+	defer ts.Close()
+	ctx, cancel := context.WithCancel(context.Background())
+	worker := c.LocalWorker(fabric.WorkerOptions{ID: "bench"})
+	stopped := make(chan struct{})
+	go func() {
+		defer close(stopped)
+		_ = worker.Run(ctx)
+	}()
+	defer func() { cancel(); <-stopped }()
+
+	submit := func() fabric.SweepStatus {
+		resp, err := ts.Client().Post(ts.URL+"/sweeps", "application/json", strings.NewReader(cacheHitGrid))
+		if err != nil {
+			b.Fatal(err)
+		}
+		var sub struct {
+			ID string `json:"id"`
+		}
+		err = json.NewDecoder(resp.Body).Decode(&sub)
+		resp.Body.Close()
+		if err != nil || resp.StatusCode != http.StatusAccepted {
+			b.Fatalf("submit: status %d, %v", resp.StatusCode, err)
+		}
+		for {
+			resp, err := ts.Client().Get(ts.URL + "/sweeps/" + sub.ID)
+			if err != nil {
+				b.Fatal(err)
+			}
+			var st fabric.SweepStatus
+			err = json.NewDecoder(resp.Body).Decode(&st)
+			resp.Body.Close()
+			if err != nil {
+				b.Fatal(err)
+			}
+			if st.State != "running" {
+				return st
+			}
+			time.Sleep(10 * time.Millisecond)
+		}
+	}
+	if st := submit(); st.State != "done" || st.Executed != st.Jobs {
+		b.Fatalf("cold pass: %+v", st)
+	}
+	var jobs int
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		st := submit()
+		if st.State != "done" || st.CacheHits != st.Jobs {
+			b.Fatalf("resubmission: %+v, want every job a cache hit", st)
+		}
+		jobs += st.Jobs
+	}
+	b.ReportMetric(float64(b.Elapsed().Microseconds())/float64(jobs), "us/job")
 }
 
 // BenchmarkSimulatorThroughput measures raw simulation speed per scheme

@@ -66,7 +66,9 @@ type artifact struct {
 	// Provenance stamp (schema v2): which commit and toolchain produced the
 	// artifact, and when. GitCommit is best-effort — absent outside a git
 	// checkout — so driftd's ingest can cross-check an artifact against the
-	// commit it is recorded under.
+	// commit it is recorded under. It carries a -dirty suffix when the tree
+	// had uncommitted changes: `make bench` usually runs before its change
+	// is committed, so the code measured is HEAD plus those changes.
 	GitCommit    string        `json:"git_commit,omitempty"`
 	GoVersion    string        `json:"go_version,omitempty"`
 	GeneratedUTC string        `json:"generated_utc,omitempty"`
@@ -111,8 +113,12 @@ func main() {
 		GoVersion:     runtime.Version(),
 		GeneratedUTC:  time.Now().UTC().Format(time.RFC3339),
 	}
-	if out, err := exec.Command("git", "rev-parse", "HEAD").Output(); err == nil {
-		doc.GitCommit = strings.TrimSpace(string(out))
+	head, err := exec.Command("git", "rev-parse", "HEAD").Output()
+	if err == nil {
+		status, err := exec.Command("git", "status", "--porcelain").Output()
+		if err == nil {
+			doc.GitCommit = commitStamp(string(head), string(status))
+		}
 	}
 	sc := bufio.NewScanner(os.Stdin)
 	sc.Buffer(make([]byte, 1<<20), 1<<20)
@@ -197,6 +203,17 @@ func main() {
 		fmt.Fprintln(os.Stderr, "benchjson:", err)
 		os.Exit(1)
 	}
+}
+
+// commitStamp formats the git_commit stamp from `git rev-parse HEAD` and
+// `git status --porcelain` output: the commit, plus -dirty when the status
+// lists any change.
+func commitStamp(head, porcelain string) string {
+	head = strings.TrimSpace(head)
+	if strings.TrimSpace(porcelain) != "" {
+		return head + "-dirty"
+	}
+	return head
 }
 
 // parseLine decodes one `go test -bench` result line:

@@ -43,3 +43,21 @@ func TestCheckAllocsEveryRepeat(t *testing.T) {
 		t.Fatal("a later repeat above the ceiling passed")
 	}
 }
+
+// TestCommitStamp pins the git_commit format: the commit alone for a clean
+// tree, and the commit plus -dirty when `git status --porcelain` lists any
+// change, so an artifact regenerated before its change is committed does
+// not pass for a measurement of its parent.
+func TestCommitStamp(t *testing.T) {
+	const head = "ec62899783f4dc51f8b4ed6d57bb43c61f03fe96"
+	for _, tc := range []struct{ porcelain, want string }{
+		{"", head},
+		{"\n", head},
+		{" M BENCH_core.json\n", head + "-dirty"},
+		{"?? new_test.go\n M README.md\n", head + "-dirty"},
+	} {
+		if got := commitStamp(head+"\n", tc.porcelain); got != tc.want {
+			t.Errorf("commitStamp(head, %q) = %q, want %q", tc.porcelain, got, tc.want)
+		}
+	}
+}

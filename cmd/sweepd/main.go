@@ -33,10 +33,11 @@
 // Local and coordinator state share one layout: <dir>/objects holds the
 // result cache and checkpoints, <dir>/sweeps/<id> each sweep's spec,
 // manifest and results. Submitting an identical spec again completes with
-// zero simulator executions (every job is a cache hit). Killing any mode
-// mid-sweep is safe: SIGINT/SIGTERM drain in-flight jobs, manifests are
-// fsynced, and a restart resumes unfinished sweeps with bit-identical
-// results.
+// zero simulator executions (every job is a cache hit). The manifest is
+// synced once per append: a submission's cache hits go in as one batch
+// before the submission is answered, and each completed job as one line.
+// Killing any mode mid-sweep is safe: SIGINT/SIGTERM drain in-flight jobs,
+// and a restart resumes unfinished sweeps with bit-identical results.
 package main
 
 import (
@@ -183,9 +184,10 @@ func runCoordinator(ctx context.Context, addr, dir string, retries int, leaseTTL
 	if err := serveUntil(ctx, ln, c.Handler(), drain); err != nil {
 		return err
 	}
-	// Journals are fsynced on every append; Close just releases them. Any
-	// lease still in flight will be re-leased by the next coordinator
-	// process after it recovers the manifests.
+	// Every journal append was synced when it was made (a submission's
+	// cache hits as one batch, each completion as one line); Close just
+	// releases the files. Any lease still in flight will be re-leased by
+	// the next coordinator process after it recovers the manifests.
 	if err := c.Close(); err != nil {
 		return fmt.Errorf("close journals: %w", err)
 	}

@@ -226,40 +226,55 @@ func (c *Coordinator) recoverOne(id, specPath string) error {
 	if err := json.Unmarshal(data, &spec); err != nil {
 		return fmt.Errorf("bad spec: %w", err)
 	}
-	_, err = os.Stat(filepath.Join(filepath.Dir(specPath), resultsFile))
-	_, err = c.admit(id, spec, err == nil)
-	return err
+	jobs, keys, err := spec.Jobs()
+	if err != nil {
+		return err
+	}
+	finished := resultsComplete(filepath.Join(filepath.Dir(specPath), resultsFile), len(jobs))
+	return c.admit(id, spec, jobs, keys, finished)
 }
 
-// admit registers a sweep under id: it expands the job grid, replays the
-// manifest (entries become "resume"), satisfies what it can from the shared
-// store ("cache"), queues the rest, and finalizes immediately when nothing
-// is left. Callers hold no locks; admit takes c.mu itself.
+// resultsComplete reports whether path holds a results.json with one result
+// per job. The file's existence proves nothing: blob.WriteFileAtomic renames
+// without syncing, so a crash can leave the name over empty or partial
+// contents. A sweep whose results fail this check is recovered as
+// unfinished, so its manifest and the cache refill it and the file is
+// written again.
+func resultsComplete(path string, jobs int) bool {
+	data, err := os.ReadFile(path)
+	if err != nil {
+		return false
+	}
+	var res sweep.RunResult
+	return json.Unmarshal(data, &res) == nil && len(res.Jobs) == jobs && len(res.Results) == jobs
+}
+
+// admit registers a sweep under id over its expanded grid (jobs and their
+// keys, from spec.Jobs): it replays the manifest (entries become "resume"),
+// satisfies what it can from the shared store ("cache"), journals those
+// hits as one synced batch, queues the rest, and finalizes immediately when
+// nothing is left. Callers hold no locks; admit takes c.mu itself.
 //
 //repro:deterministic
-func (c *Coordinator) admit(id string, spec sweep.Spec, finished bool) (*sweepState, error) {
-	jobs, err := spec.Jobs()
-	if err != nil {
-		return nil, err
-	}
+func (c *Coordinator) admit(id string, spec sweep.Spec, jobs []sweep.Job, keys []string, finished bool) error {
 	runDir := c.runDir(id)
 	if err := os.MkdirAll(runDir, 0o755); err != nil {
-		return nil, err
+		return err
 	}
 	// recover finds sweeps only through spec.json, so a sweep whose spec
 	// was not written must not be accepted.
 	data, err := json.MarshalIndent(spec, "", "\t")
 	if err != nil {
-		return nil, err
+		return err
 	}
 	if err := blob.WriteFileAtomic(filepath.Join(runDir, specFile), append(data, '\n')); err != nil {
-		return nil, err
+		return err
 	}
 	s := &sweepState{
 		id:       id,
 		spec:     spec,
 		jobs:     jobs,
-		keys:     make([]string, len(jobs)),
+		keys:     keys,
 		result:   make([]sweep.JobResult, len(jobs)),
 		done:     make([]bool, len(jobs)),
 		source:   make([]string, len(jobs)),
@@ -268,10 +283,7 @@ func (c *Coordinator) admit(id string, spec sweep.Spec, finished bool) (*sweepSt
 		holder:   make([]string, len(jobs)),
 		state:    "running",
 	}
-	for i := range jobs {
-		s.keys[i] = jobs[i].Key()
-	}
-	resumed := loadManifest(filepath.Join(runDir, manifestFile))
+	resumed, whole := loadManifest(filepath.Join(runDir, manifestFile))
 	if finished {
 		// Nothing left to schedule; report the terminal state the artifact
 		// proves. Manifest entries count as resumed for status visibility.
@@ -288,11 +300,11 @@ func (c *Coordinator) admit(id string, spec sweep.Spec, finished bool) (*sweepSt
 		c.mu.Lock()
 		c.registerLocked(s)
 		c.mu.Unlock()
-		return s, nil
+		return nil
 	}
-	journal, err := openManifest(filepath.Join(runDir, manifestFile))
+	journal, err := openManifest(filepath.Join(runDir, manifestFile), whole)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	s.journal = journal
 
@@ -301,6 +313,7 @@ func (c *Coordinator) admit(id string, spec sweep.Spec, finished bool) (*sweepSt
 	c.registerLocked(s)
 	c.met.locked(func(m *Metrics) { m.jobsTotal.Add(uint64(len(jobs))) })
 	var queue []jobRef
+	var hits []manifestEntry
 	for i := range jobs {
 		if e, ok := resumed[s.keys[i]]; ok {
 			c.recordLocked(s, i, "resume", e.Result, "")
@@ -308,14 +321,18 @@ func (c *Coordinator) admit(id string, spec sweep.Spec, finished bool) (*sweepSt
 		}
 		if r, ok := c.cache.Get(s.keys[i]); ok {
 			c.recordLocked(s, i, "cache", r, "")
+			hits = append(hits, manifestEntry{Key: s.keys[i], Source: "cache", Result: r})
 			continue
 		}
 		queue = append(queue, jobRef{s: s, index: i})
 	}
+	// The hits are durable before results.json is written and before the
+	// submission is answered.
+	c.journalLocked(s, hits...)
 	c.queueLocked(queue...)
 	c.maybeFinishLocked(s)
 	c.publishLevelsLocked()
-	return s, nil
+	return nil
 }
 
 // queueLocked appends refs to the pending queue and wakes the idle
@@ -357,8 +374,9 @@ func (c *Coordinator) newID(spec sweep.Spec) string {
 }
 
 // recordLocked marks job i of s done with the given source ("run" | "cache"
-// | "resume" | "failed" — errMsg set only for the last), journals
-// non-resume outcomes, and updates counters. c.mu must be held.
+// | "resume" | "failed" — errMsg set only for the last) and updates
+// counters; the caller journals "run" and "cache" outcomes. c.mu must be
+// held.
 func (c *Coordinator) recordLocked(s *sweepState, i int, source string, r sweep.JobResult, errMsg string) {
 	c.recordTimedLocked(s, i, source, r, errMsg, 0)
 }
@@ -388,12 +406,19 @@ func (c *Coordinator) recordTimedLocked(s *sweepState, i int, source string, r s
 		s.failed++
 		s.errs[i] = errMsg
 	}
-	if s.journal != nil && source != "resume" && source != "failed" {
-		if err := s.journal.add(manifestEntry{Key: s.keys[i], Source: source, Result: r}); err != nil {
-			fmt.Fprintf(os.Stderr, "fabric: manifest append %s: %v\n", s.id, err)
-		}
-	}
 	c.met.jobDone(source, elapsed)
+}
+
+// journalLocked appends entries to s's journal as one synced write. A
+// failed append is reported, not fatal: the outcomes stay in memory, and a
+// restart finds what the journal lost in the cache. c.mu must be held.
+func (c *Coordinator) journalLocked(s *sweepState, entries ...manifestEntry) {
+	if s.journal == nil {
+		return
+	}
+	if err := s.journal.add(entries...); err != nil {
+		fmt.Fprintf(os.Stderr, "fabric: manifest append %s: %v\n", s.id, err)
+	}
 }
 
 // maybeFinishLocked finalizes s once every job has an outcome: on full
@@ -555,20 +580,20 @@ func (c *Coordinator) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "bad spec: %v", err)
 		return
 	}
-	if _, err := spec.Jobs(); err != nil {
+	jobs, keys, err := spec.Jobs()
+	if err != nil {
 		writeError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
 	id := c.newID(spec)
 	c.met.locked(func(m *Metrics) { m.sweepsSubmitted.Inc() })
-	s, err := c.admit(id, spec, false)
-	if err != nil {
+	if err := c.admit(id, spec, jobs, keys, false); err != nil {
 		writeError(w, http.StatusInternalServerError, "%v", err)
 		return
 	}
 	writeJSON(w, http.StatusAccepted, map[string]any{
 		"id":      id,
-		"jobs":    len(s.jobs),
+		"jobs":    len(jobs),
 		"status":  "/sweeps/" + id,
 		"results": "/sweeps/" + id + "/results",
 	})
@@ -770,6 +795,7 @@ func (c *Coordinator) complete(req CompleteRequest) (CompleteResponse, error) {
 		if source != "cache" {
 			source = "run"
 		}
+		c.journalLocked(s, manifestEntry{Key: s.keys[i], Source: source, Result: req.Result})
 		c.recordTimedLocked(s, i, source, req.Result, "", time.Duration(req.ElapsedMillis)*time.Millisecond)
 		if source == "run" && s.jobs[i].Sample != "" {
 			c.met.locked(func(m *Metrics) { m.jobsSampled.Inc() })

@@ -187,7 +187,11 @@ func TestAdmitFailsWhenSpecUnwritable(t *testing.T) {
 	if err := os.MkdirAll(filepath.Join(dir, "sweeps", "blocked-1", specFile, "occupied"), 0o755); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := c.admit("blocked-1", spec, false); err == nil {
+	jobs, keys, err := spec.Jobs()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := c.admit("blocked-1", spec, jobs, keys, false); err == nil {
 		t.Fatal("admit accepted a sweep whose spec.json could not be written")
 	}
 }

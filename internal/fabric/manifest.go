@@ -1,7 +1,7 @@
 package fabric
 
 import (
-	"bufio"
+	"bytes"
 	"encoding/json"
 	"os"
 
@@ -26,60 +26,82 @@ type manifestEntry struct {
 	Result sweep.JobResult `json:"result"`
 }
 
-// loadManifest reads a manifest tolerantly: a truncated or corrupt line
-// (the tail of a killed run) ends the scan, and everything before it
-// counts. A missing file is an empty manifest.
+// loadManifest reads a manifest tolerantly: a line that is cut short or
+// corrupt (the torn tail of a killed run) ends the scan, and every whole
+// line before it counts. It also returns the length of those whole lines,
+// where appending may resume. A missing file is an empty manifest.
 //
 //repro:deterministic
-func loadManifest(path string) map[string]manifestEntry {
-	f, err := os.Open(path)
+func loadManifest(path string) (done map[string]manifestEntry, whole int64) {
+	data, err := os.ReadFile(path)
 	if err != nil {
-		return nil
+		return nil, 0
 	}
-	defer f.Close()
-	done := map[string]manifestEntry{}
-	sc := bufio.NewScanner(f)
-	sc.Buffer(make([]byte, 0, 1<<20), 1<<20)
-	for sc.Scan() {
+	done = map[string]manifestEntry{}
+	for {
+		n := bytes.IndexByte(data[whole:], '\n')
+		if n < 0 {
+			break
+		}
 		var e manifestEntry
-		if json.Unmarshal(sc.Bytes(), &e) != nil || e.Key == "" {
+		if json.Unmarshal(data[whole:whole+int64(n)], &e) != nil || e.Key == "" {
 			break
 		}
 		done[e.Key] = e
+		whole += int64(n) + 1
 	}
-	return done
+	return done, whole
 }
 
 // manifest appends completed jobs to the journal. The coordinator
-// serializes appends under its state mutex; each line is flushed and
-// synced immediately so a kill loses at most the in-flight line, which
-// loadManifest tolerates.
+// serializes appends under its state mutex. Each append is one write and
+// one sync: a submission's cache hits go in as one batch, and each worker
+// completion as one line. A kill therefore loses at most the append in
+// flight, which leaves a torn tail that loadManifest tolerates.
 type manifest struct {
 	f *os.File
 }
 
-// openManifest opens (creating if needed) the journal for appending.
-func openManifest(path string) (*manifest, error) {
+// syncJournal makes a journal append durable. It is a variable only so
+// that tests can count the syncs an append path costs.
+var syncJournal = (*os.File).Sync
+
+// openManifest opens (creating if needed) the journal for appending after
+// its first whole bytes, the whole lines loadManifest read. A torn tail
+// beyond them is cut off: a line appended behind it would join it into one
+// unreadable line and be lost to the next recovery.
+func openManifest(path string, whole int64) (*manifest, error) {
 	f, err := os.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
 	if err != nil {
+		return nil, err
+	}
+	if err := f.Truncate(whole); err != nil {
+		f.Close()
 		return nil, err
 	}
 	return &manifest{f: f}, nil
 }
 
-// add journals one entry and syncs it.
+// add journals entries, one line each in the order given, with one write
+// and one sync. Batching changes only the number of syncs: the bytes are
+// those of one add per entry.
 //
 //repro:deterministic
-func (m *manifest) add(e manifestEntry) error {
-	data, err := json.Marshal(e)
-	if err != nil {
+func (m *manifest) add(entries ...manifestEntry) error {
+	if len(entries) == 0 {
+		return nil
+	}
+	var buf bytes.Buffer
+	enc := json.NewEncoder(&buf)
+	for _, e := range entries {
+		if err := enc.Encode(e); err != nil {
+			return err
+		}
+	}
+	if _, err := m.f.Write(buf.Bytes()); err != nil {
 		return err
 	}
-	data = append(data, '\n')
-	if _, err := m.f.Write(data); err != nil {
-		return err
-	}
-	return m.f.Sync()
+	return syncJournal(m.f)
 }
 
 // close closes the journal file.

@@ -55,7 +55,7 @@ type RunResult struct {
 // ctx is cancelled); if any job failed, the RunResult is still returned
 // alongside the error so callers can see partial results.
 func Run(ctx context.Context, spec Spec, opts Options) (*RunResult, error) {
-	jobs, err := spec.Jobs()
+	jobs, keys, err := spec.Jobs()
 	if err != nil {
 		return nil, err
 	}
@@ -75,7 +75,7 @@ func Run(ctx context.Context, spec Spec, opts Options) (*RunResult, error) {
 		mu.Unlock()
 	}
 	err = par.ForEachCtx(ctx, len(jobs), opts.Workers, func(i int) error {
-		key := jobs[i].Key()
+		key := keys[i]
 		if r, ok := opts.Cache.Get(key); ok {
 			res.Results[i] = r
 			count(&res.Stats.CacheHits)

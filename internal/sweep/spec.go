@@ -106,45 +106,49 @@ func (s Spec) normalized() Spec {
 // Jobs validates the spec and expands it deterministically: workload-major,
 // then size, then scheme, each in declaration order. Index arithmetic is
 // stable: job (w, s, c) sits at ((w*len(Sizes))+s)*len(Schemes)+c.
-func (s Spec) Jobs() ([]Job, error) {
+// keys[i] is jobs[i].Key(): the expansion derives every key once for its
+// duplicate check and hands them back, so callers never derive them again.
+func (s Spec) Jobs() (jobs []Job, keys []string, err error) {
 	s = s.normalized()
 	if len(s.Schemes) == 0 {
-		return nil, fmt.Errorf("sweep: spec has no schemes")
+		return nil, nil, fmt.Errorf("sweep: spec has no schemes")
 	}
 	if s.Scale < 1 {
-		return nil, fmt.Errorf("sweep: bad scale %d", s.Scale)
+		return nil, nil, fmt.Errorf("sweep: bad scale %d", s.Scale)
 	}
 	if s.ReuseDepth < 0 || s.ReuseDepth > 3 {
-		return nil, fmt.Errorf("sweep: reuse_depth %d out of range 0..3", s.ReuseDepth)
+		return nil, nil, fmt.Errorf("sweep: reuse_depth %d out of range 0..3", s.ReuseDepth)
 	}
 	for _, sch := range s.Schemes {
 		if _, err := pipeline.ParseScheme(sch); err != nil {
-			return nil, fmt.Errorf("sweep: %w", err)
+			return nil, nil, fmt.Errorf("sweep: %w", err)
 		}
 	}
 	for _, n := range s.Workloads {
 		if _, ok := workloads.ByName(n, s.Scale); !ok {
-			return nil, fmt.Errorf("sweep: unknown workload %q", n)
+			return nil, nil, fmt.Errorf("sweep: unknown workload %q", n)
 		}
 	}
 	for _, sz := range s.Sizes {
 		if sz < 0 {
-			return nil, fmt.Errorf("sweep: negative size %d", sz)
+			return nil, nil, fmt.Errorf("sweep: negative size %d", sz)
 		}
 	}
 	if s.Sample != "" {
 		if s.FastForward > 0 {
-			return nil, fmt.Errorf("sweep: sample and fast_forward are mutually exclusive")
+			return nil, nil, fmt.Errorf("sweep: sample and fast_forward are mutually exclusive")
 		}
 		if _, err := ckpt.ParsePlan(s.Sample); err != nil {
-			return nil, fmt.Errorf("sweep: %w", err)
+			return nil, nil, fmt.Errorf("sweep: %w", err)
 		}
 	}
 	if s.Warmup > 0 && s.FastForward > 0 && s.Warmup > s.FastForward {
-		return nil, fmt.Errorf("sweep: warmup %d exceeds fast_forward %d", s.Warmup, s.FastForward)
+		return nil, nil, fmt.Errorf("sweep: warmup %d exceeds fast_forward %d", s.Warmup, s.FastForward)
 	}
-	jobs := make([]Job, 0, len(s.Workloads)*len(s.Sizes)*len(s.Schemes))
-	seen := make(map[string]int, cap(jobs))
+	n := len(s.Workloads) * len(s.Sizes) * len(s.Schemes)
+	jobs = make([]Job, 0, n)
+	keys = make([]string, 0, n)
+	seen := make(map[string]int, n)
 	for _, w := range s.Workloads {
 		for _, sz := range s.Sizes {
 			for _, sch := range s.Schemes {
@@ -169,12 +173,13 @@ func (s Spec) Jobs() ([]Job, error) {
 				}
 				k := j.Key()
 				if prev, dup := seen[k]; dup {
-					return nil, fmt.Errorf("sweep: duplicate job %d and %d (%s/%s size %d)", prev, len(jobs), w, sch, sz)
+					return nil, nil, fmt.Errorf("sweep: duplicate job %d and %d (%s/%s size %d)", prev, len(jobs), w, sch, sz)
 				}
 				seen[k] = len(jobs)
 				jobs = append(jobs, j)
+				keys = append(keys, k)
 			}
 		}
 	}
-	return jobs, nil
+	return jobs, keys, nil
 }

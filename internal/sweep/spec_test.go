@@ -14,19 +14,24 @@ func TestSpecExpansionDeterministic(t *testing.T) {
 		Scale:     1,
 		Sizes:     []int{56, 96},
 	}
-	jobs, err := spec.Jobs()
+	jobs, keys, err := spec.Jobs()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(jobs) != 8 {
-		t.Fatalf("got %d jobs, want 8", len(jobs))
+	if len(jobs) != 8 || len(keys) != 8 {
+		t.Fatalf("got %d jobs and %d keys, want 8", len(jobs), len(keys))
+	}
+	for i := range jobs {
+		if keys[i] != jobs[i].Key() {
+			t.Fatalf("keys[%d] = %s, want jobs[%d].Key() = %s", i, keys[i], i, jobs[i].Key())
+		}
 	}
 	// Workload-major, then size, then scheme.
 	want := Job{Workload: "poly_horner", Scheme: "reuse", Scale: 1, Size: 96}
 	if jobs[3] != want {
 		t.Errorf("jobs[3] = %+v, want %+v", jobs[3], want)
 	}
-	again, err := spec.Jobs()
+	again, _, err := spec.Jobs()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -38,7 +43,7 @@ func TestSpecExpansionDeterministic(t *testing.T) {
 }
 
 func TestSpecDefaults(t *testing.T) {
-	jobs, err := Spec{Schemes: []string{"reuse"}, Workloads: []string{"dgemm"}}.Jobs()
+	jobs, _, err := Spec{Schemes: []string{"reuse"}, Workloads: []string{"dgemm"}}.Jobs()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -54,7 +59,7 @@ func TestSpecSchemeValidationMatchesCLI(t *testing.T) {
 	if cliErr == nil {
 		t.Fatal("ParseScheme accepted bogus")
 	}
-	_, specErr := Spec{Schemes: []string{"bogus"}, Workloads: []string{"dgemm"}}.Jobs()
+	_, _, specErr := Spec{Schemes: []string{"bogus"}, Workloads: []string{"dgemm"}}.Jobs()
 	if specErr == nil {
 		t.Fatal("spec accepted bogus scheme")
 	}
@@ -64,15 +69,15 @@ func TestSpecSchemeValidationMatchesCLI(t *testing.T) {
 }
 
 func TestSpecRejectsUnknownWorkloadAndDuplicates(t *testing.T) {
-	if _, err := (Spec{Schemes: []string{"reuse"}, Workloads: []string{"nope"}}).Jobs(); err == nil {
+	if _, _, err := (Spec{Schemes: []string{"reuse"}, Workloads: []string{"nope"}}).Jobs(); err == nil {
 		t.Error("unknown workload accepted")
 	}
-	if _, err := (Spec{Schemes: []string{"reuse", "reuse"}, Workloads: []string{"dgemm"}}).Jobs(); err == nil {
+	if _, _, err := (Spec{Schemes: []string{"reuse", "reuse"}, Workloads: []string{"dgemm"}}).Jobs(); err == nil {
 		t.Error("duplicate job accepted")
 	}
 	// Baseline normalizes reuse knobs away, so baseline×{depth} ablations
 	// collide by design — declared twice they must be rejected too.
-	if _, err := (Spec{Schemes: []string{"baseline", "baseline"}, Workloads: []string{"dgemm"}}).Jobs(); err == nil {
+	if _, _, err := (Spec{Schemes: []string{"baseline", "baseline"}, Workloads: []string{"dgemm"}}).Jobs(); err == nil {
 		t.Error("duplicate baseline accepted")
 	}
 }
@@ -80,11 +85,11 @@ func TestSpecRejectsUnknownWorkloadAndDuplicates(t *testing.T) {
 // TestBaselineNormalization: reuse knobs are no-ops for the baseline
 // renamer and must not fragment its cache identity.
 func TestBaselineNormalization(t *testing.T) {
-	a, err := Spec{Schemes: []string{"baseline"}, Workloads: []string{"dgemm"}, Scale: 1, ReuseDepth: 2}.Jobs()
+	a, _, err := Spec{Schemes: []string{"baseline"}, Workloads: []string{"dgemm"}, Scale: 1, ReuseDepth: 2}.Jobs()
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := Spec{Schemes: []string{"baseline"}, Workloads: []string{"dgemm"}, Scale: 1}.Jobs()
+	b, _, err := Spec{Schemes: []string{"baseline"}, Workloads: []string{"dgemm"}, Scale: 1}.Jobs()
 	if err != nil {
 		t.Fatal(err)
 	}
