@@ -1,8 +1,8 @@
 package regreuse
 
 // Allocation-regression test for the simulation hot loop: once the core has
-// reached steady state (pools populated, rings and waiter lists at their
-// high-water capacity), stepping the pipeline must not allocate at all. This
+// reached steady state (checkpoint pools populated, writeback buckets at
+// their high-water capacity), stepping the pipeline must not allocate at all. This
 // is what keeps the cycle loop out of the Go allocator and garbage collector
 // and is the contract the queues.go/pooling design provides.
 
@@ -24,9 +24,8 @@ func TestCoreStepZeroAllocs(t *testing.T) {
 	for _, scheme := range []Scheme{Baseline, Reuse, EarlyRelease} {
 		t.Run(pipeline.Scheme(scheme).String(), func(t *testing.T) {
 			core := pipeline.New(pipeline.DefaultConfig(pipeline.Scheme(scheme)), p)
-			// Warm up: fill the IQ/event pools, grow waiter lists and
-			// checkpoint pools to their steady capacity, fault in the
-			// touched pages.
+			// Warm up: grow the writeback buckets and checkpoint pools to
+			// their steady capacity, fault in the touched pages.
 			core.StepN(50000)
 			if core.Halted() {
 				t.Fatal("workload halted during warmup; pick a longer one")

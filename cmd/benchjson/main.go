@@ -16,10 +16,12 @@
 // ran with -benchmem and stayed at or under its allocs/op ceiling (the
 // zero-allocation guarantee of the streaming figure collectors).
 //
-// The input may repeat a benchmark (-count N, or N runs concatenated).
-// Each headline rate is then the median over its repeats, so one slow run
-// on a busy host neither fails a floor nor sets the recorded rate, and the
-// allocs ceilings hold for every repeat.
+// The input may repeat a benchmark (-count N, or N runs concatenated, as
+// `make bench` and `make benchsmoke` feed it five interleaved rounds). The
+// artifact then holds one record per benchmark with the median ns/op, B/op,
+// allocs/op and metrics over its repeats, so each headline rate is a median
+// too and one slow run on a busy host neither fails a floor nor sets the
+// recorded rate; the allocs ceilings hold for every repeat.
 package main
 
 import (
@@ -185,6 +187,7 @@ func main() {
 		fmt.Fprintln(os.Stderr, "benchjson:", err)
 		os.Exit(1)
 	}
+	doc.Benchmarks = collapse(doc.Benchmarks)
 
 	data, err := json.MarshalIndent(doc, "", "\t")
 	if err != nil {
@@ -269,9 +272,66 @@ func rateOf(recs []benchRecord, prefix string) (float64, bool) {
 	if len(rates) == 0 {
 		return 0, false
 	}
-	sort.Float64s(rates)
-	n := len(rates)
-	return (rates[(n-1)/2] + rates[n/2]) / 2, true
+	return median(rates), true
+}
+
+// median returns the middle of vs (the mean of the two middle values for
+// an even count), reordering vs. vs must not be empty.
+func median(vs []float64) float64 {
+	sort.Float64s(vs)
+	n := len(vs)
+	return (vs[(n-1)/2] + vs[n/2]) / 2
+}
+
+// collapse folds the repeats of each benchmark into one record, in order of
+// first appearance: the median iterations, ns/op, B/op and allocs/op, and
+// per metric unit the median over the repeats that report it. B/op and
+// allocs/op stay absent unless a repeat carries them.
+func collapse(recs []benchRecord) []benchRecord {
+	var order []string
+	byName := map[string][]benchRecord{}
+	for _, r := range recs {
+		if _, ok := byName[r.Name]; !ok {
+			order = append(order, r.Name)
+		}
+		byName[r.Name] = append(byName[r.Name], r)
+	}
+	out := make([]benchRecord, 0, len(order))
+	for _, name := range order {
+		rs := byName[name]
+		var iters, ns, bytes, allocs []float64
+		metrics := map[string][]float64{}
+		for _, r := range rs {
+			iters = append(iters, float64(r.Iterations))
+			ns = append(ns, r.NsPerOp)
+			if r.BytesPerOp != nil {
+				bytes = append(bytes, *r.BytesPerOp)
+			}
+			if r.AllocsPerOp != nil {
+				allocs = append(allocs, *r.AllocsPerOp)
+			}
+			for unit, v := range r.Metrics {
+				metrics[unit] = append(metrics[unit], v)
+			}
+		}
+		m := benchRecord{Name: name, Iterations: int64(median(iters)), NsPerOp: median(ns)}
+		if len(bytes) > 0 {
+			v := median(bytes)
+			m.BytesPerOp = &v
+		}
+		if len(allocs) > 0 {
+			v := median(allocs)
+			m.AllocsPerOp = &v
+		}
+		if len(metrics) > 0 {
+			m.Metrics = make(map[string]float64, len(metrics))
+			for unit, vs := range metrics {
+				m.Metrics[unit] = median(vs)
+			}
+		}
+		out = append(out, m)
+	}
+	return out
 }
 
 // repeats returns every record of the benchmark named prefix, in input

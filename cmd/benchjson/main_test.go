@@ -1,6 +1,9 @@
 package main
 
-import "testing"
+import (
+	"reflect"
+	"testing"
+)
 
 func record(name string, rate, allocs float64) benchRecord {
 	return benchRecord{Name: name, Metrics: map[string]float64{rateUnit: rate}, AllocsPerOp: &allocs}
@@ -59,5 +62,40 @@ func TestCommitStamp(t *testing.T) {
 		if got := commitStamp(head+"\n", tc.porcelain); got != tc.want {
 			t.Errorf("commitStamp(head, %q) = %q, want %q", tc.porcelain, got, tc.want)
 		}
+	}
+}
+
+// TestCollapseTakesMedians pins the artifact's one record per benchmark:
+// records keep the order in which their benchmarks first appear, and each
+// holds the median iterations, ns/op, B/op, allocs/op and metrics over its
+// repeats, a metric only over the repeats that report it.
+func TestCollapseTakesMedians(t *testing.T) {
+	f := func(v float64) *float64 { return &v }
+	recs := []benchRecord{
+		{Name: "BenchmarkCoreStep/reuse", Iterations: 1, NsPerOp: 900, BytesPerOp: f(0), AllocsPerOp: f(0),
+			Metrics: map[string]float64{"ns/cycle": 900}},
+		{Name: "BenchmarkFastForward", Iterations: 1, NsPerOp: 30, BytesPerOp: f(64), AllocsPerOp: f(3),
+			Metrics: map[string]float64{rateUnit: 150}},
+		{Name: "BenchmarkCoreStep/reuse", Iterations: 3, NsPerOp: 500, BytesPerOp: f(8), AllocsPerOp: f(1),
+			Metrics: map[string]float64{"ns/cycle": 500, "IPC": 2}},
+		{Name: "BenchmarkFastForward", Iterations: 1, NsPerOp: 10, BytesPerOp: f(32), AllocsPerOp: f(1),
+			Metrics: map[string]float64{rateUnit: 250}},
+		{Name: "BenchmarkCoreStep/reuse", Iterations: 2, NsPerOp: 600, BytesPerOp: f(0), AllocsPerOp: f(0),
+			Metrics: map[string]float64{"ns/cycle": 600, "IPC": 3}},
+		{Name: "BenchmarkTable2Area", Iterations: 1, NsPerOp: 7},
+	}
+	want := []benchRecord{
+		{Name: "BenchmarkCoreStep/reuse", Iterations: 2, NsPerOp: 600, BytesPerOp: f(0), AllocsPerOp: f(0),
+			Metrics: map[string]float64{"ns/cycle": 600, "IPC": 2.5}},
+		{Name: "BenchmarkFastForward", Iterations: 1, NsPerOp: 20, BytesPerOp: f(48), AllocsPerOp: f(2),
+			Metrics: map[string]float64{rateUnit: 200}},
+		{Name: "BenchmarkTable2Area", Iterations: 1, NsPerOp: 7},
+	}
+	got := collapse(recs)
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("collapse =\n%+v\nwant\n%+v", got, want)
+	}
+	if rate, _ := rateOf(got, ffBench); rate != 200 {
+		t.Fatalf("rateOf over the collapsed records = %v, want the median 200", rate)
 	}
 }

@@ -6,7 +6,10 @@
 // state (tags, LRU, dirty bits, open rows) evolves with each access.
 package memsys
 
-import "fmt"
+import (
+	"fmt"
+	"math/bits"
+)
 
 // LineBytes is the cache line size used throughout (Table I: 64 bytes).
 const LineBytes = 64
@@ -30,7 +33,8 @@ type cacheLine struct {
 // replacement.
 type Cache struct {
 	cfg      CacheConfig
-	sets     int
+	setMask  uint64      // sets - 1
+	setShift int         // log2(sets)
 	lines    []cacheLine // sets × assoc
 	lruClock uint64
 
@@ -50,15 +54,20 @@ func NewCache(cfg CacheConfig) *Cache {
 	if sets&(sets-1) != 0 {
 		panic(fmt.Sprintf("memsys: %s: set count %d not a power of two", cfg.Name, sets))
 	}
-	return &Cache{cfg: cfg, sets: sets, lines: make([]cacheLine, sets*cfg.Assoc)}
+	return &Cache{
+		cfg:      cfg,
+		setMask:  uint64(sets - 1),
+		setShift: bits.TrailingZeros(uint(sets)),
+		lines:    make([]cacheLine, sets*cfg.Assoc),
+	}
 }
 
 func (c *Cache) setOf(addr uint64) int {
-	return int((addr / LineBytes) % uint64(c.sets))
+	return int((addr / LineBytes) & c.setMask)
 }
 
 func (c *Cache) tagOf(addr uint64) uint64 {
-	return addr / LineBytes / uint64(c.sets)
+	return (addr / LineBytes) >> c.setShift
 }
 
 // Lookup probes without modifying replacement state (used by tests and the

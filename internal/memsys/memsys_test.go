@@ -138,6 +138,36 @@ func TestTLBHitMissAndLRU(t *testing.T) {
 	}
 }
 
+// TestTLBConfigValidation rejects TLBs the page-number shift cannot serve,
+// as NewCache rejects a set count that is not a power of two, and checks
+// that a valid page size other than the default splits pages where it
+// should.
+func TestTLBConfigValidation(t *testing.T) {
+	for _, cfg := range []TLBConfig{
+		{Entries: 0, PageBytes: 4096},
+		{Entries: 4, PageBytes: 0},
+		{Entries: 4, PageBytes: 3000},
+		{Entries: 4, PageBytes: 4096 + 64},
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("config %+v accepted", cfg)
+				}
+			}()
+			NewTLB(cfg)
+		}()
+	}
+	tl := NewTLB(TLBConfig{Entries: 4, PageBytes: 8192, WalkLatency: 30})
+	tl.Access(0x2000)
+	if _, miss := tl.Access(0x3ff8); miss {
+		t.Error("0x3ff8 missed on the 8 KiB page holding 0x2000")
+	}
+	if _, miss := tl.Access(0x4000); !miss {
+		t.Error("0x4000 hit, but it starts the next 8 KiB page")
+	}
+}
+
 func TestStridePrefetcherDetectsStreams(t *testing.T) {
 	p := NewStridePrefetcher(16, 1)
 	pc := uint64(0x1000)

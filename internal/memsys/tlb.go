@@ -1,5 +1,10 @@
 package memsys
 
+import (
+	"fmt"
+	"math/bits"
+)
+
 // TLBConfig sizes the fully-associative L1 TLB (Table I: 48 entries) and the
 // page-walk cost charged on a miss.
 type TLBConfig struct {
@@ -22,26 +27,34 @@ type tlbEntry struct {
 // TLB is a fully-associative, LRU translation buffer. It models latency
 // only; the simulated machine is physically addressed.
 type TLB struct {
-	cfg      TLBConfig
-	entries  []tlbEntry
-	lruClock uint64
+	cfg       TLBConfig
+	pageShift int // log2(PageBytes)
+	entries   []tlbEntry
+	lruClock  uint64
 
 	Hits   uint64
 	Misses uint64
 }
 
-// NewTLB builds an empty TLB.
+// NewTLB builds an empty TLB. The page size must be a power of two.
 func NewTLB(cfg TLBConfig) *TLB {
 	if cfg.Entries <= 0 || cfg.PageBytes == 0 {
 		panic("memsys: bad TLB config")
 	}
-	return &TLB{cfg: cfg, entries: make([]tlbEntry, cfg.Entries)}
+	if cfg.PageBytes&(cfg.PageBytes-1) != 0 {
+		panic(fmt.Sprintf("memsys: TLB page size %d not a power of two", cfg.PageBytes))
+	}
+	return &TLB{
+		cfg:       cfg,
+		pageShift: bits.TrailingZeros64(cfg.PageBytes),
+		entries:   make([]tlbEntry, cfg.Entries),
+	}
 }
 
 // Access translates addr, returning the extra latency (0 on a hit, the walk
 // latency on a miss) and whether it missed.
 func (t *TLB) Access(addr uint64) (extra uint64, miss bool) {
-	page := addr / t.cfg.PageBytes
+	page := addr >> t.pageShift
 	t.lruClock++
 	for i := range t.entries {
 		e := &t.entries[i]

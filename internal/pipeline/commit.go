@@ -41,21 +41,6 @@ func (c *Core) commit() {
 			c.lqPopFront()
 		}
 		if e.hasDest {
-			if c.lastRead[0] != nil {
-				// The register displaced from the retirement map is (for
-				// the baseline) released right now: measure how long its
-				// value has been dead.
-				old := c.ren(e.destClass).RetireTag(e.dest.Log)
-				idx := 0
-				if e.destClass == isa.FPReg {
-					idx = 1
-				}
-				if old.Reg != e.dest.Tag.Reg {
-					if last := c.lastRead[idx][old.Reg]; last > 0 && c.cycle > last {
-						c.stats.RecordLifetimeGap(c.cycle - last)
-					}
-				}
-			}
 			c.commitDest(e.destClass, e.dest)
 		}
 		if c.oracle != nil && !e.micro {
@@ -194,7 +179,7 @@ func (c *Core) flushAll(resumePC uint64, handlerCycles uint64) {
 	}
 	c.robCount = 0
 	c.specBrHead, c.specBrCount = 0, 0
-	c.resetIQ()
+	c.resetIQ() // newROBEntry clears the dead entries' inIQ
 	c.lqHead, c.lqCnt = 0, 0
 	c.sqHead, c.sqCnt = 0, 0
 	c.fqHead, c.fqCount = 0, 0

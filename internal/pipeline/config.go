@@ -148,16 +148,13 @@ type Config struct {
 	Observer obs.Observer
 	// DebugInvariants enables O(ROB) checks. At every dispatch, each
 	// source operand that is not yet ready must have an in-flight producer
-	// in the ROB, or the instruction would wait forever. Under
+	// in the ROB, or the instruction would wait forever. After every cycle
+	// of RunTo, the issue-queue count, pending counts, ready list and
+	// wakeup lists must match the ROB window (checkWindow). Under
 	// EarlyRelease, every cycle's speculation boundary and branch ring
 	// must match a ROB walk. The lockstep-oracle tests turn it on for
 	// every scheme.
 	DebugInvariants bool
-	// MeasureLifetimes records, per released physical register, the gap in
-	// cycles between the last read of its value and its release — the
-	// underutilization the paper's §II motivates with ("many cycles may
-	// happen between the last read of the register and its release").
-	MeasureLifetimes bool
 	// OccupancySampleInterval enables Figure 9's shadow-bank occupancy
 	// sampling (reuse scheme only) every N cycles; 0 disables sampling and
 	// its per-cycle cost entirely.

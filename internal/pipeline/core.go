@@ -38,9 +38,13 @@ type fetchRec struct {
 	pred    bpred.Prediction
 }
 
-// robEntry is one reorder-buffer slot. idx indexes the micro-op table
-// (-1 for injected repair micro-ops, which have no static instruction).
-// pred is only valid when isBranch is set.
+// robEntry is the one record of an in-flight instruction, from dispatch to
+// commit or squash. idx indexes the micro-op table (-1 for injected repair
+// micro-ops, which have no static instruction). pred is only valid when
+// isBranch is set. An entry waiting to issue has inIQ set: fu, lat and
+// unpipe describe its execution, src its operands, and pending counts the
+// sources still waiting on a value, each linked on its (class, tag) wakeup
+// list (queues.go). lsq is a load's LQ slot or a store's SQ slot.
 type robEntry struct {
 	active bool
 	seq    uint64
@@ -50,6 +54,13 @@ type robEntry struct {
 
 	micro       bool // injected repair move micro-op (§IV-D1)
 	microShadow bool
+
+	inIQ    bool
+	unpipe  bool
+	fu      isa.FU
+	lat     uint8
+	pending int8
+	src     [2]iqSrc
 
 	hasDest   bool
 	destClass isa.RegClass
@@ -62,6 +73,7 @@ type robEntry struct {
 
 	isLoad  bool
 	isStore bool
+	lsq     int32
 	effAddr uint64
 
 	isBranch     bool
@@ -73,40 +85,14 @@ type robEntry struct {
 	halt bool
 }
 
+// iqSrc is one source operand of an issue-queue entry: its wakeup tag and,
+// once ready, its captured value.
 type iqSrc struct {
 	used  bool
 	class isa.RegClass
 	tag   rename.Tag
 	ready bool
 	val   uint64
-}
-
-type iqEntry struct {
-	robIdx int
-	seq    uint64
-	pc     uint64
-	idx    int32 // micro-op table index (-1 for repair micro-ops)
-	fu     isa.FU
-	lat    int
-	unpipe bool
-
-	micro       bool
-	microShadow bool
-
-	hasDest   bool
-	destClass isa.RegClass
-	destTag   rename.Tag
-
-	isLoad, isStore, isBranch bool
-
-	src [2]iqSrc
-
-	// Pool bookkeeping (see queues.go): active marks an occupied slot, gen
-	// invalidates stale waiter/ready references, pending counts source
-	// operands still awaiting their value.
-	active  bool
-	gen     uint32
-	pending int8
 }
 
 type lqEntry struct {
@@ -118,7 +104,6 @@ type lqEntry struct {
 
 type sqEntry struct {
 	seq       uint64
-	robIdx    int
 	addrKnown bool
 	addr      uint64
 	val       uint64
@@ -161,14 +146,15 @@ type Core struct {
 	robCount int
 	seqNext  uint64
 
-	// Issue queue: a fixed pool of cfg.IQSize entries plus the seq-sorted
-	// ready list and per-tag waiter lists that drive event-driven wakeup.
-	iqPool    []iqEntry
-	iqFree    []int32
+	// Issue queue: iqCount ROB entries with inIQ set (at most cfg.IQSize),
+	// the seq-sorted ready list of their ROB indices, and the per-tag
+	// wakeup lists that drive event-driven wakeup, linked through the ROB
+	// source slots (node robIdx*2+src; wakeNext/wakePrev by node).
 	iqCount   int
 	readyList []int32
-	waiters   [2][][]iqWaiter // [class][reg*(MaxShadow+1)+ver]
-	squashBuf []int32         // scratch: squashed IQ slots in seq order
+	wake      [2][]wakeList // [class][reg*(MaxShadow+1)+ver]
+	wakeNext  []int32
+	wakePrev  []int32
 
 	// In-order queues as fixed-capacity rings.
 	lq      []lqEntry
@@ -195,6 +181,7 @@ type Core struct {
 
 	nextCommitPC  uint64
 	pagePresent   map[uint64]bool
+	lastPresent   uint64 // the page pageAbsent last found present
 	nextInterrupt uint64
 
 	memWait      []bool // store-wait bits (MemSpeculation)
@@ -208,10 +195,6 @@ type Core struct {
 	specBrHead       int
 	specBrCount      int
 	lastSpecBoundary uint64
-
-	// lastRead[class][phys] is the cycle of the last value read of the
-	// register's current lifetime (MeasureLifetimes).
-	lastRead [2][]uint64
 
 	// o is the attached observer (nil = observability off). Every
 	// emission site in the pipeline is guarded by one nil check on this
@@ -236,10 +219,9 @@ func New(cfg Config, p *prog.Program) *Core {
 		bp:   bpred.New(cfg.Bpred),
 		rob:  make([]robEntry, cfg.ROBSize),
 
-		iqPool:    make([]iqEntry, cfg.IQSize),
-		iqFree:    make([]int32, 0, cfg.IQSize),
 		readyList: make([]int32, 0, cfg.IQSize),
-		squashBuf: make([]int32, 0, cfg.IQSize),
+		wakeNext:  make([]int32, 2*cfg.ROBSize),
+		wakePrev:  make([]int32, 2*cfg.ROBSize),
 		lq:        make([]lqEntry, cfg.LQSize),
 		sq:        make([]sqEntry, cfg.SQSize),
 		fetchQ:    make([]fetchRec, cfg.FetchQSize),
@@ -247,9 +229,9 @@ func New(cfg Config, p *prog.Program) *Core {
 		fetchPC:      p.Entry(),
 		nextCommitPC: p.Entry(),
 		pagePresent:  make(map[uint64]bool),
+		lastPresent:  ^uint64(0),
 		o:            cfg.Observer,
 	}
-	c.resetIQ()
 	c.initEvents(1024)
 	if cfg.Boot == nil {
 		c.mem = emu.BootMemory(p)
@@ -277,9 +259,10 @@ func New(cfg Config, p *prog.Program) *Core {
 	// emu.New). The renamers initialized logical l -> physical l.
 	c.rfInt.Write(29, 0, prog.StackTop)
 
-	// Wakeup waiter lists, one per (physical register, version) tag.
-	c.waiters[0] = make([][]iqWaiter, c.rfInt.Size()*(regfile.MaxShadow+1))
-	c.waiters[1] = make([][]iqWaiter, c.rfFP.Size()*(regfile.MaxShadow+1))
+	// Wakeup lists, one per (physical register, version) tag.
+	c.wake[0] = make([]wakeList, c.rfInt.Size()*(regfile.MaxShadow+1))
+	c.wake[1] = make([]wakeList, c.rfFP.Size()*(regfile.MaxShadow+1))
+	c.resetIQ()
 
 	for fu := 0; fu < isa.NumFUs; fu++ {
 		c.fuBusy[fu] = make([]uint64, cfg.FUCount[fu])
@@ -306,10 +289,6 @@ func New(cfg Config, p *prog.Program) *Core {
 		} else {
 			c.oracle = emu.New(p)
 		}
-	}
-	if cfg.MeasureLifetimes {
-		c.lastRead[0] = make([]uint64, cfg.IntRegs.Total())
-		c.lastRead[1] = make([]uint64, cfg.FPRegs.Total())
 	}
 	if cfg.Boot != nil {
 		c.bootFrom(cfg.Boot, cfg.BootWarmup)
@@ -423,6 +402,11 @@ func (c *Core) RunTo(target uint64) error {
 		c.step()
 		if c.oracleErr != nil {
 			return c.oracleErr
+		}
+		if c.cfg.DebugInvariants {
+			if err := c.checkWindow(); err != nil {
+				return err
+			}
 		}
 	}
 	c.stats.Cycles = c.cycle

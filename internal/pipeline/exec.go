@@ -20,39 +20,39 @@ func (c *Core) issue() {
 	rl := c.readyList
 	w := 0
 	for r := 0; r < len(rl); r++ {
-		idx := rl[r]
-		ent := &c.iqPool[idx]
+		ri := rl[r]
 		if issued >= c.cfg.IssueWidth {
-			rl[w] = idx
-			w++
-			continue
+			w += copy(rl[w:], rl[r:])
+			break
 		}
-		slot := c.freeFUSlot(ent.fu)
+		e := &c.rob[ri]
+		slot := c.freeFUSlot(e.fu)
 		if slot < 0 {
-			rl[w] = idx
+			rl[w] = ri
 			w++
 			continue
 		}
-		lat, ok := c.execute(ent)
+		lat, ok := c.execute(e)
 		if !ok {
 			// Load blocked by memory disambiguation; try again later.
-			rl[w] = idx
+			rl[w] = ri
 			w++
 			continue
 		}
-		if ent.unpipe {
-			c.fuBusy[ent.fu][slot] = c.cycle + uint64(lat)
+		if e.unpipe {
+			c.fuBusy[e.fu][slot] = c.cycle + uint64(lat)
 		} else {
-			c.fuBusy[ent.fu][slot] = c.cycle + 1
+			c.fuBusy[e.fu][slot] = c.cycle + 1
 		}
-		c.schedule(c.cycle+uint64(lat), wbEvent{robIdx: ent.robIdx, seq: ent.seq})
+		c.schedule(c.cycle+uint64(lat), wbEvent{robIdx: int(ri), seq: e.seq})
 		if c.o != nil {
 			c.o.Inst(obs.InstEvent{
-				Cycle: c.cycle, Seq: ent.seq, PC: ent.pc,
-				Stage: obs.StageIssue, Inst: c.instAt(ent.idx), Micro: ent.micro,
+				Cycle: c.cycle, Seq: e.seq, PC: e.pc,
+				Stage: obs.StageIssue, Inst: c.instAt(e.idx), Micro: e.micro,
 			})
 		}
-		c.freeIQ(idx)
+		e.inIQ = false
+		c.iqCount--
 		issued++
 	}
 	c.readyList = rl[:w]
@@ -74,22 +74,21 @@ func (c *Core) freeFUSlot(fu isa.FU) int {
 // unknown).
 //
 //repro:hotpath
-func (c *Core) execute(ent *iqEntry) (int, bool) {
-	e := &c.rob[ent.robIdx]
-	v0, v1 := ent.src[0].val, ent.src[1].val
+func (c *Core) execute(e *robEntry) (int, bool) {
+	v0, v1 := e.src[0].val, e.src[1].val
 
-	if ent.micro {
+	if e.micro {
 		e.resultVal = v0
-		return ent.lat, true
+		return int(e.lat), true
 	}
 	// Non-micro entries index the micro-op table; the raw instruction is one
 	// load here, everything structural was pre-decoded.
-	in := c.uops.Inst[ent.idx]
+	in := c.uops.Inst[e.idx]
 
 	switch {
-	case ent.isLoad:
+	case e.isLoad:
 		addr := v0 + uint64(in.Imm)
-		lat, val, exc, ok := c.loadAccess(ent, addr)
+		lat, val, exc, ok := c.loadAccess(e, addr)
 		if !ok {
 			return 0, false
 		}
@@ -97,16 +96,12 @@ func (c *Core) execute(ent *iqEntry) (int, bool) {
 		e.exc = exc
 		e.excAddr = addr
 		e.resultVal = val
-		for j := 0; j < c.lqCnt; j++ {
-			if l := c.lqAt(j); l.seq == ent.seq {
-				l.done = true
-				l.addr = addr
-				break
-			}
-		}
+		l := &c.lq[e.lsq]
+		l.done = true
+		l.addr = addr
 		return lat, true
 
-	case ent.isStore:
+	case e.isStore:
 		addr := v0 + uint64(in.Imm)
 		e.effAddr = addr
 		e.resultVal = v1 // store data
@@ -118,34 +113,30 @@ func (c *Core) execute(ent *iqEntry) (int, bool) {
 			e.excAddr = addr
 		}
 		// Record the address/data so younger loads can forward.
-		for j := c.sqCnt - 1; j >= 0; j-- {
-			if s := c.sqAt(j); s.seq == ent.seq {
-				s.addrKnown = true
-				s.addr = addr
-				s.val = v1
-				break
-			}
-		}
+		s := &c.sq[e.lsq]
+		s.addrKnown = true
+		s.addr = addr
+		s.val = v1
 		if c.memWait != nil && e.exc == excNone {
-			c.checkOrderViolation(ent.seq, addr)
+			c.checkOrderViolation(e.seq, addr)
 		}
-		return ent.lat, true
+		return int(e.lat), true
 
-	case ent.isBranch:
-		taken, target := branchOutcome(in, c.uops.Flags[ent.idx], ent.pc, v0, v1)
+	case e.isBranch:
+		taken, target := branchOutcome(in, c.uops.Flags[e.idx], e.pc, v0, v1)
 		e.actualTaken = taken
 		e.actualTarget = target
 		if taken {
 			e.nextPC = target
 		}
 		if in.Op == isa.BL {
-			e.resultVal = ent.pc + isa.InstBytes
+			e.resultVal = e.pc + isa.InstBytes
 		}
-		return ent.lat, true
+		return int(e.lat), true
 
 	default:
-		e.resultVal = emu.ExecOps(in, v0, v1, ent.pc)
-		return ent.lat, true
+		e.resultVal = emu.ExecOps(in, v0, v1, e.pc)
+		return int(e.lat), true
 	}
 }
 
@@ -171,15 +162,15 @@ func branchOutcome(in isa.Inst, flags prog.UOpFlags, pc, v0, v1 uint64) (bool, u
 // later ordering violation replays the load from commit.
 //
 //repro:hotpath
-func (c *Core) loadAccess(ent *iqEntry, addr uint64) (lat int, val uint64, exc excCode, ok bool) {
+func (c *Core) loadAccess(e *robEntry, addr uint64) (lat int, val uint64, exc excCode, ok bool) {
 	if addr%8 != 0 {
 		return 2, 0, excMisalign, true
 	}
-	speculate := c.memWait != nil && !c.memWait[c.memWaitIdx(ent.pc)]
+	speculate := c.memWait != nil && !c.memWait[c.memWaitIdx(e.pc)]
 	var fwd *sqEntry
 	for j := c.sqCnt - 1; j >= 0; j-- {
 		s := c.sqAt(j)
-		if s.seq >= ent.seq {
+		if s.seq >= e.seq {
 			continue
 		}
 		if !s.addrKnown {
@@ -199,7 +190,7 @@ func (c *Core) loadAccess(ent *iqEntry, addr uint64) (lat int, val uint64, exc e
 		// Store-to-load forwarding: AGU + one forwarding cycle.
 		return 2, fwd.val, excNone, true
 	}
-	memLat, _ := c.hier.DataAccess(ent.pc, addr, false, c.cycle)
+	memLat, _ := c.hier.DataAccess(e.pc, addr, false, c.cycle)
 	return 1 + int(memLat), c.mem.Read64(addr), excNone, true
 }
 
@@ -232,12 +223,24 @@ func (c *Core) checkOrderViolation(storeSeq, addr uint64) {
 	}
 }
 
+// pageAbsent reports whether addr's page has not been touched yet under
+// demand paging. Pages never leave pagePresent, so the last page found
+// present answers most calls without the map.
+//
 //repro:hotpath
 func (c *Core) pageAbsent(addr uint64) bool {
 	if !c.cfg.DemandPaging {
 		return false
 	}
-	return !c.pagePresent[c.mem.PageNumber(addr)]
+	pn := c.mem.PageNumber(addr)
+	if pn == c.lastPresent {
+		return false
+	}
+	if !c.pagePresent[pn] {
+		return true
+	}
+	c.lastPresent = pn
+	return false
 }
 
 // processEvents handles this cycle's writebacks: register-file writes,
@@ -277,40 +280,31 @@ func (c *Core) processEvents() {
 	c.evPending -= len(evs)
 }
 
-// broadcast wakes the IQ source slots subscribed to (class, tag) and captures
-// the value. Waiters are registered in dispatch order, so early-release
-// consume notifications and value-read notes fire in the same order the old
-// full-IQ scan produced. Stale waiters — entry issued, squashed, or slot
-// reused — are detected by the generation check and skipped.
+// broadcast wakes the source slots waiting on (class, tag), captures the
+// value, and empties the list. The list holds them in dispatch order, so
+// early-release consume notifications fire in the order a full IQ scan
+// would produce; squashed entries left their lists when they were squashed.
 //
 //repro:hotpath
 func (c *Core) broadcast(class isa.RegClass, tag rename.Tag, val uint64) {
-	lst := &c.waiters[classIdx(class)][tagIdx(tag)]
-	ws := *lst
-	if len(ws) == 0 {
-		return
-	}
-	for _, w := range ws {
-		ent := &c.iqPool[w.slot]
-		if !ent.active || ent.gen != w.gen {
-			continue
-		}
-		src := &ent.src[w.src]
-		if !src.used || src.ready {
-			continue
-		}
-		src.ready = true
-		src.val = val
+	l := &c.wake[classIdx(class)][tagIdx(tag)]
+	n := l.head
+	l.head = noWaiter
+	for n != noWaiter {
+		ri := n >> 1
+		e := &c.rob[ri]
+		s := &e.src[n&1]
+		s.ready = true
+		s.val = val
 		if c.cfg.Scheme == EarlyRelease {
 			c.early(class).NoteSrcConsumed(tag)
 		}
-		c.noteValueRead(class, tag.Reg)
-		ent.pending--
-		if ent.pending == 0 {
-			c.pushReady(w.slot)
+		e.pending--
+		if e.pending == 0 {
+			c.pushReady(ri)
 		}
+		n = c.wakeNext[n]
 	}
-	*lst = ws[:0]
 }
 
 // resolveBranch trains the predictor and squashes on a misprediction.
@@ -352,10 +346,17 @@ func (c *Core) squashAfter(branchIdx int, resumePC uint64) {
 	if pos >= c.robCount {
 		panic("pipeline: squash from entry outside ROB")
 	}
+	// Squashed entries still in the issue queue leave it in this walk's
+	// ascending seq order, the order squashIQ's un-notes must keep. They
+	// are the ready list's youngest entries, so that list loses a suffix.
 	for i := pos + 1; i < c.robCount; i++ {
-		dead := &c.rob[c.robIdxAt(i)]
+		ri := c.robIdxAt(i)
+		dead := &c.rob[ri]
 		if dead.isBranch {
 			c.releaseCkpts(dead)
+		}
+		if dead.inIQ {
+			c.squashIQ(dead, ri)
 		}
 		dead.active = false
 		c.stats.SquashedInsts++
@@ -367,44 +368,13 @@ func (c *Core) squashAfter(branchIdx int, resumePC uint64) {
 		}
 	}
 	c.robCount = pos + 1
-
-	// Issue queue, load queue, store queue, fetch queue. Squashed entries
-	// with unconsumed source slots must be un-noted so the early-release
-	// scheme's pending-reader counters stay exact — in ascending seq order,
-	// because the notification order decides the early renamer's free-list
-	// order.
-	buf := c.squashBuf[:0]
-	for i := range c.iqPool {
-		if c.iqPool[i].active && c.iqPool[i].seq > bseq {
-			buf = append(buf, int32(i))
-		}
-	}
-	for i := 1; i < len(buf); i++ { // insertion sort by seq; the IQ is small
-		for j := i; j > 0 && c.iqPool[buf[j-1]].seq > c.iqPool[buf[j]].seq; j-- {
-			buf[j], buf[j-1] = buf[j-1], buf[j]
-		}
-	}
-	for _, idx := range buf {
-		ent := &c.iqPool[idx]
-		if c.cfg.Scheme == EarlyRelease {
-			for s := range ent.src {
-				if ent.src[s].used && !ent.src[s].ready {
-					c.early(ent.src[s].class).NoteSrcConsumed(ent.src[s].tag)
-				}
-			}
-		}
-		c.freeIQ(idx)
-	}
-	c.squashBuf = buf[:0]
 	rl := c.readyList
-	w := 0
-	for _, idx := range rl {
-		if c.iqPool[idx].active {
-			rl[w] = idx
-			w++
-		}
+	for len(rl) > 0 && c.rob[rl[len(rl)-1]].seq > bseq {
+		rl = rl[:len(rl)-1]
 	}
-	c.readyList = rl[:w]
+	c.readyList = rl
+
+	// Load, store and fetch queues.
 	for c.lqCnt > 0 && c.lqAt(c.lqCnt-1).seq > bseq {
 		c.lqCnt--
 	}

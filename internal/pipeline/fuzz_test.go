@@ -13,6 +13,7 @@ import (
 	"repro/internal/emu"
 	"repro/internal/isa"
 	"repro/internal/obs"
+	"repro/internal/prog"
 	"repro/internal/regfile"
 )
 
@@ -129,8 +130,64 @@ func genRandomProgram(r *rand.Rand) string {
 	return b.String()
 }
 
+// randomProgram assembles genRandomProgram's program for seed and runs the
+// emulator to HALT on it as the architectural reference.
+func randomProgram(seed int64) (string, *prog.Program, *emu.State, error) {
+	src := genRandomProgram(rand.New(rand.NewSource(seed)))
+	p, err := asm.Assemble(src)
+	if err != nil {
+		return src, nil, nil, fmt.Errorf("assembler rejected generated program: %v", err)
+	}
+	ref := emu.New(p)
+	if _, err := ref.RunToHalt(3_000_000, nil); err != nil {
+		return src, nil, nil, fmt.Errorf("emulator: %v", err)
+	}
+	return src, p, ref, nil
+}
+
+// tightRegs shrinks the register files until random programs stall for
+// registers: 44 per class for the baseline, and a hybrid layout for the
+// schemes with shadow cells.
+func tightRegs(cfg *Config) {
+	if cfg.Scheme == Baseline {
+		cfg.IntRegs = regfile.Uniform(44, 0)
+		cfg.FPRegs = regfile.Uniform(44, 0)
+	} else {
+		cfg.IntRegs = regfile.BankSizes{34, 4, 3, 3}
+		cfg.FPRegs = regfile.BankSizes{34, 4, 3, 3}
+	}
+}
+
+// matchesEmu runs p on a core built from cfg, with the lockstep oracle and
+// the in-pipeline invariant checks on, and compares the final architectural
+// state with ref's.
+func matchesEmu(p *prog.Program, ref *emu.State, cfg Config) error {
+	cfg.CheckOracle = true
+	cfg.DebugInvariants = true
+	cfg.MaxCycles = 40_000_000
+	core := New(cfg, p)
+	if err := core.Run(); err != nil {
+		return err
+	}
+	if !core.Halted() {
+		return fmt.Errorf("did not halt")
+	}
+	x, fregs := core.ArchRegs()
+	for l := 0; l < isa.NumIntRegs-1; l++ {
+		if x[l] != ref.X[l] {
+			return fmt.Errorf("x%d = %#x, want %#x", l, x[l], ref.X[l])
+		}
+	}
+	for l := 0; l < isa.NumFPRegs; l++ {
+		if fregs[l] != ref.F[l] && !(fregs[l] != fregs[l] && ref.F[l] != ref.F[l]) {
+			return fmt.Errorf("f%d = %v, want %v", l, fregs[l], ref.F[l])
+		}
+	}
+	return nil
+}
+
 // TestRandomProgramsDifferential generates random programs and requires the
-// pipeline (both schemes, stressed configurations) to commit exactly the
+// pipeline (every scheme, stressed configurations) to commit exactly the
 // emulator's instruction stream and final state. This is the repository's
 // main property-based correctness gate.
 func TestRandomProgramsDifferential(t *testing.T) {
@@ -139,56 +196,19 @@ func TestRandomProgramsDifferential(t *testing.T) {
 		count = 10
 	}
 	f := func(seed int64) bool {
-		r := rand.New(rand.NewSource(seed))
-		src := genRandomProgram(r)
-		p, err := asm.Assemble(src)
+		src, p, ref, err := randomProgram(seed)
 		if err != nil {
-			t.Logf("seed %d: assembler rejected generated program: %v", seed, err)
+			t.Logf("seed %d: %v", seed, err)
 			return false
 		}
-		// Architectural reference.
-		ref := emu.New(p)
-		if _, err := ref.RunToHalt(3_000_000, nil); err != nil {
-			t.Logf("seed %d: emulator: %v", seed, err)
-			return false
-		}
-
 		for _, scheme := range []Scheme{Baseline, Reuse, EarlyRelease} {
 			cfg := DefaultConfig(scheme)
-			cfg.CheckOracle = true
-			cfg.DebugInvariants = true
-			cfg.MaxCycles = 40_000_000
 			cfg.InterruptEvery = 777         // stress flush/recovery paths
 			cfg.MemSpeculation = seed%2 == 0 // alternate disambiguation modes
-			if scheme == Baseline {
-				cfg.IntRegs = regfile.Uniform(44, 0)
-				cfg.FPRegs = regfile.Uniform(44, 0)
-			} else {
-				// Reuse and EarlyRelease share the hybrid layout.
-				cfg.IntRegs = regfile.BankSizes{34, 4, 3, 3}
-				cfg.FPRegs = regfile.BankSizes{34, 4, 3, 3}
-			}
-			core := New(cfg, p)
-			if err := core.Run(); err != nil {
+			tightRegs(&cfg)
+			if err := matchesEmu(p, ref, cfg); err != nil {
 				t.Logf("seed %d %v: %v\nprogram:\n%s", seed, scheme, err, src)
 				return false
-			}
-			if !core.Halted() {
-				t.Logf("seed %d %v: did not halt", seed, scheme)
-				return false
-			}
-			x, fregs := core.ArchRegs()
-			for l := 0; l < isa.NumIntRegs-1; l++ {
-				if x[l] != ref.X[l] {
-					t.Logf("seed %d %v: x%d = %#x, want %#x", seed, scheme, l, x[l], ref.X[l])
-					return false
-				}
-			}
-			for l := 0; l < isa.NumFPRegs; l++ {
-				if fregs[l] != ref.F[l] && !(fregs[l] != fregs[l] && ref.F[l] != ref.F[l]) {
-					t.Logf("seed %d %v: f%d = %v, want %v", seed, scheme, l, fregs[l], ref.F[l])
-					return false
-				}
 			}
 		}
 		return true
@@ -196,6 +216,35 @@ func TestRandomProgramsDifferential(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: count}); err != nil {
 		t.Error(err)
 	}
+}
+
+// FuzzCoreMatchesEmu is the native-fuzzing form of the differential test:
+// (seed, knobs) picks a genRandomProgram program and a configuration, and
+// the core, under the lockstep oracle and the in-pipeline invariant checks,
+// must reach the emulator's final state. Bits 0-1 of knobs pick the scheme
+// (3 reads as baseline), bit 2 turns on MemSpeculation, bit 3 takes a timer
+// interrupt every 777 cycles, and bit 4 shrinks the register files
+// (tightRegs); the other bits are ignored. The seed corpus under
+// testdata/fuzz/FuzzCoreMatchesEmu covers every scheme, both disambiguation
+// modes, interrupts and tight files.
+func FuzzCoreMatchesEmu(f *testing.F) {
+	f.Fuzz(func(t *testing.T, seed int64, knobs uint8) {
+		src, p, ref, err := randomProgram(seed)
+		if err != nil {
+			t.Fatalf("seed %d: %v", seed, err)
+		}
+		cfg := DefaultConfig(Scheme(knobs & 3 % 3))
+		cfg.MemSpeculation = knobs&4 != 0
+		if knobs&8 != 0 {
+			cfg.InterruptEvery = 777
+		}
+		if knobs&16 != 0 {
+			tightRegs(&cfg)
+		}
+		if err := matchesEmu(p, ref, cfg); err != nil {
+			t.Fatalf("seed %d knobs %#x (%v): %v\nprogram:\n%s", seed, knobs, cfg.Scheme, err, src)
+		}
+	})
 }
 
 // TestCheckpointResumeEquivalence is the correctness gate for mid-program
@@ -210,16 +259,9 @@ func TestCheckpointResumeEquivalence(t *testing.T) {
 		count = 4
 	}
 	f := func(seed int64) bool {
-		r := rand.New(rand.NewSource(seed))
-		src := genRandomProgram(r)
-		p, err := asm.Assemble(src)
+		_, p, ref, err := randomProgram(seed)
 		if err != nil {
-			t.Logf("seed %d: assembler rejected generated program: %v", seed, err)
-			return false
-		}
-		ref := emu.New(p)
-		if _, err := ref.RunToHalt(3_000_000, nil); err != nil {
-			t.Logf("seed %d: emulator: %v", seed, err)
+			t.Logf("seed %d: %v", seed, err)
 			return false
 		}
 		total := ref.InstCount()
@@ -242,13 +284,7 @@ func TestCheckpointResumeEquivalence(t *testing.T) {
 				cfg.MaxCycles = 40_000_000
 				cfg.InterruptEvery = 777
 				cfg.MemSpeculation = seed%2 == 0
-				if scheme == Baseline {
-					cfg.IntRegs = regfile.Uniform(44, 0)
-					cfg.FPRegs = regfile.Uniform(44, 0)
-				} else {
-					cfg.IntRegs = regfile.BankSizes{34, 4, 3, 3}
-					cfg.FPRegs = regfile.BankSizes{34, 4, 3, 3}
-				}
+				tightRegs(&cfg)
 				return cfg
 			}
 			runOne := func(cfg Config) ([]uint64, [isa.NumIntRegs]uint64, [isa.NumFPRegs]float64, error) {

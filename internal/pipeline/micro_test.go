@@ -242,38 +242,6 @@ func mustAssemble(t *testing.T, src string) *prog.Program {
 	return p
 }
 
-// TestLifetimeGapMeasurement reproduces the paper's §II motivation: under
-// the baseline, many cycles pass between a value's last read and its
-// release at the redefiner's commit.
-func TestLifetimeGapMeasurement(t *testing.T) {
-	src := `
-	movi x20, #500
-	movi x2, #3
-loop:
-	add  x1, x2, x2        ; value of x1...
-	add  x3, x1, x2        ; ...last read here...
-	movi x4, #1000000
-	movi x5, #7
-	sdiv x6, x4, x5        ; long delay
-	sdiv x6, x6, x5
-	movi x1, #9            ; ...released only when this commits
-	add  x10, x10, x3
-	subi x20, x20, #1
-	bne  x20, xzr, loop
-	halt
-	`
-	c := runScheme(t, src, Baseline, func(cfg *Config) { cfg.MeasureLifetimes = true })
-	st := c.Stats()
-	if st.LifetimeGapCount == 0 {
-		t.Fatal("no lifetime gaps recorded")
-	}
-	if st.MeanLifetimeGap() < 3 {
-		t.Errorf("mean gap = %.1f cycles; the divide chain should delay releases much longer", st.MeanLifetimeGap())
-	}
-	t.Logf("mean last-read-to-release gap: %.1f cycles over %d releases (hist %v)",
-		st.MeanLifetimeGap(), st.LifetimeGapCount, st.LifetimeGapHist)
-}
-
 // TestPredictorKinds runs a branchy workload under each direction-predictor
 // kind: all must be architecturally correct, and the tournament should not
 // mispredict more than the worse component.

@@ -7,7 +7,6 @@ import (
 	"repro/internal/memsys"
 	"repro/internal/obs"
 	"repro/internal/prog"
-	"repro/internal/regfile"
 	"repro/internal/rename"
 )
 
@@ -255,15 +254,16 @@ func (c *Core) dispatchStructStall(flags prog.UOpFlags) bool {
 }
 
 // dispatchFill is the scheme-independent back half of dispatch: it fills the
-// ROB entry, builds the IQ entry in its pool slot with captured-ready
-// operands (not-ready sources subscribe to their producer's wakeup list),
-// and appends to the load/store queues. The caller pops the fetch queue.
+// ROB entry, enters it in the issue queue with captured-ready operands
+// (not-ready sources join their producer's wakeup list), and appends to the
+// load/store queues. The caller pops the fetch queue.
 //
 //repro:hotpath
 func (c *Core) dispatchFill(rec *fetchRec, srcs [2]iqSrc, destClass isa.RegClass, destRes rename.DestResult, flags prog.UOpFlags) {
 	u := c.uops
 	idx := rec.idx
 	e := c.newROBEntry(rec.pc, idx)
+	ri := c.lastROBIdx()
 	if c.o != nil {
 		c.obsRenamed(rec, e.seq, destRes, destClass)
 	}
@@ -284,7 +284,7 @@ func (c *Core) dispatchFill(rec *fetchRec, srcs [2]iqSrc, destClass isa.RegClass
 		e.ckptI = c.renI.Checkpoint()
 		e.ckptF = c.renF.Checkpoint()
 		if c.cfg.Scheme == EarlyRelease {
-			*c.specBrAt(c.specBrCount) = specBranch{robIdx: c.lastROBIdx(), seq: e.seq}
+			*c.specBrAt(c.specBrCount) = specBranch{robIdx: ri, seq: e.seq}
 			c.specBrCount++
 		}
 		c.stats.Branches++
@@ -293,36 +293,16 @@ func (c *Core) dispatchFill(rec *fetchRec, srcs [2]iqSrc, destClass isa.RegClass
 		}
 	}
 
-	iqSlot := c.allocIQ()
-	ent := &c.iqPool[iqSlot]
-	ent.robIdx = c.lastROBIdx()
-	ent.seq = e.seq
-	ent.pc = rec.pc
-	ent.idx = idx
-	ent.fu = u.FU[idx]
-	ent.lat = int(u.Lat[idx])
-	ent.unpipe = flags&prog.UFUnpipelined != 0
-	ent.micro = false
-	ent.microShadow = false
-	ent.hasDest = e.hasDest
-	ent.destClass = destClass
-	ent.destTag = destRes.Tag
-	ent.isLoad = isLoad
-	ent.isStore = isStore
-	ent.isBranch = rec.branch
-	ent.src = srcs
-	for i := range ent.src {
-		c.registerSrc(iqSlot, i, false)
-		if c.cfg.DebugInvariants && ent.src[i].used && !ent.src[i].ready {
-			c.assertInFlightProducer(ent.src[i], rec.pc, idx, e.seq)
-		}
-	}
-	c.finishDispatch(iqSlot)
+	e.fu = u.FU[idx]
+	e.lat = u.Lat[idx]
+	e.unpipe = flags&prog.UFUnpipelined != 0
+	e.src = srcs
+	c.enterIQ(e, ri, false)
 	if isLoad {
-		c.lqPush(lqEntry{seq: e.seq, robIdx: c.lastROBIdx()})
+		e.lsq = c.lqPush(lqEntry{seq: e.seq, robIdx: ri})
 	}
 	if isStore {
-		c.sqPush(sqEntry{seq: e.seq, robIdx: c.lastROBIdx()})
+		e.lsq = c.sqPush(sqEntry{seq: e.seq})
 	}
 }
 
@@ -380,34 +360,17 @@ func (c *Core) dispatchMicro(pc uint64, class isa.RegClass, rep rename.Repair) {
 	e.destClass = class
 	e.dest = rep.Dest
 
-	lat := 1
+	e.fu = isa.FUIntALU
+	e.lat = 1
 	if rep.Checkpointed {
 		// The value sits in a shadow cell: the three-step recover-and-move
 		// sequence of Figure 8.
-		lat = 3
+		e.lat = 3
 	}
-	iqSlot := c.allocIQ()
-	ent := &c.iqPool[iqSlot]
-	ent.robIdx = c.lastROBIdx()
-	ent.seq = e.seq
-	ent.pc = pc
-	ent.idx = -1
-	ent.fu = isa.FUIntALU
-	ent.lat = lat
-	ent.unpipe = false
-	ent.micro = true
-	ent.microShadow = rep.Checkpointed
-	ent.hasDest = true
-	ent.destClass = class
-	ent.destTag = rep.Dest.Tag
-	ent.isLoad = false
-	ent.isStore = false
-	ent.isBranch = false
-	ent.src[0] = iqSrc{used: true, class: class, tag: rep.From}
-	ent.src[1] = iqSrc{}
-	c.registerSrc(iqSlot, 0, true)
-	c.registerSrc(iqSlot, 1, true) // no second operand
-	c.finishDispatch(iqSlot)
+	e.unpipe = false
+	e.src[0] = iqSrc{used: true, class: class, tag: rep.From}
+	e.src[1] = iqSrc{}
+	c.enterIQ(e, c.lastROBIdx(), true)
 	if c.o != nil {
 		c.o.Inst(obs.InstEvent{
 			Cycle: c.cycle, Seq: e.seq, PC: pc, Stage: obs.StageRename,
@@ -438,21 +401,6 @@ func (c *Core) captureIfReady(s *iqSrc, micro bool) {
 	if early {
 		c.early(s.class).NoteSrcConsumed(s.tag)
 	}
-	c.noteValueRead(s.class, s.tag.Reg)
-}
-
-// noteValueRead timestamps a register read for the lifetime-gap study.
-//
-//repro:hotpath
-func (c *Core) noteValueRead(class isa.RegClass, reg regfile.PhysReg) {
-	if c.lastRead[0] == nil {
-		return
-	}
-	idx := 0
-	if class == isa.FPReg {
-		idx = 1
-	}
-	c.lastRead[idx][reg] = c.cycle
 }
 
 // newROBEntry appends an entry at the ROB tail and returns it. Fields are
@@ -472,6 +420,7 @@ func (c *Core) newROBEntry(pc uint64, idx int32) *robEntry {
 	e.idx = idx
 	e.micro = false
 	e.microShadow = false
+	e.inIQ = false
 	e.hasDest = false
 	e.destClass = 0
 	e.dest = rename.DestResult{}

@@ -41,31 +41,6 @@ type Stats struct {
 	// exactly n live registers sat at version >= k (k = 1..3).
 	OccupancySamples uint64
 	Occupancy        [regfile.MaxShadow + 1][]uint64
-
-	// Register lifetime underutilization (MeasureLifetimes): the gap in
-	// cycles between a released register's last read and its release.
-	LifetimeGapCount uint64
-	LifetimeGapSum   uint64
-	LifetimeGapHist  [8]uint64 // buckets: <4, <8, <16, <32, <64, <128, <256, >=256
-}
-
-// RecordLifetimeGap files one last-read-to-release gap.
-func (s *Stats) RecordLifetimeGap(gap uint64) {
-	s.LifetimeGapCount++
-	s.LifetimeGapSum += gap
-	b := 0
-	for lim := uint64(4); b < 7 && gap >= lim; lim *= 2 {
-		b++
-	}
-	s.LifetimeGapHist[b]++
-}
-
-// MeanLifetimeGap returns the average last-read-to-release gap in cycles.
-func (s *Stats) MeanLifetimeGap() float64 {
-	if s.LifetimeGapCount == 0 {
-		return 0
-	}
-	return float64(s.LifetimeGapSum) / float64(s.LifetimeGapCount)
 }
 
 // IPC returns committed instructions per cycle.
