@@ -162,12 +162,11 @@ smoke:
 # throughput and figure benchmarks from one test binary, failed by benchjson
 # unless the median of every headline rate clears its floor and every round
 # of the streaming figure collectors stays within its allocs/op ceiling.
-# BENCH_core.json records medians of ~2.7 Minst/s raw detailed, ~24
-# sampled and ~49 streaming analysis on a busy shared host, so the sampled
-# and analysis floors sit below half their baselines, while the detailed
-# floor sits about 10% under its own and trips first on a slowdown of the
-# core; the median keeps one slow round on a busy host from failing the
-# gate.
+# BENCH_core.json records medians of ~3.2 Minst/s raw detailed, ~30
+# sampled and ~63 streaming analysis on a shared host, so the sampled and
+# analysis floors sit below half their baselines, while the detailed floor
+# sits about 25% under its own and trips first on a slowdown of the core;
+# the median keeps one slow round on a busy host from failing the gate.
 BENCHSMOKE = ^(BenchmarkSimulatorThroughput|BenchmarkFastForward|BenchmarkSampledThroughput|BenchmarkAnalysisThroughput|BenchmarkFig1SingleUse|BenchmarkFig2Consumers|BenchmarkFig3ReuseDepth)$$
 
 benchsmoke:

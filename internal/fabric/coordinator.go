@@ -65,7 +65,18 @@ type Coordinator struct {
 	// wake closes (and is replaced) whenever jobs are queued; idle
 	// in-process workers wait on it instead of polling.
 	wake chan struct{}
+	// recorded indexes, by job key, the results this process recorded as
+	// "run", "cache" or "resume", so that admission answers a resubmitted
+	// job without re-reading and decoding its object. It holds at most
+	// recordedCap results and is emptied when full; the store stays the
+	// source of truth for every key it does not hold.
+	recorded map[string]sweep.JobResult
 }
+
+// recordedCap bounds Coordinator.recorded. A result and its key take about
+// 300 bytes, so a full index costs about 1.2 MB and holds a grid of every
+// kernel, scheme and Table III size (693 jobs) five times over.
+const recordedCap = 4096
 
 // sweepState is the in-memory face of one sweep; everything here is
 // reconstructible from spec.json + manifest.jsonl.
@@ -141,16 +152,17 @@ func NewCoordinator(dir string, opts CoordinatorOptions) (*Coordinator, error) {
 		return nil, err
 	}
 	c := &Coordinator{
-		dir:     dir,
-		opts:    opts,
-		store:   store,
-		cache:   sweep.NewCacheStore(store),
-		met:     NewMetrics(),
-		now:     opts.Clock,
-		sweeps:  map[string]*sweepState{},
-		leases:  map[string]*lease{},
-		workers: map[string]time.Time{},
-		wake:    make(chan struct{}),
+		dir:      dir,
+		opts:     opts,
+		store:    store,
+		cache:    sweep.NewCacheStore(store),
+		met:      NewMetrics(),
+		now:      opts.Clock,
+		sweeps:   map[string]*sweepState{},
+		leases:   map[string]*lease{},
+		workers:  map[string]time.Time{},
+		wake:     make(chan struct{}),
+		recorded: map[string]sweep.JobResult{},
 	}
 	if c.now == nil {
 		c.now = time.Now
@@ -251,9 +263,10 @@ func resultsComplete(path string, jobs int) bool {
 
 // admit registers a sweep under id over its expanded grid (jobs and their
 // keys, from spec.Jobs): it replays the manifest (entries become "resume"),
-// satisfies what it can from the shared store ("cache"), journals those
-// hits as one synced batch, queues the rest, and finalizes immediately when
-// nothing is left. Callers hold no locks; admit takes c.mu itself.
+// satisfies what it can from the results it recorded before or else from
+// the shared store ("cache"), journals those hits as one synced batch,
+// queues the rest, and finalizes immediately when nothing is left. Callers
+// hold no locks; admit takes c.mu itself.
 //
 //repro:deterministic
 func (c *Coordinator) admit(id string, spec sweep.Spec, jobs []sweep.Job, keys []string, finished bool) error {
@@ -319,7 +332,11 @@ func (c *Coordinator) admit(id string, spec sweep.Spec, jobs []sweep.Job, keys [
 			c.recordLocked(s, i, "resume", e.Result, "")
 			continue
 		}
-		if r, ok := c.cache.Get(s.keys[i]); ok {
+		r, ok := c.recorded[s.keys[i]]
+		if !ok {
+			r, ok = c.cache.Get(s.keys[i])
+		}
+		if ok {
 			c.recordLocked(s, i, "cache", r, "")
 			hits = append(hits, manifestEntry{Key: s.keys[i], Source: "cache", Result: r})
 			continue
@@ -374,9 +391,9 @@ func (c *Coordinator) newID(spec sweep.Spec) string {
 }
 
 // recordLocked marks job i of s done with the given source ("run" | "cache"
-// | "resume" | "failed" — errMsg set only for the last) and updates
-// counters; the caller journals "run" and "cache" outcomes. c.mu must be
-// held.
+// | "resume" | "failed" — errMsg set only for the last), updates counters
+// and indexes every outcome but "failed" in c.recorded; the caller journals
+// "run" and "cache" outcomes. c.mu must be held.
 func (c *Coordinator) recordLocked(s *sweepState, i int, source string, r sweep.JobResult, errMsg string) {
 	c.recordTimedLocked(s, i, source, r, errMsg, 0)
 }
@@ -395,16 +412,20 @@ func (c *Coordinator) recordTimedLocked(s *sweepState, i int, source string, r s
 	switch source {
 	case "run":
 		s.executed++
-		s.result[i] = r
 	case "cache":
 		s.cacheHits++
-		s.result[i] = r
 	case "resume":
 		s.resumed++
-		s.result[i] = r
 	case "failed":
 		s.failed++
 		s.errs[i] = errMsg
+	}
+	if source != "failed" {
+		s.result[i] = r
+		if len(c.recorded) >= recordedCap {
+			clear(c.recorded)
+		}
+		c.recorded[s.keys[i]] = r
 	}
 	c.met.jobDone(source, elapsed)
 }

@@ -9,8 +9,6 @@ import (
 	"path/filepath"
 	"sync"
 	"testing"
-
-	"repro/internal/sweep"
 )
 
 // groupSpec is a 4-job grid: enough lines to tear a journal batch in its
@@ -159,14 +157,7 @@ func TestGroupCommitMatchesPerJobJournal(t *testing.T) {
 		t.Errorf("group-committed manifest differs from the per-job one\ngrouped:\n%s\nper job:\n%s", grouped, perJob)
 	}
 
-	var spec sweep.Spec
-	if err := json.Unmarshal([]byte(groupSpec), &spec); err != nil {
-		t.Fatal(err)
-	}
-	_, keys, err := spec.Jobs()
-	if err != nil {
-		t.Fatal(err)
-	}
+	keys := groupKeys(t)
 	lines := bytes.Split(bytes.TrimSuffix(grouped, []byte("\n")), []byte("\n"))
 	if len(lines) != len(keys) {
 		t.Fatalf("manifest has %d lines, want %d", len(lines), len(keys))

@@ -95,10 +95,14 @@ type iqSrc struct {
 	val   uint64
 }
 
+// lqEntry is a load's LQ slot. sqEnd, Core.sqPopped+sqCnt at the load's
+// dispatch, is where its older stores end: sqEnd-sqPopped of them are still
+// in the SQ, at its head.
 type lqEntry struct {
 	seq    uint64
 	robIdx int
 	done   bool
+	sqEnd  uint32
 	addr   uint64
 }
 
@@ -166,6 +170,9 @@ type Core struct {
 	fetchQ  []fetchRec
 	fqHead  int
 	fqCount int
+
+	// sqPopped counts the stores committed out of the SQ, modulo 2^32.
+	sqPopped uint32
 
 	// Writeback calendar ring (indexed by cycle & (len-1)).
 	evRing    [][]wbEvent

@@ -1,6 +1,8 @@
 package pipeline
 
 import (
+	"fmt"
+
 	"repro/internal/emu"
 	"repro/internal/isa"
 	"repro/internal/obs"
@@ -167,21 +169,12 @@ func (c *Core) loadAccess(e *robEntry, addr uint64) (lat int, val uint64, exc ex
 		return 2, 0, excMisalign, true
 	}
 	speculate := c.memWait != nil && !c.memWait[c.memWaitIdx(e.pc)]
-	var fwd *sqEntry
-	for j := c.sqCnt - 1; j >= 0; j-- {
-		s := c.sqAt(j)
-		if s.seq >= e.seq {
-			continue
-		}
-		if !s.addrKnown {
-			if !speculate {
-				return 0, 0, excNone, false
-			}
-			continue // speculate past the unresolved store
-		}
-		if s.addr == addr && fwd == nil {
-			fwd = s
-		}
+	fwd, blocked := c.olderStores(e, addr, speculate)
+	if c.cfg.DebugInvariants {
+		c.checkOlderStores(e, addr, speculate, fwd, blocked)
+	}
+	if blocked {
+		return 0, 0, excNone, false
 	}
 	if c.pageAbsent(addr) {
 		return 2, 0, excPageFault, true
@@ -192,6 +185,71 @@ func (c *Core) loadAccess(e *robEntry, addr uint64) (lat int, val uint64, exc ex
 	}
 	memLat, _ := c.hier.DataAccess(e.pc, addr, false, c.cycle)
 	return 1 + int(memLat), c.mem.Read64(addr), excNone, true
+}
+
+// olderStores scans the stores older than load e, youngest first, and
+// returns the youngest whose address is addr, which forwards its value.
+// Without speculate, an older store whose address is still unknown blocks
+// the load; with it, the load speculates past such stores. The scan starts
+// at the load's sqEnd, so the stores younger than the load are not visited.
+//
+//repro:hotpath
+func (c *Core) olderStores(e *robEntry, addr uint64, speculate bool) (fwd *sqEntry, blocked bool) {
+	for j := int(c.lq[e.lsq].sqEnd-c.sqPopped) - 1; j >= 0; j-- {
+		s := c.sqAt(j)
+		if !s.addrKnown {
+			if !speculate {
+				return nil, true
+			}
+			continue // speculate past the unresolved store
+		}
+		if s.addr == addr && fwd == nil {
+			fwd = s
+			if speculate {
+				break // nothing older can block or forward
+			}
+		}
+	}
+	return fwd, false
+}
+
+// checkOlderStores is the reference olderStores is checked against under
+// DebugInvariants: the whole store queue scanned youngest first, the
+// stores younger than the load skipped by seq. Both must find the same
+// number of older stores and give the same answer.
+func (c *Core) checkOlderStores(e *robEntry, addr uint64, speculate bool, fwd *sqEntry, blocked bool) {
+	var ref *sqEntry
+	refBlocked, older := false, 0
+	for j := c.sqCnt - 1; j >= 0; j-- {
+		s := c.sqAt(j)
+		if s.seq >= e.seq {
+			continue
+		}
+		older++
+		if refBlocked {
+			continue
+		}
+		if !s.addrKnown {
+			refBlocked = !speculate
+			continue
+		}
+		if s.addr == addr && ref == nil {
+			ref = s
+		}
+	}
+	if refBlocked {
+		ref = nil
+	}
+	if n := int(c.lq[e.lsq].sqEnd - c.sqPopped); n != older || fwd != ref || blocked != refBlocked {
+		seqOf := func(s *sqEntry) int64 {
+			if s == nil {
+				return -1
+			}
+			return int64(s.seq)
+		}
+		panic(fmt.Sprintf("pipeline: cycle %d: load seq %d sees %d older stores (forwarding store seq %d, blocked %v); the SQ holds %d (seq %d, blocked %v)",
+			c.cycle, e.seq, n, seqOf(fwd), blocked, older, seqOf(ref), refBlocked))
+	}
 }
 
 //repro:hotpath

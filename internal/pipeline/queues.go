@@ -382,4 +382,5 @@ func (c *Core) sqPopFront() {
 		c.sqHead = 0
 	}
 	c.sqCnt--
+	c.sqPopped++
 }

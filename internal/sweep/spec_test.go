@@ -3,8 +3,10 @@ package sweep
 import (
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/pipeline"
+	"repro/internal/workloads"
 )
 
 func TestSpecExpansionDeterministic(t *testing.T) {
@@ -95,5 +97,36 @@ func TestBaselineNormalization(t *testing.T) {
 	}
 	if a[0].Key() != b[0].Key() {
 		t.Errorf("baseline ablation fragmented the cache: %s vs %s", a[0].Key(), b[0].Key())
+	}
+}
+
+// TestSpecExpandsAtScaleThree: a spec at a scale other than 1, 2, 4 and 8
+// expands. Jobs generates each workload to validate its name, and hashjoin
+// at scale 3 once never finished generating, which hung the POST /sweeps
+// handler that asked.
+func TestSpecExpandsAtScaleThree(t *testing.T) {
+	type expansion struct {
+		jobs []Job
+		err  error
+	}
+	done := make(chan expansion, 1)
+	go func() {
+		jobs, _, err := Spec{Schemes: []string{"baseline", "reuse"}, Scale: 3}.Jobs()
+		done <- expansion{jobs, err}
+	}()
+	var got expansion
+	select {
+	case got = <-done:
+	case <-time.After(time.Minute):
+		t.Fatal("a scale-3 spec did not expand within a minute")
+	}
+	if got.err != nil {
+		t.Fatal(got.err)
+	}
+	if want := 2 * len(workloads.Names()); len(got.jobs) != want {
+		t.Fatalf("got %d jobs, want %d", len(got.jobs), want)
+	}
+	if j := got.jobs[0]; j.Workload != "hashjoin" || j.Scale != 3 {
+		t.Errorf("jobs[0] = %+v, want hashjoin at scale 3", j)
 	}
 }

@@ -13,7 +13,10 @@ func genHashJoin(scale int) Workload {
 	sq := scale * scale
 	n := 512 * sq          // keys inserted
 	probes := 2048 * scale // probe count
-	tblSize := 2048 * sq   // 1 MB of slots at reference scale: misses matter
+	// The probes wrap with & mask, so the table is a power of two of at
+	// least 4n slots: 2048·scale² at scales 1, 2, 4 and 8 (256 KB at
+	// reference scale: misses matter), rounded up at the others.
+	tblSize := 2048
 	for tblSize < 4*n {
 		tblSize *= 2
 	}

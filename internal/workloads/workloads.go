@@ -14,6 +14,7 @@ package workloads
 import (
 	"fmt"
 	"sort"
+	"strconv"
 	"strings"
 	"sync"
 
@@ -258,35 +259,37 @@ func (b *srcBuilder) d(format string, args ...any) {
 	b.data.WriteByte('\n')
 }
 
-// words emits a labelled .word array.
+// words emits a labelled .word array, eight values a line, each as %d
+// formats it.
 func (b *srcBuilder) words(label string, vals []int64) {
-	b.d("%s:", label)
-	for i := 0; i < len(vals); i += 8 {
-		end := i + 8
-		if end > len(vals) {
-			end = len(vals)
-		}
-		parts := make([]string, 0, 8)
-		for _, v := range vals[i:end] {
-			parts = append(parts, fmt.Sprintf("%d", v))
-		}
-		b.d("  .word %s", strings.Join(parts, ", "))
-	}
+	emitArray(b, label, "  .word ", 8, vals, func(dst []byte, v int64) []byte {
+		return strconv.AppendInt(dst, v, 10)
+	})
 }
 
-// doubles emits a labelled .double array.
+// doubles emits a labelled .double array, four values a line, each as
+// %.17g formats it: enough digits to assemble back to the same bits.
 func (b *srcBuilder) doubles(label string, vals []float64) {
+	emitArray(b, label, "  .double ", 4, vals, func(dst []byte, v float64) []byte {
+		return strconv.AppendFloat(dst, v, 'g', 17, 64)
+	})
+}
+
+// emitArray emits label: and then vals, perLine to a directive line,
+// separated by ", ". Each value is appended to the line by appendVal.
+func emitArray[T any](b *srcBuilder, label, directive string, perLine int, vals []T, appendVal func([]byte, T) []byte) {
 	b.d("%s:", label)
-	for i := 0; i < len(vals); i += 4 {
-		end := i + 4
-		if end > len(vals) {
-			end = len(vals)
+	var line []byte
+	for i := 0; i < len(vals); i += perLine {
+		line = append(line[:0], directive...)
+		for j, v := range vals[i:min(i+perLine, len(vals))] {
+			if j > 0 {
+				line = append(line, ", "...)
+			}
+			line = appendVal(line, v)
 		}
-		parts := make([]string, 0, 4)
-		for _, v := range vals[i:end] {
-			parts = append(parts, fmt.Sprintf("%.17g", v))
-		}
-		b.d("  .double %s", strings.Join(parts, ", "))
+		line = append(line, '\n')
+		b.data.Write(line)
 	}
 }
 

@@ -1,9 +1,12 @@
 package workloads
 
 import (
+	"fmt"
+	"math"
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/asm"
 	"repro/internal/emu"
@@ -226,5 +229,74 @@ func TestBinaryEncodingRoundTrip(t *testing.T) {
 				t.Fatalf("%s: codec mismatch at %#x: %v vs %v", w.Name, pc, in, out)
 			}
 		}
+	}
+}
+
+// TestOddScalesMatchReference: every kernel also generates at the scales
+// between the usual 1, 2, 4 and 8, and its program runs to HALT on the
+// emulator with the reference checksum. Hashjoin's probe loop wraps with
+// & mask, so a table size that is not a power of two never finishes
+// generating; each generation gets a minute.
+func TestOddScalesMatchReference(t *testing.T) {
+	for _, scale := range []int{3, 5} {
+		for _, name := range Names() {
+			t.Run(fmt.Sprintf("%s@%d", name, scale), func(t *testing.T) {
+				gen := make(chan Workload, 1)
+				go func() {
+					w, _ := ByName(name, scale)
+					gen <- w
+				}()
+				var w Workload
+				select {
+				case w = <-gen:
+				case <-time.After(time.Minute):
+					t.Fatalf("%s at scale %d did not generate within a minute", name, scale)
+				}
+				s := emu.New(w.Program())
+				n, err := s.RunToHalt(200_000_000, nil)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if got := s.X[CheckReg]; got != w.Want {
+					t.Errorf("checksum = %#x, want %#x", got, w.Want)
+				}
+				t.Logf("%d dynamic instructions", n)
+			})
+		}
+	}
+}
+
+// TestArrayFormatting pins words and doubles to the fmt forms the sources
+// were first written with: %d for each .word and %.17g for each .double,
+// joined by ", ", eight words or four doubles a line.
+func TestArrayFormatting(t *testing.T) {
+	words := []int64{0, 1, -1, 42, -987654321, math.MaxInt64, math.MinInt64, -math.MaxInt64, 7}
+	doubles := []float64{
+		0, math.Copysign(0, -1), 1, -2.5, 0.1, 1.0 / 3, -2.0 / 3, math.Pi,
+		5e-324, 2.2250738585072009e-308, math.MaxFloat64, -math.SmallestNonzeroFloat64,
+		1e21, 123456789012345678, 0.30000000000000004,
+	}
+	var want strings.Builder
+	want.WriteString("w:\n")
+	for i := 0; i < len(words); i += 8 {
+		var parts []string
+		for _, v := range words[i:min(i+8, len(words))] {
+			parts = append(parts, fmt.Sprintf("%d", v))
+		}
+		want.WriteString("  .word " + strings.Join(parts, ", ") + "\n")
+	}
+	want.WriteString("d:\n")
+	for i := 0; i < len(doubles); i += 4 {
+		var parts []string
+		for _, v := range doubles[i:min(i+4, len(doubles))] {
+			parts = append(parts, fmt.Sprintf("%.17g", v))
+		}
+		want.WriteString("  .double " + strings.Join(parts, ", ") + "\n")
+	}
+	b := newSrc()
+	b.words("w", words)
+	b.doubles("d", doubles)
+	if got := b.data.String(); got != want.String() {
+		t.Errorf("emitted arrays differ from the fmt forms\ngot:\n%s\nwant:\n%s", got, want.String())
 	}
 }
