@@ -162,11 +162,14 @@ smoke:
 # throughput and figure benchmarks from one test binary, failed by benchjson
 # unless the median of every headline rate clears its floor and every round
 # of the streaming figure collectors stays within its allocs/op ceiling.
-# BENCH_core.json records medians of ~3.2 Minst/s raw detailed, ~30
-# sampled and ~63 streaming analysis on a shared host, so the sampled and
-# analysis floors sit below half their baselines, while the detailed floor
-# sits about 25% under its own and trips first on a slowdown of the core;
-# the median keeps one slow round on a busy host from failing the gate.
+# BENCH_core.json records medians of ~6.2 Minst/s raw detailed, ~57
+# sampled, ~109 streaming analysis and ~348 fast-forward on a shared host
+# whose speed moves by up to 2x between runs; in its slower spells the
+# same rates read ~3.2, ~30, ~60 and ~187. The sampled, analysis and
+# fast-forward floors sit below half the slower rates, while the detailed
+# floor sits about 25% under its slower rate and trips first on a
+# slowdown of the core; the median keeps one slow round on a busy host
+# from failing the gate.
 BENCHSMOKE = ^(BenchmarkSimulatorThroughput|BenchmarkFastForward|BenchmarkSampledThroughput|BenchmarkAnalysisThroughput|BenchmarkFig1SingleUse|BenchmarkFig2Consumers|BenchmarkFig3ReuseDepth)$$
 
 benchsmoke:
@@ -177,7 +180,7 @@ benchsmoke:
 		$$d/repro.test -test.run '^$$' -test.bench '$(BENCHSMOKE)' \
 			-test.benchtime 1x -test.benchmem >> $$d/rounds.txt; \
 	done; \
-	$(GO) run ./cmd/benchjson -floor 2.4 -sampled-floor 10 -analysis-floor 10 \
+	$(GO) run ./cmd/benchjson -floor 2.4 -sampled-floor 10 -analysis-floor 10 -ff-floor 80 \
 		-allocs 'BenchmarkFig1SingleUse=1000,BenchmarkFig2Consumers=1000,BenchmarkFig3ReuseDepth=1000' \
 		< $$d/rounds.txt > /dev/null; \
 	rm -rf $$d

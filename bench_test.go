@@ -416,6 +416,31 @@ func benchAnalysis(b *testing.B, name string) {
 	b.ReportMetric(float64(insts)/b.Elapsed().Seconds()/1e6, "Minst/s")
 }
 
+// BenchmarkBatchSink measures the interpreter's commit-sink path on its
+// own: emu.RunToHaltBatch over BenchmarkAnalysisThroughput's kernel into a
+// sink that only counts rows. It runs the same loop as BenchmarkFastForward
+// with the row recorder switched on, and is the part of
+// BenchmarkAnalysisThroughput that is not the figure collector, so a
+// costlier way of recording rows shows here, on the emu layer. Ungated.
+func BenchmarkBatchSink(b *testing.B) {
+	w, _ := workloads.ByName("dgemm", 1)
+	p := w.Program()
+	var rows rowCounter
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := emu.New(p).RunToHaltBatch(1<<32, &rows); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(float64(rows)/b.Elapsed().Seconds()/1e6, "Minst/s")
+}
+
+// rowCounter is an emu.CommitSink that only counts the rows it is handed.
+type rowCounter uint64
+
+func (c *rowCounter) CommitBatch(_ uint64, rows []uint32) { *c += rowCounter(len(rows)) }
+
 func suiteRow(rows []SuiteMotivation, s Suite) SuiteMotivation {
 	for _, r := range rows {
 		if r.Suite == s {

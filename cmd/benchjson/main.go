@@ -10,11 +10,12 @@
 //
 // With -floor N the exit status is nonzero unless the detailed-core
 // throughput benchmark reached N Minst/s — the `make benchsmoke` CI gate
-// against large simulator slowdowns. -sampled-floor and -analysis-floor
-// gate the sampled-mode and streaming-analysis headline rates the same
-// way, and -allocs "Benchmark=Max,..." fails unless every named benchmark
-// ran with -benchmem and stayed at or under its allocs/op ceiling (the
-// zero-allocation guarantee of the streaming figure collectors).
+// against large simulator slowdowns. -sampled-floor, -analysis-floor and
+// -ff-floor gate the sampled-mode, streaming-analysis and fast-forward
+// headline rates the same way, and -allocs "Benchmark=Max,..." fails
+// unless every named benchmark ran with -benchmem and stayed at or under
+// its allocs/op ceiling (the zero-allocation guarantee of the streaming
+// figure collectors).
 //
 // The input may repeat a benchmark (-count N, or N runs concatenated, as
 // `make bench` and `make benchsmoke` feed it five interleaved rounds). The
@@ -107,6 +108,7 @@ func main() {
 	floor := flag.Float64("floor", 0, "fail unless the detailed-core benchmark reaches this many Minst/s")
 	sampledFloor := flag.Float64("sampled-floor", 0, "fail unless the sampled-mode benchmark reaches this many Minst/s")
 	analysisFloor := flag.Float64("analysis-floor", 0, "fail unless the streaming-analysis benchmark reaches this many Minst/s")
+	ffFloor := flag.Float64("ff-floor", 0, "fail unless the fast-forward benchmark reaches this many Minst/s")
 	allocsSpec := flag.String("allocs", "", "comma-separated Benchmark=Max allocs/op ceilings; fail if a named benchmark is missing, lacks -benchmem data, or exceeds its ceiling")
 	flag.Parse()
 
@@ -159,29 +161,14 @@ func main() {
 		ratio := sam / det
 		doc.SampledSpeedup = &ratio
 	}
-	for _, gate := range []struct {
-		floor float64
-		have  bool
-		rate  float64
-		bench string
-		label string
-	}{
-		{*floor, haveDet, det, detailedBench, "detailed core"},
-		{*sampledFloor, haveSam, sam, sampledBench, "sampled mode"},
-		{*analysisFloor, haveAna, ana, analysisBench, "streaming analysis"},
-	} {
-		if gate.floor <= 0 {
-			continue
-		}
-		if !gate.have {
-			fmt.Fprintf(os.Stderr, "benchjson: floor %v set but %s did not run\n", gate.floor, gate.bench)
-			os.Exit(1)
-		}
-		if gate.rate < gate.floor {
-			fmt.Fprintf(os.Stderr, "benchjson: %s at %.3f Minst/s (median of %d), below floor %.3f\n",
-				gate.label, gate.rate, len(repeats(doc.Benchmarks, gate.bench)), gate.floor)
-			os.Exit(1)
-		}
+	if err := checkFloors(doc.Benchmarks, []floorGate{
+		{*floor, detailedBench, "detailed core"},
+		{*sampledFloor, sampledBench, "sampled mode"},
+		{*analysisFloor, analysisBench, "streaming analysis"},
+		{*ffFloor, ffBench, "fast-forward"},
+	}); err != nil {
+		fmt.Fprintln(os.Stderr, "benchjson:", err)
+		os.Exit(1)
 	}
 	if err := checkAllocs(doc.Benchmarks, *allocsSpec); err != nil {
 		fmt.Fprintln(os.Stderr, "benchjson:", err)
@@ -344,6 +331,35 @@ func repeats(recs []benchRecord, prefix string) []benchRecord {
 		}
 	}
 	return out
+}
+
+// floorGate is one -*-floor flag: the benchmark whose median Minst/s must
+// reach floor. A floor of 0 turns the gate off.
+type floorGate struct {
+	floor float64
+	bench string
+	label string
+}
+
+// checkFloors fails unless, for every gate that is on, the median Minst/s
+// over the benchmark's repeats reaches its floor; the median keeps one
+// slow round on a busy host from failing the gate, and one fast round
+// from passing it.
+func checkFloors(recs []benchRecord, gates []floorGate) error {
+	for _, g := range gates {
+		if g.floor <= 0 {
+			continue
+		}
+		rate, ok := rateOf(recs, g.bench)
+		if !ok {
+			return fmt.Errorf("floor %v set but %s did not run", g.floor, g.bench)
+		}
+		if rate < g.floor {
+			return fmt.Errorf("%s at %.3f Minst/s (median of %d), below floor %.3f",
+				g.label, rate, len(repeats(recs, g.bench)), g.floor)
+		}
+	}
+	return nil
 }
 
 // checkAllocs enforces a "Benchmark=Max,Benchmark=Max" allocs/op spec: every

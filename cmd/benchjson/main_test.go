@@ -99,3 +99,30 @@ func TestCollapseTakesMedians(t *testing.T) {
 		t.Fatalf("rateOf over the collapsed records = %v, want the median 200", rate)
 	}
 }
+
+// TestCheckFloorsGatesMedian pins each floor, -ff-floor among them, to the
+// median over the rounds: a median below the floor fails even when one
+// round clears it, a median above the floor passes though rounds miss it,
+// and a floor on a benchmark that did not run fails.
+func TestCheckFloorsGatesMedian(t *testing.T) {
+	rounds := func(rates ...float64) []benchRecord {
+		var recs []benchRecord
+		for _, r := range rates {
+			recs = append(recs, record("BenchmarkFastForward", r, 0), record("BenchmarkFastForwardFir", 1000, 0))
+		}
+		return recs
+	}
+	gate := []floorGate{{100, ffBench, "fast-forward"}}
+	if err := checkFloors(rounds(300, 90, 80, 95, 85), gate); err == nil {
+		t.Fatal("median 90 passed a floor of 100 because one round read 300")
+	}
+	if err := checkFloors(rounds(50, 110, 120, 60, 105), gate); err != nil {
+		t.Fatalf("median 105 failed a floor of 100: %v", err)
+	}
+	if err := checkFloors(rounds(50, 110, 120, 60, 105), []floorGate{{0, sampledBench, "sampled mode"}}); err != nil {
+		t.Fatalf("a zero floor gated: %v", err)
+	}
+	if err := checkFloors(rounds(200), []floorGate{{10, sampledBench, "sampled mode"}}); err == nil {
+		t.Fatal("a floor on a benchmark that did not run passed")
+	}
+}

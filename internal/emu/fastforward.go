@@ -26,18 +26,24 @@ func (s *State) StepN(n uint64) (uint64, error) { return s.run(n, nil) }
 
 // run is the one batch interpreter behind StepN and RunToHaltBatch. It
 // executes up to max instructions and stops early at HALT (which commits)
-// or a crash (which does not). With a nil sink nothing is recorded; with a
-// sink, each committed instruction's micro-op table row is stored into a
-// commitBatchRows buffer that is handed to sink.CommitBatch whenever it
-// fills and once more, for the partial tail, on every exit path. The row
-// store is the only per-instruction difference between the two callers and
-// sits behind one predictable sink != nil branch.
+// or a crash (which does not).
+//
+// The per-instruction path touches only the machine state, so pc, the
+// executed count, max and the text length stay in registers. Commit rows
+// are recorded per straight-line run instead: with a recorder (nil for
+// StepN), each taken branch hands it the run that ends at the branch, and
+// the one exit block hands it the run in progress (which ends after HALT,
+// or before a faulting or unfetchable instruction, or at the end of the
+// budget) and flushes its partial batch. The same exit block writes pc and
+// the instruction count back to State on every exit path, so crash
+// messages and later calls read the synced state, and a sink has then
+// seen exactly the committed prefix.
 //
 // The loop keeps its own op switch rather than routing the ALU cases
 // through ExecOps, which was measured at about half the rate (DESIGN.md
 // §14); TestStepNMatchesStep, TestRunToHaltBatchMatchesStep and
 // FuzzInterpretersAgree pin it against Step.
-func (s *State) run(max uint64, sink CommitSink) (uint64, error) {
+func (s *State) run(max uint64, rec *recorder) (uint64, error) {
 	if s.halted {
 		if max == 0 {
 			return 0, nil
@@ -52,33 +58,20 @@ func (s *State) run(max uint64, sink CommitSink) (uint64, error) {
 	insts := s.prog.UOps().Inst
 	mem := s.Mem
 	pc := s.PC
-	base := s.count
+	if rec != nil {
+		rec.first = pc
+	}
 	var executed uint64
-	var buf []uint32
-	if sink != nil {
-		buf = make([]uint32, commitBatchRows)
-	}
-	fill := 0
+	var fault string // set on a crash exit
 
-	// sync writes the batch-local state back and flushes the pending rows
-	// before any exit path; crash messages and later Step calls read the
-	// synced state, and a sink has then seen exactly the committed prefix.
-	sync := func() {
-		s.PC = pc
-		s.count = base + executed
-		if fill > 0 {
-			sink.CommitBatch(base+executed-uint64(fill), buf[:fill])
-			fill = 0
-		}
-	}
-
+loop:
 	for executed < max {
 		idx := (pc - prog.TextBase) / isa.InstBytes
 		// pc < TextBase wraps idx around to a huge value, so one bound
 		// check covers both ends of the text section.
 		if idx >= uint64(len(insts)) || pc%isa.InstBytes != 0 {
-			sync()
-			return executed, s.crash("fetch outside text section")
+			fault = "fetch outside text section"
+			break
 		}
 		in := &insts[idx]
 		next := pc + isa.InstBytes
@@ -89,14 +82,9 @@ func (s *State) run(max uint64, sink CommitSink) (uint64, error) {
 			// Step advances PC past the halt like any other straight-line
 			// instruction and commits it; match it exactly.
 			s.halted = true
-			if sink != nil {
-				buf[fill] = uint32(idx)
-				fill++
-			}
 			pc = next
 			executed++
-			sync()
-			return executed, nil
+			break loop
 
 		case isa.ADD:
 			s.X[in.Rd] = s.X[in.Rs1] + s.X[in.Rs2]
@@ -149,8 +137,8 @@ func (s *State) run(max uint64, sink CommitSink) (uint64, error) {
 		case isa.LDR, isa.FLDR:
 			addr := s.X[in.Rs1] + uint64(in.Imm)
 			if addr%8 != 0 {
-				sync()
-				return executed, s.crash(fmt.Sprintf("misaligned load at %#x", addr))
+				fault = fmt.Sprintf("misaligned load at %#x", addr)
+				break loop
 			}
 			// An aligned word never straddles a page, so a table hit is
 			// one read; only a miss calls into Memory. Masking with
@@ -170,8 +158,8 @@ func (s *State) run(max uint64, sink CommitSink) (uint64, error) {
 		case isa.STR, isa.FSTR:
 			addr := s.X[in.Rs1] + uint64(in.Imm)
 			if addr%8 != 0 {
-				sync()
-				return executed, s.crash(fmt.Sprintf("misaligned store at %#x", addr))
+				fault = fmt.Sprintf("misaligned store at %#x", addr)
+				break loop
 			}
 			var v uint64
 			if in.Op == isa.STR {
@@ -216,35 +204,50 @@ func (s *State) run(max uint64, sink CommitSink) (uint64, error) {
 		case isa.FMOVI:
 			s.F[in.Rd] = isa.Float64FromBits(in.Imm)
 
+		// A taken branch ends a straight-line run; the branch itself is
+		// its last row.
 		case isa.B:
 			next = uint64(in.Imm)
+			if rec != nil && !rec.jump(pc, next) {
+				rec.jumpSpill(pc, next)
+			}
 		case isa.BL:
 			s.X[in.Rd] = pc + isa.InstBytes
 			next = uint64(in.Imm)
+			if rec != nil && !rec.jump(pc, next) {
+				rec.jumpSpill(pc, next)
+			}
 		case isa.BR:
 			next = s.X[in.Rs1]
+			if rec != nil && !rec.jump(pc, next) {
+				rec.jumpSpill(pc, next)
+			}
 		case isa.BEQ, isa.BNE, isa.BLT, isa.BGE, isa.BLTU, isa.BGEU:
 			if CondTaken(in.Op, s.X[in.Rs1], s.X[in.Rs2]) {
 				next = uint64(in.Imm)
+				if rec != nil && !rec.jump(pc, next) {
+					rec.jumpSpill(pc, next)
+				}
 			}
 
 		default:
-			sync()
-			return executed, s.crash(fmt.Sprintf("unimplemented op %v", in.Op))
+			fault = fmt.Sprintf("unimplemented op %v", in.Op)
+			break loop
 		}
 
 		s.X[isa.ZeroReg] = 0
 		pc = next
 		executed++
-		if sink != nil {
-			buf[fill] = uint32(idx)
-			fill++
-			if fill == commitBatchRows {
-				sink.CommitBatch(base+executed-commitBatchRows, buf)
-				fill = 0
-			}
-		}
 	}
-	sync()
+
+	s.PC = pc
+	s.count += executed
+	if rec != nil {
+		rec.through(pc)
+		rec.flush()
+	}
+	if fault != "" {
+		return executed, s.crash(fault)
+	}
 	return executed, nil
 }

@@ -151,35 +151,82 @@ func TestRunToHaltBatchAfterHalt(t *testing.T) {
 }
 
 // TestRunToHaltBatchFlushBoundary places the end of the run — HALT, which
-// commits, or a misaligned load, which does not — so the committed stream
-// ends exactly on a commitBatchRows boundary and one row past it. The
-// batches must still partition the stream with no empty or missing batch,
-// and the result must match Step.
+// commits, a misaligned load, which does not, or the end of the budget —
+// so the committed stream ends exactly on a commitBatchRows boundary and
+// one row past it, and puts the loop's run cuts (taken branches, a jump
+// out of the text or to a misaligned pc, a run longer than a batch) on and
+// next to that boundary. The batches must still partition the stream with
+// no empty or missing batch, and the result must match Step.
 func TestRunToHaltBatchFlushBoundary(t *testing.T) {
+	nops := func(n int) string { return strings.Repeat("\tnop\n", n) }
 	cases := []struct {
 		name      string
 		committed int  // rows the sink must see
-		crash     bool // end with a misaligned load instead of HALT
+		crash     bool // end in an error: a crash, or the budget
 		seqs      []uint64
+		// src, when set, replaces the generated program: one movi, nops,
+		// then a misaligned load when crash is set, and HALT.
+		src    string
+		budget uint64 // 0 means 1<<20
 	}{
-		{"halt-on-boundary", commitBatchRows, false, []uint64{0}},
-		{"halt-past-boundary", commitBatchRows + 1, false, []uint64{0, commitBatchRows}},
-		{"crash-on-boundary", commitBatchRows, true, []uint64{0}},
-		{"crash-past-boundary", commitBatchRows + 1, true, []uint64{0, commitBatchRows}},
+		{name: "halt-on-boundary", committed: commitBatchRows, seqs: []uint64{0}},
+		{name: "halt-past-boundary", committed: commitBatchRows + 1, seqs: []uint64{0, commitBatchRows}},
+		{name: "crash-on-boundary", committed: commitBatchRows, crash: true, seqs: []uint64{0}},
+		{name: "crash-past-boundary", committed: commitBatchRows + 1, crash: true, seqs: []uint64{0, commitBatchRows}},
+
+		// A taken branch as the batch's last row whose target cannot be
+		// fetched: below the text, or misaligned inside it.
+		{name: "jump-outside-text-on-boundary", committed: commitBatchRows, crash: true, seqs: []uint64{0},
+			src: "\tmovi x1, #1\n" + nops(commitBatchRows-2) + "\tb #16\n\thalt\n"},
+		{name: "jump-misaligned-past-boundary", committed: commitBatchRows + 1, crash: true, seqs: []uint64{0, commitBatchRows},
+			src: "\tmovi x1, #0x1006\n" + nops(commitBatchRows-1) + "\tbr x1\n\thalt\n"},
+		// A misaligned load as the first row of a run, on the loop's
+		// second pass; its first pass straddles the boundary.
+		{name: "misaligned-load-first-in-run", committed: commitBatchRows + 1, crash: true, seqs: []uint64{0, commitBatchRows},
+			src: "\tmovi x2, #0x100000\n" + nops(commitBatchRows-4) +
+				"\tb loop\n\tnop\nloop:\tldr x3, [x2, #0]\n\taddi x2, x2, #4\n\tb loop\n\thalt\n"},
+		// A misaligned load as the last row before a branch, on the loop's
+		// second pass; the first pass ends a run longer than a batch.
+		{name: "misaligned-load-before-branch", committed: commitBatchRows + 2, crash: true, seqs: []uint64{0, commitBatchRows},
+			src: "\tmovi x2, #0x100004\n" + nops(commitBatchRows-3) +
+				"loop:\taddi x2, x2, #4\n\tldr x3, [x2, #0]\n\tbeq xzr, xzr, loop\n\thalt\n"},
+		// The budget ends one row into a run, and exactly on a branch;
+		// runs of three and five rows straddle the boundary on the way.
+		{name: "budget-mid-run", committed: 3*1400 + 1, crash: true, seqs: []uint64{0, commitBatchRows},
+			src: "loop:\tnop\n\tnop\n\tb loop\n", budget: 3*1400 + 1},
+		{name: "budget-on-branch", committed: 5 * 820, crash: true, seqs: []uint64{0, commitBatchRows},
+			src: "loop:\taddi x1, x1, #1\n" + nops(3) + "\tbne x1, xzr, loop\n", budget: 5 * 820},
+		// HALT as the first row of a run, after a branch that ends the
+		// first batch.
+		{name: "halt-first-in-run", committed: commitBatchRows + 1, seqs: []uint64{0, commitBatchRows},
+			src: nops(commitBatchRows-1) + "\tb done\n\tnop\ndone:\thalt\n"},
+		// A taken branch exactly on the boundary, then a short run.
+		{name: "branch-on-boundary", committed: commitBatchRows + 2, seqs: []uint64{0, commitBatchRows},
+			src: "\tmovi x1, #1\n" + nops(commitBatchRows-2) + "\tb next\n\thalt\nnext:\tnop\n\thalt\n"},
+		// One straight-line run after a jump, longer than a batch.
+		{name: "long-run-after-jump", committed: 2*commitBatchRows + 3, seqs: []uint64{0, commitBatchRows, 2 * commitBatchRows},
+			src: "\tb start\n\thalt\nstart:\n" + nops(2*commitBatchRows+1) + "\thalt\n"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			// One movi sets up the misaligned base; HALT commits as the
-			// last row, the faulting load does not.
-			nops := tc.committed - 1
-			if !tc.crash {
-				nops--
+			src := tc.src
+			if src == "" {
+				// One movi sets up the misaligned base; HALT commits as
+				// the last row, the faulting load does not.
+				n := tc.committed - 1
+				if !tc.crash {
+					n--
+				}
+				src = "\tmovi x2, #3\n" + nops(n)
+				if tc.crash {
+					src += "\tldr x3, [x2, #0]\n"
+				}
+				src += "\thalt\n"
 			}
-			src := "\tmovi x2, #3\n" + strings.Repeat("\tnop\n", nops)
-			if tc.crash {
-				src += "\tldr x3, [x2, #0]\n"
+			budget := tc.budget
+			if budget == 0 {
+				budget = 1 << 20
 			}
-			src += "\thalt\n"
 			p, err := asm.Assemble(src)
 			if err != nil {
 				t.Fatal(err)
@@ -187,14 +234,14 @@ func TestRunToHaltBatchFlushBoundary(t *testing.T) {
 
 			ref := New(p)
 			var pcs []uint64
-			_, refErr := ref.RunToHalt(1<<20, func(c Commit) { pcs = append(pcs, c.PC) })
+			_, refErr := ref.RunToHalt(budget, func(c Commit) { pcs = append(pcs, c.PC) })
 			if (refErr != nil) != tc.crash || len(pcs) != tc.committed {
 				t.Fatalf("reference: %d commits, err %v", len(pcs), refErr)
 			}
 
 			batched := New(p)
 			var sink recordingSink
-			n, err := batched.RunToHaltBatch(1<<20, &sink)
+			n, err := batched.RunToHaltBatch(budget, &sink)
 			if errText(err) != errText(refErr) {
 				t.Fatalf("err %s, want %s", errText(err), errText(refErr))
 			}

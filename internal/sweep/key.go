@@ -3,7 +3,7 @@ package sweep
 import (
 	"crypto/sha256"
 	"encoding/hex"
-	"fmt"
+	"strconv"
 )
 
 // SchemaVersion is folded into every cache key. Bump it whenever the
@@ -33,12 +33,41 @@ func (j Job) Key() string { return keyAt(j, SchemaVersion) }
 //
 //repro:deterministic
 func keyAt(j Job, version int) string {
-	s := fmt.Sprintf(
-		"regreuse-sweep-job|v%d|workload=%s|scheme=%s|scale=%d|size=%d|reuse_depth=%d|spec_reuse=%t|max_insts=%d|ff=%d|warm=%d|sample=%s",
-		version, j.Workload, j.Scheme, j.Scale, j.Size,
-		j.ReuseDepth, !j.DisableSpeculativeReuse, j.MaxInsts,
-		j.FastForward, j.Warmup, j.Sample,
-	)
-	sum := sha256.Sum256([]byte(s))
+	var buf [256]byte
+	sum := sha256.Sum256(appendCanonical(buf[:0], j, version))
 	return hex.EncodeToString(sum[:])
+}
+
+// appendCanonical appends the job's canonical serialization, the string
+// keyAt hashes, to b. Every submission derives each job's key, so it is
+// built with strconv appends rather than fmt; the bytes are those of
+//
+//	fmt.Sprintf("regreuse-sweep-job|v%d|workload=%s|scheme=%s|scale=%d|size=%d|reuse_depth=%d|spec_reuse=%t|max_insts=%d|ff=%d|warm=%d|sample=%s", ...)
+//
+// over the same fields, which TestCanonicalMatchesSprintf pins.
+//
+//repro:deterministic
+func appendCanonical(b []byte, j Job, version int) []byte {
+	b = append(b, "regreuse-sweep-job|v"...)
+	b = strconv.AppendInt(b, int64(version), 10)
+	b = append(b, "|workload="...)
+	b = append(b, j.Workload...)
+	b = append(b, "|scheme="...)
+	b = append(b, j.Scheme...)
+	b = append(b, "|scale="...)
+	b = strconv.AppendInt(b, int64(j.Scale), 10)
+	b = append(b, "|size="...)
+	b = strconv.AppendInt(b, int64(j.Size), 10)
+	b = append(b, "|reuse_depth="...)
+	b = strconv.AppendInt(b, int64(j.ReuseDepth), 10)
+	b = append(b, "|spec_reuse="...)
+	b = strconv.AppendBool(b, !j.DisableSpeculativeReuse)
+	b = append(b, "|max_insts="...)
+	b = strconv.AppendUint(b, j.MaxInsts, 10)
+	b = append(b, "|ff="...)
+	b = strconv.AppendUint(b, j.FastForward, 10)
+	b = append(b, "|warm="...)
+	b = strconv.AppendUint(b, j.Warmup, 10)
+	b = append(b, "|sample="...)
+	return append(b, j.Sample...)
 }

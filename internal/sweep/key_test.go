@@ -1,6 +1,12 @@
 package sweep
 
-import "testing"
+import (
+	"crypto/sha256"
+	"encoding/hex"
+	"fmt"
+	"math"
+	"testing"
+)
 
 // refJob is the fixture the key tests mutate one field at a time.
 func refJob() Job {
@@ -66,5 +72,45 @@ func TestKeySchemaVersionInvalidatesAll(t *testing.T) {
 		if keyAt(j, SchemaVersion) == keyAt(j, SchemaVersion+1) {
 			t.Errorf("schema bump left key unchanged for %+v", j)
 		}
+	}
+}
+
+// TestCanonicalMatchesSprintf pins the strconv-built serialization to the
+// fmt.Sprintf form the keys were first derived with: the same bytes, so
+// the same key, for zero and negative ints, the largest uint64, an empty
+// and a non-empty sample, and both values of the speculative-reuse flag.
+func TestCanonicalMatchesSprintf(t *testing.T) {
+	oracle := func(j Job, version int) string {
+		return fmt.Sprintf(
+			"regreuse-sweep-job|v%d|workload=%s|scheme=%s|scale=%d|size=%d|reuse_depth=%d|spec_reuse=%t|max_insts=%d|ff=%d|warm=%d|sample=%s",
+			version, j.Workload, j.Scheme, j.Scale, j.Size,
+			j.ReuseDepth, !j.DisableSpeculativeReuse, j.MaxInsts,
+			j.FastForward, j.Warmup, j.Sample,
+		)
+	}
+	for _, tc := range []struct {
+		name    string
+		job     Job
+		version int
+	}{
+		{"reference", refJob(), SchemaVersion},
+		{"zero", Job{}, 0},
+		{"negative", Job{Workload: "dgemm", Scheme: "early", Scale: -1, Size: -64, ReuseDepth: -3}, -2},
+		{"max-uint64", Job{Workload: "fir", Scheme: "baseline", Scale: 4, MaxInsts: math.MaxUint64,
+			FastForward: math.MaxUint64, Warmup: math.MaxUint64}, math.MaxInt64},
+		{"min-int", Job{Scale: math.MinInt64, Size: math.MinInt64, ReuseDepth: math.MinInt64}, math.MinInt64},
+		{"sample", Job{Workload: "listwalk", Scheme: "reuse", Scale: 4, Sample: "2000:5000:100000"}, SchemaVersion},
+		{"spec-reuse-off", Job{Workload: "nbody", Scheme: "reuse", DisableSpeculativeReuse: true, Sample: "1:2:3"}, SchemaVersion},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			want := oracle(tc.job, tc.version)
+			if got := string(appendCanonical(nil, tc.job, tc.version)); got != want {
+				t.Fatalf("canonical form\n got %s\nwant %s", got, want)
+			}
+			sum := sha256.Sum256([]byte(want))
+			if got := keyAt(tc.job, tc.version); got != hex.EncodeToString(sum[:]) {
+				t.Fatalf("keyAt = %s, want the hash of %q", got, want)
+			}
+		})
 	}
 }

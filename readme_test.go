@@ -74,8 +74,8 @@ func TestReadmeThroughputMatchesArtifact(t *testing.T) {
 		}
 		check(m[2], claimed, recorded)
 	}
-	if rows != 6 {
-		t.Errorf("found %d throughput rows in README, want 6 (detailed, sampled, fast-forward on dgemm and fir, analysis on dgemm and radixsort)", rows)
+	if rows != 7 {
+		t.Errorf("found %d throughput rows in README, want 7 (detailed, sampled, fast-forward on dgemm and fir, the batch sink path, analysis on dgemm and radixsort)", rows)
 	}
 
 	speedup := regexp.MustCompile("`sampled_speedup` in\\s+`BENCH_core.json`, ~([0-9.]+)x").FindSubmatch(readme)
