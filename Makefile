@@ -1,11 +1,14 @@
 # Developer/CI entry points. `make ci` is the gate future changes run:
-# build + full tests (including the golden-stats determinism test and the
-# zero-allocation test), vet, the race detector over the internal
-# packages, and the perfbench module's vet and tests.
+# build + full tests (including the golden-stats determinism test, the
+# zero-allocation test and the paper-claims test), vet, renamelint and its
+# schema-golden gate, the race detector, the checkpoint gates, the CLI
+# smoke flows, the throughput gate, the committed-results regeneration
+# (results-check), the sweep-fabric smoke, and the perfbench module's vet
+# and tests.
 
 GO ?= go
 
-.PHONY: test vet lint lintsmoke race smoke benchsmoke driftsmoke fabricsmoke perfbench-test ci ckpt-tests bench
+.PHONY: test vet lint lintsmoke race smoke benchsmoke results-check fabricsmoke perfbench-test ci ckpt-tests bench
 
 test:
 	$(GO) build ./...
@@ -52,15 +55,14 @@ ckpt-tests:
 	$(GO) test -run 'TestCheckpointResumeEquivalence' ./internal/pipeline/
 
 # smoke exercises the command-line surfaces end-to-end over a tiny
-# workload: renamesim's pipeline view, its Chrome trace export and its JSON
-# run artifact (both schema-checked with ckjson), metrics CSV streaming, one
-# paper table with and without a CPU profile, the sweepd local-mode flow —
-# a fabric coordinator with in-process workers, checked through its
-# fabric_* metrics (submit, poll, results schema, cache-hit re-run, one
-# fast-forward per workload shared through the checkpoint store, interval
-# sampling, then a SIGTERM drain to a zero exit) — and the driftd flow
-# (CLI ingest + schema-checked drift report, then the HTTP surface:
-# POST /ingest, GET /report, GET /metrics).
+# workload: renamelint's JSON findings artifact, renamesim's pipeline view,
+# its Chrome trace export and its JSON run artifact (both schema-checked
+# with ckjson), metrics CSV streaming, one paper table with and without a
+# CPU profile, and the sweepd local-mode flow — a fabric coordinator with
+# in-process workers, checked through its fabric_* metrics (submit, poll,
+# results schema, cache-hit re-run, one fast-forward per workload shared
+# through the checkpoint store, interval sampling, then a SIGTERM drain to
+# a zero exit).
 smoke:
 	$(GO) run ./cmd/renamelint -json ./... | \
 		$(GO) run ./cmd/ckjson 'schema_version=2' analyzers.0 analyzers.7 \
@@ -129,33 +131,7 @@ smoke:
 		'metrics.#fabric_jobs_sampled.value=1'; \
 	kill -TERM $$pid; wait $$pid || { echo "sweepd did not exit cleanly"; cat /tmp/regreuse_smoke_sweepd.log; exit 1; }; \
 	trap - EXIT; \
-	rm -rf /tmp/regreuse_smoke_sweeps /tmp/regreuse_smoke_sweepd /tmp/regreuse_smoke_sweepd.log
-	$(GO) build -o /tmp/regreuse_smoke_driftd ./cmd/driftd
-	@set -e; \
-	rm -rf /tmp/regreuse_smoke_drift; \
-	/tmp/regreuse_smoke_driftd ingest -dir /tmp/regreuse_smoke_drift > /dev/null; \
-	/tmp/regreuse_smoke_driftd report -dir /tmp/regreuse_smoke_drift | /tmp/regreuse_smoke_ckjson \
-		schema_version=1 verdict=pass commits=1 'findings.@len=0' \
-		'paper.#figure/fig10_speedup/specfp/64.in_band=true' \
-		'paper.#bench/BenchmarkTable2Area/overhead-milli-mm2.in_band=true' \
-		golden.classification=first; \
-	/tmp/regreuse_smoke_driftd serve -dir /tmp/regreuse_smoke_drift -addr 127.0.0.1:0 \
-		> /tmp/regreuse_smoke_driftd.log 2>&1 & \
-	dpid=$$!; trap 'kill $$dpid 2>/dev/null' EXIT; \
-	for i in $$(seq 1 100); do \
-		grep -q 'listening on' /tmp/regreuse_smoke_driftd.log && break; sleep 0.1; \
-	done; \
-	dbase=$$(sed -n 's/^driftd listening on //p' /tmp/regreuse_smoke_driftd.log); \
-	test -n "$$dbase" || { echo "driftd did not start"; cat /tmp/regreuse_smoke_driftd.log; exit 1; }; \
-	curl -sf -X POST "$$dbase/ingest" \
-		-d '{"commit":"smoke2","artifacts":[{"kind":"figure","name":"fig2_consumers","data":"suite,1\nspecfp,79.068\n"}]}' \
-		| /tmp/regreuse_smoke_ckjson commit=smoke2 ingested=1; \
-	curl -sf "$$dbase/report" | /tmp/regreuse_smoke_ckjson \
-		schema_version=1 commit=smoke2 commits=2 verdict=pass \
-		'paper.#figure/fig2_consumers/specfp/1.in_band=true'; \
-	curl -sf "$$dbase/metrics" | /tmp/regreuse_smoke_ckjson \
-		'metrics.#drift_ingests.value=1' 'metrics.#drift_reports.value=1'
-	rm -rf /tmp/regreuse_smoke_drift /tmp/regreuse_smoke_driftd /tmp/regreuse_smoke_driftd.log /tmp/regreuse_smoke_ckjson
+	rm -rf /tmp/regreuse_smoke_sweeps /tmp/regreuse_smoke_sweepd /tmp/regreuse_smoke_sweepd.log /tmp/regreuse_smoke_ckjson
 	@echo smoke OK
 
 # benchsmoke is the CI throughput gate: five interleaved rounds of the
@@ -185,23 +161,20 @@ benchsmoke:
 		< $$d/rounds.txt > /dev/null; \
 	rm -rf $$d
 
-# driftsmoke is the regression-intelligence CI gate: ingest the committed
-# artifacts (BENCH_core.json, golden stats, figure CSVs) at HEAD into a
-# fresh store, then require the drift report to self-compare clean — every
-# paper band in band, no findings, verdict pass. `driftd report` exits
-# nonzero on a fail verdict, so drift fails the make.
-driftsmoke:
-	$(GO) build -o /tmp/regreuse_driftsmoke_driftd ./cmd/driftd
-	$(GO) build -o /tmp/regreuse_driftsmoke_ckjson ./cmd/ckjson
+# results-check is the committed-results gate: regenerate every table and
+# figure at reference scale with the extensions and the sweep cache off into
+# a scratch directory, then require it to equal results/ file for file, so a
+# changed, missing or extra CSV fails. TestPaperClaims (in `make test`)
+# asserts EXPERIMENTS.md's shape claims on the committed files; together
+# they keep the CSVs, the code and the prose in step. About a minute on
+# 2 vCPUs.
+results-check:
 	@set -e; \
-	rm -rf /tmp/regreuse_driftsmoke; \
-	/tmp/regreuse_driftsmoke_driftd ingest -dir /tmp/regreuse_driftsmoke; \
-	/tmp/regreuse_driftsmoke_driftd report -dir /tmp/regreuse_driftsmoke -format json \
-		| /tmp/regreuse_driftsmoke_ckjson schema_version=1 verdict=pass \
-			'findings.@len=0' 'paper.@len=18' golden.classification=first; \
-	/tmp/regreuse_driftsmoke_driftd report -dir /tmp/regreuse_driftsmoke -format text
-	rm -rf /tmp/regreuse_driftsmoke /tmp/regreuse_driftsmoke_driftd /tmp/regreuse_driftsmoke_ckjson
-	@echo driftsmoke OK
+	d=.bench_build/results-check; rm -rf $$d; mkdir -p $$d; \
+	$(GO) run ./cmd/paper -scale 4 -ext -cache off -out $$d > /dev/null; \
+	diff -r results $$d; \
+	rm -rf $$d
+	@echo results-check OK
 
 # fabricsmoke boots the distributed sweep fabric on loopback — one
 # coordinator and two workers, each with its own state dir — runs a small
@@ -265,7 +238,7 @@ fabricsmoke:
 perfbench-test:
 	cd perfbench && $(GO) vet ./... && $(GO) test ./...
 
-ci: test vet lint lintsmoke race ckpt-tests smoke benchsmoke driftsmoke fabricsmoke perfbench-test
+ci: test vet lint lintsmoke race ckpt-tests smoke benchsmoke results-check fabricsmoke perfbench-test
 
 # bench regenerates BENCH_core.json from five interleaved rounds of every
 # benchmark, with allocation counts, run from one test binary as benchsmoke

@@ -68,10 +68,10 @@ type artifact struct {
 	SchemaVersion int `json:"schema_version"`
 	// Provenance stamp (schema v2): which commit and toolchain produced the
 	// artifact, and when. GitCommit is best-effort — absent outside a git
-	// checkout — so driftd's ingest can cross-check an artifact against the
-	// commit it is recorded under. It carries a -dirty suffix when the tree
-	// had uncommitted changes: `make bench` usually runs before its change
-	// is committed, so the code measured is HEAD plus those changes.
+	// checkout — and names the commit the artifact was measured at. It
+	// carries a -dirty suffix when the tree had uncommitted changes: `make
+	// bench` usually runs before its change is committed, so the code
+	// measured is HEAD plus those changes.
 	GitCommit    string        `json:"git_commit,omitempty"`
 	GoVersion    string        `json:"go_version,omitempty"`
 	GeneratedUTC string        `json:"generated_utc,omitempty"`

@@ -7,11 +7,10 @@
 // A path step that is a non-negative integer indexes into an array
 // (trace_event files: `ckjson traceEvents.0.ph < out.json`). A step of the
 // form `#name` selects the array element whose "name" field equals name
-// (metrics snapshots: `ckjson 'metrics.#fabric_jobs_executed.value'`). A step
-// `@len` resolves to the length of the array (or object) at that point
-// (`ckjson 'findings.@len=0'`). An argument of the form `path=value`
-// additionally asserts the value at the path: numbers compare numerically,
-// everything else by its printed form (`ckjson results.0.checksum_ok=true`).
+// (metrics snapshots: `ckjson 'metrics.#fabric_jobs_executed.value'`). An
+// argument of the form `path=value` additionally asserts the value at the
+// path: numbers compare numerically, everything else by its printed form
+// (`ckjson results.0.checksum_ok=true`).
 package main
 
 import (
@@ -25,17 +24,6 @@ import (
 func lookup(doc any, path string) (any, error) {
 	cur := doc
 	for _, stepStr := range strings.Split(path, ".") {
-		if stepStr == "@len" {
-			switch v := cur.(type) {
-			case []any:
-				cur = float64(len(v))
-			case map[string]any:
-				cur = float64(len(v))
-			default:
-				return nil, fmt.Errorf("path %q: @len needs an array or object", path)
-			}
-			continue
-		}
 		if sel, ok := strings.CutPrefix(stepStr, "#"); ok {
 			arr, isArr := cur.([]any)
 			if !isArr {

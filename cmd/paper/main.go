@@ -58,14 +58,22 @@ func step(name string) func(format string, args ...any) {
 	}
 }
 
+// emit prints t and writes it as a CSV artifact.
 func emit(name string, t *stats.Table) {
 	fmt.Print(t)
 	fmt.Println()
+	writeCSV(name, t)
+}
+
+// writeCSV writes t to <name>.csv under -out, if set. A failed write exits
+// 1, so a partial output directory never passes for a complete one.
+func writeCSV(name string, t *stats.Table) {
 	if outDir == "" {
 		return
 	}
 	if err := os.WriteFile(filepath.Join(outDir, name+".csv"), []byte(t.CSV()), 0o644); err != nil {
 		fmt.Fprintln(os.Stderr, "write:", err)
+		os.Exit(1)
 	}
 }
 
@@ -217,9 +225,7 @@ func main() {
 			for _, p := range pts {
 				t.Row(p.Workload, string(p.Suite), p.BaselineRegs, p.BaseCycles, p.ReuseCycles, p.Speedup)
 			}
-			if err := os.WriteFile(filepath.Join(outDir, "fig10_points.csv"), []byte(t.CSV()), 0o644); err != nil {
-				fmt.Fprintln(os.Stderr, "write:", err)
-			}
+			writeCSV("fig10_points", t)
 		}
 	}
 	if all || *fig == 10 {

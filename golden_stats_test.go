@@ -9,9 +9,16 @@ package regreuse
 // Regenerate after an *intentional* behavioral change with:
 //
 //	go test -run TestGoldenStats -update-golden .
+//
+// A regenerated golden requires a sweep.SchemaVersion bump and a new
+// goldenSHA256 entry for it (TestGoldenMatchesSchemaVersion): cached sweep
+// results are keyed by that version, so without the bump `paper -cache
+// auto` would serve results simulated before the change.
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
 	"encoding/json"
 	"flag"
 	"fmt"
@@ -23,10 +30,11 @@ import (
 
 	"repro/internal/obs"
 	"repro/internal/pipeline"
+	"repro/internal/sweep"
 	"repro/internal/workloads"
 )
 
-var updateGolden = flag.Bool("update-golden", false, "rewrite testdata/golden_stats.json")
+var updateGolden = flag.Bool("update-golden", false, "rewrite testdata/golden_stats.json (then bump sweep.SchemaVersion)")
 
 const goldenPath = "testdata/golden_stats.json"
 
@@ -268,5 +276,34 @@ func TestGoldenStats(t *testing.T) {
 		if g != w {
 			t.Errorf("%s: stats diverged from golden\n got: %+v\nwant: %+v", key, g, w)
 		}
+	}
+}
+
+// goldenSHA256 maps each sweep.SchemaVersion to the sha256 of the golden
+// stats file recorded under it.
+var goldenSHA256 = map[int]string{
+	2: "37363aa9ae44a4485fda168118a7a7570e63a8ad2ac39b2ca298e925c632da3c",
+}
+
+// TestGoldenMatchesSchemaVersion ties the golden stats to the sweep cache-key
+// version. It fails when the golden is regenerated without a SchemaVersion
+// bump, and when the version is bumped without recording the golden it
+// stands for.
+func TestGoldenMatchesSchemaVersion(t *testing.T) {
+	data, err := os.ReadFile(goldenPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sum := sha256.Sum256(data)
+	got := hex.EncodeToString(sum[:])
+	want, ok := goldenSHA256[sweep.SchemaVersion]
+	if !ok {
+		t.Fatalf("sweep.SchemaVersion %d has no goldenSHA256 entry; record %s's sha256 %s under it",
+			sweep.SchemaVersion, goldenPath, got)
+	}
+	if got != want {
+		t.Fatalf("%s has sha256 %s, but sweep.SchemaVersion %d records %s: "+
+			"a regenerated golden needs a SchemaVersion bump (internal/sweep/key.go) and a new goldenSHA256 entry",
+			goldenPath, got, sweep.SchemaVersion, want)
 	}
 }

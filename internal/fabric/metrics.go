@@ -9,7 +9,7 @@ import (
 
 // Metrics aggregates coordinator activity into an obs.Registry, the same
 // counter/gauge/histogram machinery every /metrics surface in the repo
-// serves (sweepd local and coordinator modes, driftd). The coordinator is
+// serves (sweepd local and coordinator modes). The coordinator is
 // concurrent, so every update and snapshot goes through one mutex. A nil
 // *Metrics is valid and records nothing.
 type Metrics struct {

@@ -23,7 +23,7 @@ import (
 // declaration order — checked against a committed golden under schemas/.
 // Any shape change without bumping the version AND regenerating the golden
 // via `renamelint -update-schemas` is an error, so wire formats (sweep
-// specs, bench artifacts, drift reports, fabric protocol messages) cannot
+// specs and results, bench artifacts, fabric protocol messages) cannot
 // drift silently under consumers that parse them.
 //
 // The golden directory is the nearest `schemas` directory at or above the

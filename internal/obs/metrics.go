@@ -189,7 +189,7 @@ type Snapshot struct {
 }
 
 // Metric is one registry entry in the flat, name-sorted serialization that
-// every /metrics surface shares (sweepd, driftd): counters carry their value
+// every /metrics surface shares (sweepd's): counters carry their value
 // directly, histograms carry the sample count plus the full summary. The
 // Snapshot shape embedded in run artifacts is partitioned from this same
 // list, so there is exactly one serialization path out of a registry.

@@ -195,8 +195,8 @@ func TestRegistrySnapshotStable(t *testing.T) {
 	}
 }
 
-// TestRegistryMetricsSorted pins the flat list both sweepd's and driftd's
-// /metrics endpoints serialize: name-sorted, counters and histograms
+// TestRegistryMetricsSorted pins the flat list sweepd's /metrics
+// endpoints serialize: name-sorted, counters and histograms
 // interleaved, with histogram snapshots attached.
 func TestRegistryMetricsSorted(t *testing.T) {
 	r := NewRegistry()

@@ -10,7 +10,9 @@ import (
 // simulator's architectural behavior changes (i.e. whenever the golden-stats
 // file is regenerated) or the JobResult schema gains fields: the bump
 // invalidates every previously cached result at once, so a stale cache can
-// never masquerade as fresh data.
+// never masquerade as fresh data. The root package's
+// TestGoldenMatchesSchemaVersion maps each version to the sha256 of the
+// golden-stats file, so a regenerated golden without a bump fails it.
 // Version history:
 //
 //	1: initial engine (PR 3)

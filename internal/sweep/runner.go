@@ -15,6 +15,8 @@ import (
 // numbers plus the renaming counters the paper's figures aggregate. Fields
 // are exact counters (or derived ratios of them) so results are
 // bit-reproducible and safe to cache.
+//
+//repro:schema sweep-job-result v1
 type JobResult struct {
 	Cycles     uint64  `json:"cycles"`
 	Insts      uint64  `json:"instructions"`
@@ -51,6 +53,8 @@ type JobResult struct {
 }
 
 // SampleSummary is the JobResult face of a ckpt.Estimate.
+//
+//repro:schema sweep-sample-summary v1
 type SampleSummary struct {
 	Plan        string  `json:"plan"`
 	Samples     int     `json:"samples"`

@@ -127,9 +127,25 @@ func TestMotivationAndAggregation(t *testing.T) {
 	if len(suites) != 4 {
 		t.Fatalf("got %d suites", len(suites))
 	}
+	// EXPERIMENTS.md's Figure 1-3 claims, which TestPaperClaims checks on
+	// the reference-scale CSVs, hold at scale 1 too.
 	for _, s := range suites {
-		if s.SingleUseRedef+s.SingleUseOther <= 0 {
-			t.Errorf("suite %s: zero single-use", s.Suite)
+		total := s.SingleUseRedef + s.SingleUseOther
+		if total <= 0 || s.Suite == SPECint && total <= 30 {
+			t.Errorf("suite %s: single-use total %.2f%%, want > 0 (> 30 for SPECint)", s.Suite, total)
+		}
+		for i, v := range s.ConsumerPct[1:] {
+			if v >= s.ConsumerPct[0] {
+				t.Errorf("suite %s: %d-consumer bucket %.2f%% not below the one-consumer %.2f%%",
+					s.Suite, i+2, v, s.ConsumerPct[0])
+			}
+		}
+		if s.ConsumerPct[0] <= 60 {
+			t.Errorf("suite %s: one-consumer bucket %.2f%%, want > 60%%", s.Suite, s.ConsumerPct[0])
+		}
+		if r := s.ReusablePct; !(r[0] > r[1] && r[1] > r[2]) {
+			t.Errorf("suite %s: reuse depths one %.2f, two %.2f, three %.2f; want one > two > three",
+				s.Suite, r[0], r[1], r[2])
 		}
 	}
 }
