@@ -56,8 +56,8 @@ ckpt-tests:
 
 # smoke exercises the command-line surfaces end-to-end over a tiny
 # workload: renamelint's JSON findings artifact, renamesim's pipeline view,
-# its Chrome trace export and its JSON run artifact (both schema-checked
-# with ckjson), metrics CSV streaming, one paper table with and without a
+# its Chrome trace export and its JSON run artifact, full and sampled (all
+# schema-checked with ckjson), metrics CSV streaming, one paper table with and without a
 # CPU profile, and the sweepd local-mode flow — a fabric coordinator with
 # in-process workers, checked through its fabric_* metrics (submit, poll,
 # results schema, cache-hit re-run, one fast-forward per workload shared
@@ -75,6 +75,8 @@ smoke:
 		$(GO) run ./cmd/ckjson ipc cycles instructions checksum_ok \
 			pipeline.Committed rename_int.Allocations \
 			metrics.counters metrics.histograms.0.name
+	$(GO) run ./cmd/renamesim -workload poly_horner -sample 200:500:5000 -json | \
+		$(GO) run ./cmd/ckjson sampled.plan sampled.samples sampled.ipc_mean
 	$(GO) run ./cmd/renamesim -workload poly_horner -metrics-interval 500 > /dev/null
 	$(GO) run ./cmd/paper -table 3 > /dev/null
 	$(GO) run ./cmd/paper -table 3 -cpuprofile /tmp/regreuse_smoke_cpu.pprof > /dev/null

@@ -112,7 +112,7 @@ func BenchmarkTable3EqualArea(b *testing.B) {
 // percentiles over the SPECfp-like suite).
 func BenchmarkFig9Coverage(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		curves, err := OccupancyStudy(1, SPECfp, 0)
+		curves, err := OccupancyStudy(1)
 		if err != nil {
 			b.Fatal(err)
 		}

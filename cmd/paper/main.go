@@ -33,9 +33,8 @@ import (
 	"time"
 
 	regreuse "repro"
-	"repro/internal/area"
 	"repro/internal/pipeline"
-	"repro/internal/regfile"
+	"repro/internal/sim"
 	"repro/internal/stats"
 )
 
@@ -84,7 +83,6 @@ func main() {
 		scale  = flag.Int("scale", 4, "workload scale (1 = small, 4 = reference)")
 		out    = flag.String("out", "", "directory for CSV artifacts")
 		ext    = flag.Bool("ext", false, "also run the extensions (energy model, reuse-depth ablation)")
-		occIv  = flag.Uint64("occupancy-interval", 64, "Figure 9 occupancy sampling interval in cycles")
 		cache  = flag.String("cache", "auto", `sweep result cache: "auto", "off", or a directory`)
 		ff     = flag.Uint64("ff", 0, "fast-forward N instructions per sweep job (figures 10-11; 0 = off)")
 		warmup = flag.Uint64("warmup", 0, "cache/bpred warmup instructions replayed at the fast-forward boot")
@@ -182,7 +180,7 @@ func main() {
 	if all || *fig == 9 {
 		fmt.Println("== Figure 9: registers with k shadow cells needed to cover X% of execution (SPECfp-like) ==")
 		done := step("figure 9 (occupancy study)")
-		curves, err := regreuse.OccupancyStudy(*scale, regreuse.SPECfp, *occIv)
+		curves, err := regreuse.OccupancyStudy(*scale)
 		if err != nil {
 			fail(err)
 		}
@@ -360,13 +358,7 @@ func runExtensions(scale int, fail func(error)) {
 	for _, name := range []string{"poly_horner", "dgemm", "gmm_score", "spmv"} {
 		var cyc [3]uint64
 		for i, sch := range []regreuse.Scheme{regreuse.Baseline, regreuse.EarlyRelease, regreuse.Reuse} {
-			cfg := regreuse.Config{Scheme: sch}
-			if sch == regreuse.Baseline {
-				cfg.FPRegs = regfile.Uniform(56, 0)
-			} else {
-				cfg.FPRegs = area.EqualAreaConfig(56, 64)
-			}
-			res, err := regreuse.RunWorkload(name, scale, cfg)
+			res, err := regreuse.RunWorkload(name, scale, regreuse.Config{Scheme: sch, FPRegs: sim.RegFile(sch, 56)})
 			if err != nil {
 				fail(err)
 			}

@@ -27,12 +27,11 @@ import (
 	"os"
 
 	regreuse "repro"
-	"repro/internal/area"
 	"repro/internal/asm"
 	"repro/internal/obs"
 	"repro/internal/pipeline"
-	"repro/internal/regfile"
 	"repro/internal/rename"
+	"repro/internal/sim"
 	"repro/internal/stats"
 )
 
@@ -107,13 +106,7 @@ func main() {
 		os.Exit(2)
 	}
 	cfg.Scheme = sch
-	if sch == regreuse.Baseline {
-		cfg.IntRegs = regfile.Uniform(*intRegs, 0)
-		cfg.FPRegs = regfile.Uniform(*fpRegs, 0)
-	} else {
-		cfg.IntRegs = area.EqualAreaConfig(*intRegs, 64)
-		cfg.FPRegs = area.EqualAreaConfig(*fpRegs, 64)
-	}
+	cfg.IntRegs, cfg.FPRegs = sim.RegFile(sch, *intRegs), sim.RegFile(sch, *fpRegs)
 
 	// A metrics observer feeds both the -json snapshot and the periodic CSV
 	// stream. The CSV and the pipeline view share stdout with the table

@@ -11,17 +11,16 @@ import (
 	"log"
 
 	regreuse "repro"
-	"repro/internal/area"
-	"repro/internal/regfile"
+	"repro/internal/sim"
 )
 
 func main() {
 	const workload = "poly_horner" // Horner chains: the best case for deep reuse
-	fpRegs := area.EqualAreaConfig(56, 64)
+	fpRegs := sim.RegFile(regreuse.Reuse, 56)
 
 	base, err := regreuse.RunWorkload(workload, 2, regreuse.Config{
 		Scheme: regreuse.Baseline,
-		FPRegs: regfile.Uniform(56, 0),
+		FPRegs: sim.RegFile(regreuse.Baseline, 56),
 	})
 	if err != nil {
 		log.Fatal(err)

@@ -11,8 +11,7 @@ import (
 	"log"
 
 	regreuse "repro"
-	"repro/internal/area"
-	"repro/internal/regfile"
+	"repro/internal/sim"
 )
 
 func main() {
@@ -21,11 +20,11 @@ func main() {
 		"baseline", "equal-area hybrid", "base IPC", "reuse IPC", "speedup")
 
 	for _, size := range []int{48, 56, 64, 80, 96, 112} {
-		hybrid := area.EqualAreaConfig(size, 64)
+		hybrid := sim.RegFile(regreuse.Reuse, size)
 
 		base, err := regreuse.RunWorkload("gmm_score", 2, regreuse.Config{
 			Scheme: regreuse.Baseline,
-			FPRegs: regfile.Uniform(size, 0),
+			FPRegs: sim.RegFile(regreuse.Baseline, size),
 		})
 		if err != nil {
 			log.Fatal(err)

@@ -10,7 +10,6 @@ import (
 	"repro/internal/analysis"
 	"repro/internal/area"
 	"repro/internal/ckpt"
-	"repro/internal/isa"
 	"repro/internal/par"
 	"repro/internal/pipeline"
 	"repro/internal/regfile"
@@ -35,8 +34,8 @@ func SetSweepCacheDir(dir string) { sweepCacheDir = dir }
 // sweepEngineOptions assembles engine options for the experiment entry
 // points. An unusable cache directory degrades to uncached execution rather
 // than failing the figure run.
-func sweepEngineOptions(workers int) sweep.Options {
-	opts := sweep.Options{Workers: workers}
+func sweepEngineOptions() sweep.Options {
+	var opts sweep.Options
 	if sweepCacheDir != "" {
 		if c, err := sweep.NewCache(sweepCacheDir); err == nil {
 			opts.Cache = c
@@ -62,16 +61,13 @@ type MotivationRow struct {
 	Report   analysis.Report
 }
 
-// Motivation runs the Figure 1/2/3 analyses over every workload. Each
-// workload's trace streams through the bounded-memory collector on the
-// emulator's batched commit-sink path (analysis.AnalyzeProgram); the fan-out
-// merges rows by workload index, so the output order is deterministic for
-// any worker count.
+// Motivation runs the Figure 1/2/3 analyses over every workload at scale
+// (0 = 4). Each workload's trace streams through the bounded-memory
+// collector on the emulator's batched commit-sink path
+// (analysis.AnalyzeProgram); the fan-out merges rows by workload index, so
+// the output order is deterministic for any worker count.
 func Motivation(scale int) ([]MotivationRow, error) {
-	ws := workloads.All()
-	if scale == 1 {
-		ws = workloads.Small()
-	}
+	ws := workloads.AtScale(scaleOrDefault(scale))
 	rows := make([]MotivationRow, len(ws))
 	err := par.ForEachCtx(context.Background(), len(ws), 0, func(i int) error {
 		w := ws[i]
@@ -157,8 +153,6 @@ type SweepOptions struct {
 	// ReuseDepth / DisableSpeculativeReuse forward to Config (ablations).
 	ReuseDepth              int
 	DisableSpeculativeReuse bool
-	// Workers bounds simulation parallelism (0 = GOMAXPROCS).
-	Workers int
 	// FastForward/Warmup skip the first FastForward instructions of every
 	// job at functional speed, replaying the last Warmup of them into
 	// caches/bpred (0 = fully detailed). With SetSweepCacheDir the
@@ -200,7 +194,7 @@ func SpeedupSweep(opt SweepOptions) ([]SweepPoint, error) {
 		Warmup:                  opt.Warmup,
 		Sample:                  opt.Sample,
 	}
-	res, err := sweep.Run(context.Background(), spec, sweepEngineOptions(opt.Workers))
+	res, err := sweep.Run(context.Background(), spec, sweepEngineOptions())
 	if err != nil {
 		return nil, err
 	}
@@ -216,7 +210,7 @@ func SpeedupSweep(opt SweepOptions) ([]SweepPoint, error) {
 				Workload:     n,
 				Suite:        w.Suite,
 				BaselineRegs: size,
-				HybridCfg:    area.EqualAreaConfig(size, 64),
+				HybridCfg:    sim.RegFile(pipeline.Reuse, size),
 				BaseCycles:   base.Cycles,
 				ReuseCycles:  reuse.Cycles,
 				BaseIPC:      base.IPC,
@@ -323,13 +317,11 @@ type PredictorRow struct {
 }
 
 // PredictorBreakdown runs the reuse scheme at the default configuration and
-// classifies predictor outcomes. Like SpeedupSweep it runs through the
-// internal/sweep engine and participates in the same result cache.
+// classifies predictor outcomes at scale (0 = 4). Like SpeedupSweep it runs
+// through the internal/sweep engine and participates in the same result
+// cache.
 func PredictorBreakdown(scale int) ([]PredictorRow, error) {
-	ws := workloads.All()
-	if scale == 1 {
-		ws = workloads.Small()
-	}
+	ws := workloads.AtScale(scaleOrDefault(scale))
 	names := make([]string, len(ws))
 	for i, w := range ws {
 		names[i] = w.Name
@@ -340,7 +332,7 @@ func PredictorBreakdown(scale int) ([]PredictorRow, error) {
 		Schemes:   []string{"reuse"},
 		Scale:     scaleOrDefault(scale),
 	}
-	res, err := sweep.Run(context.Background(), spec, sweepEngineOptions(0))
+	res, err := sweep.Run(context.Background(), spec, sweepEngineOptions())
 	if err != nil {
 		return nil, err
 	}
@@ -396,15 +388,12 @@ type OccupancyCurve struct {
 	Regs      []int
 }
 
-// OccupancyStudy reproduces Figure 9: run the FP-heavy suites on the reuse
-// scheme with an effectively unbounded all-shadow register file and sample,
-// every sampleInterval cycles (0 = the default 64), how many registers sit
-// at version >= k.
-func OccupancyStudy(scale int, suite Suite, sampleInterval uint64) ([]OccupancyCurve, error) {
-	if sampleInterval == 0 {
-		sampleInterval = 64
-	}
-	ws := workloads.SuiteOf(suite, scaleOrDefault(scale))
+// OccupancyStudy reproduces Figure 9: run the SPECfp suite at scale
+// (0 = 4) on the reuse scheme with an effectively unbounded all-shadow
+// register file and sample, every 64 cycles, how many registers sit at
+// version >= k.
+func OccupancyStudy(scale int) ([]OccupancyCurve, error) {
+	ws := workloads.SuiteOf(SPECfp, scaleOrDefault(scale))
 	fractions := []float64{0.50, 0.75, 0.90, 0.95, 0.99, 1.0}
 	type occResult struct {
 		samples   uint64
@@ -416,7 +405,7 @@ func OccupancyStudy(scale int, suite Suite, sampleInterval uint64) ([]OccupancyC
 		cfg := pipeline.DefaultConfig(pipeline.Reuse)
 		cfg.IntRegs = regfile.Uniform(192, 3)
 		cfg.FPRegs = regfile.Uniform(192, 3)
-		cfg.OccupancySampleInterval = sampleInterval
+		cfg.OccupancySampleInterval = 64
 		out, err := sim.Run(sim.Spec{Program: w.Program(), Config: cfg, Want: w.Want, Check: true})
 		if err != nil {
 			return fmt.Errorf("%s: %w", w.Name, err)
@@ -515,44 +504,32 @@ type EnergyRow struct {
 }
 
 // EnergyComparison runs one workload under both schemes at an equal-area
-// register-file pairing and applies the normalized energy model to the
-// swept file's port activity.
+// register-file pairing (sim.Swept) and applies the normalized energy model
+// to the swept file's port activity.
 func EnergyComparison(name string, scale, baselineRegs int) (EnergyRow, error) {
-	hybrid := area.EqualAreaConfig(baselineRegs, 64)
-	swept := regfile.Uniform(baselineRegs, 0)
-	ample := regfile.Uniform(128, 0)
-	baseCfg := Config{Scheme: Baseline}
-	reuseCfg := Config{Scheme: Reuse}
-	sweptClass := isa.IntReg
-	if FPHeavy(name) {
-		sweptClass = isa.FPReg
-		baseCfg.FPRegs, baseCfg.IntRegs = swept, ample
-		reuseCfg.FPRegs, reuseCfg.IntRegs = hybrid, ample
-	} else {
-		baseCfg.IntRegs, baseCfg.FPRegs = swept, ample
-		reuseCfg.IntRegs, reuseCfg.FPRegs = hybrid, ample
-	}
-
 	w, ok := workloads.ByName(name, scale)
 	if !ok {
 		return EnergyRow{}, fmt.Errorf("unknown workload %q", name)
 	}
-	bRes, bCore, err := runW(w, baseCfg)
-	if err != nil {
-		return EnergyRow{}, err
+	var (
+		rf     [2]*regfile.File
+		cycles [2]uint64
+	)
+	for i, sch := range []Scheme{Baseline, Reuse} {
+		cfg := Config{Scheme: sch}.pipelineConfig()
+		class := sim.Swept(&cfg, name, baselineRegs)
+		out, err := sim.Run(sim.Spec{Program: w.Program(), Config: cfg, Want: w.Want, Check: true})
+		if err != nil {
+			return EnergyRow{}, fmt.Errorf("regreuse: %s: %w", name, err)
+		}
+		rf[i], cycles[i] = out.Core.RegFile(class), out.Cycles
 	}
-	rRes, rCore, err := runW(w, reuseCfg)
-	if err != nil {
-		return EnergyRow{}, err
-	}
-	bRF := bCore.RegFile(sweptClass)
-	rRF := rCore.RegFile(sweptClass)
 	row := EnergyRow{
 		Workload:     name,
 		BaselineRegs: baselineRegs,
-		BaseEnergy:   area.ConventionalEnergy(baselineRegs, 64, bRF.Reads, bRF.Writes, bRes.Cycles),
-		ReuseEnergy:  area.BankedEnergy(hybrid, 64, rRF.Reads, rRF.Writes, rRF.ShadowWrites, rRes.Cycles),
-		RelativePerf: float64(rRes.Cycles) / float64(bRes.Cycles),
+		BaseEnergy:   area.ConventionalEnergy(baselineRegs, 64, rf[0].Reads, rf[0].Writes, cycles[0]),
+		ReuseEnergy:  area.BankedEnergy(sim.RegFile(Reuse, baselineRegs), 64, rf[1].Reads, rf[1].Writes, rf[1].ShadowWrites, cycles[1]),
+		RelativePerf: float64(cycles[1]) / float64(cycles[0]),
 	}
 	row.Relative = row.ReuseEnergy.Total / row.BaseEnergy.Total
 	return row, nil

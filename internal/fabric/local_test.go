@@ -171,6 +171,33 @@ func TestWorkerTimeoutFailsSweep(t *testing.T) {
 	}
 }
 
+// TestWorkerContainsPanic: a job whose core panics fails the in-process
+// worker's attempt without a cache entry, and the same worker then runs a
+// sweep to the end. The job is built directly, since Spec.Jobs refuses a
+// 16-register file.
+func TestWorkerContainsPanic(t *testing.T) {
+	c, ts := newLocal(t, t.TempDir(), CoordinatorOptions{})
+	w := c.LocalWorker(WorkerOptions{ID: "l1", Logf: t.Logf})
+	job := sweep.Job{Workload: "poly_horner", Scheme: "baseline", Scale: 1, Size: 16}
+	if _, _, _, err := w.attempt(job, 1); err == nil || !strings.Contains(err.Error(), "panicked") {
+		t.Fatalf("attempt err = %v, want the contained panic", err)
+	}
+	if _, ok := c.cache.Get(job.Key()); ok {
+		t.Error("a panicked attempt left a cache entry")
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		_ = w.Run(ctx)
+	}()
+	defer func() { cancel(); <-done }()
+	id := submit(t, ts, testSpec)
+	if st := waitFinished(t, ts, id, 20*time.Second); st.State != "done" || st.Executed != 2 {
+		t.Fatalf("status %+v, want done with 2 executed", st)
+	}
+}
+
 // TestAdmitFailsWhenSpecUnwritable: recovery finds sweeps only through
 // spec.json, so a sweep whose spec cannot be written is refused.
 func TestAdmitFailsWhenSpecUnwritable(t *testing.T) {

@@ -37,14 +37,13 @@ type WorkerOptions struct {
 }
 
 // Worker pulls leases from a coordinator, executes them through
-// sweep.Execute with panic and timeout containment, and reports
-// completions. A remote worker (NewWorker) speaks the HTTP protocol and
-// mounts its result cache and checkpoint store over the coordinator's
-// shared artifact store (with an optional local read-through layer); an
-// in-process worker (Coordinator.LocalWorker) makes the same calls
-// directly. Either way, any job another worker already simulated — in this
-// sweep or any earlier one — completes as a cache hit without touching the
-// simulator.
+// sweep.Attempt under a timeout, and reports completions. A remote worker
+// (NewWorker) speaks the HTTP protocol and mounts its result cache and
+// checkpoint store over the coordinator's shared artifact store (with an
+// optional local read-through layer); an in-process worker
+// (Coordinator.LocalWorker) makes the same calls directly. Either way, any
+// job another worker already simulated — in this sweep or any earlier one —
+// completes as a cache hit without touching the simulator.
 type Worker struct {
 	opts WorkerOptions
 	id   string
@@ -214,49 +213,29 @@ func (w *Worker) process(lr *LeaseResponse) {
 	}
 }
 
-// attempt serves the job from the shared cache when possible, otherwise
-// executes it on its own goroutine so a panic or an overlong run cannot
-// take the worker down. A timed-out goroutine is abandoned (the simulator
-// has no preemption points, and MaxCycles bounds how long it can linger);
-// its eventual result is discarded. The result bits must match what a
-// serial run of the same job produces — that equivalence is what makes the
-// shared cache and the byte-identical results.json claims hold — so the
-// body is held to the deterministic scope rules (the timeout timer is
-// containment, not result data).
-//
-//repro:deterministic
+// attempt runs sweep.Attempt on its own goroutine, so an overlong job
+// cannot hold the worker. A timed-out goroutine is abandoned (the
+// simulator has no preemption points, and pipeline.DefaultMaxCycles
+// bounds how long it can linger): the worker reports the timeout, and a
+// result that comes later only reaches the cache.
 func (w *Worker) attempt(job sweep.Job, sampleWorkers int) (sweep.JobResult, string, sweep.Usage, error) {
-	key := job.Key()
-	if r, ok := w.cache.Get(key); ok {
-		return r, "cache", sweep.Usage{}, nil
-	}
 	type outcome struct {
-		res sweep.JobResult
-		use sweep.Usage
-		err error
+		res    sweep.JobResult
+		source string
+		use    sweep.Usage
+		err    error
 	}
 	ch := make(chan outcome, 1)
 	go func() {
-		defer func() {
-			if p := recover(); p != nil {
-				ch <- outcome{err: fmt.Errorf("panic: %v", p)}
-			}
-		}()
-		r, use, e := sweep.Execute(job, w.ckpts, sampleWorkers)
-		ch <- outcome{res: r, use: use, err: e}
+		var o outcome
+		o.res, o.source, o.use, o.err = sweep.Attempt(job, job.Key(), w.cache, w.ckpts, sampleWorkers)
+		ch <- o
 	}()
 	t := time.NewTimer(w.opts.JobTimeout)
 	defer t.Stop()
 	select {
 	case o := <-ch:
-		if o.err != nil {
-			return sweep.JobResult{}, "", o.use, o.err
-		}
-		if err := w.cache.Put(key, job, o.res); err != nil {
-			// A store hiccup costs future reuse, never this result.
-			w.logf("worker %s: cache put %s: %v", w.id, key, err)
-		}
-		return o.res, "run", o.use, nil
+		return o.res, o.source, o.use, o.err
 	case <-t.C:
 		return sweep.JobResult{}, "", sweep.Usage{}, fmt.Errorf("job timed out after %s", w.opts.JobTimeout)
 	}

@@ -61,6 +61,10 @@ func ParseScheme(s string) (Scheme, error) {
 	return 0, fmt.Errorf("unknown scheme %q (want baseline, reuse, or early)", s)
 }
 
+// DefaultMaxCycles is the cycle bound of a run whose Config.MaxCycles is 0,
+// so a wedged core fails instead of spinning.
+const DefaultMaxCycles = 1 << 36
+
 // Config is the core configuration. DefaultConfig reproduces Table I.
 type Config struct {
 	Scheme Scheme
@@ -122,7 +126,7 @@ type Config struct {
 
 	// Simulation control.
 	MaxInsts  uint64 // stop after this many committed instructions (0 = to HALT)
-	MaxCycles uint64 // hard safety limit (0 = default 2^40)
+	MaxCycles uint64 // hard safety limit (0 = DefaultMaxCycles)
 	// Boot, when non-nil, starts the core mid-program from an architectural
 	// snapshot produced by functional fast-forward (internal/ckpt): memory
 	// image, registers and PC are seeded from the snapshot and the renamers

@@ -400,7 +400,7 @@ func (c *Core) Run() error { return c.RunTo(c.cfg.MaxInsts) }
 func (c *Core) RunTo(target uint64) error {
 	maxCycles := c.cfg.MaxCycles
 	if maxCycles == 0 {
-		maxCycles = 1 << 40
+		maxCycles = DefaultMaxCycles
 	}
 	for !c.halted && c.cycle < maxCycles {
 		if target > 0 && c.stats.Committed >= target {

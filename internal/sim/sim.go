@@ -1,9 +1,10 @@
 // Package sim runs one program on the detailed core: from reset, booted
 // from a ckpt.Prepare checkpoint, or interval-sampled through ckpt.SampleN.
 // It is the one run path under the public API, sweep jobs and the figure
-// drivers; each caller builds its own pipeline.Config and maps the Result
-// onto its own type. Results feed the sweep's content-addressed cache, so
-// equal specs must give bit-identical results.
+// drivers, and it owns the register-file rules they share: RegFile pairs a
+// baseline size with its equal-area hybrid, and Swept applies Figure 10's
+// pressured-file convention. Results feed the sweep's content-addressed
+// cache, so equal specs must give bit-identical results.
 //
 //repro:deterministic
 package sim
@@ -12,20 +13,41 @@ import (
 	"fmt"
 	"sync"
 
+	"repro/internal/area"
 	"repro/internal/ckpt"
 	"repro/internal/isa"
 	"repro/internal/pipeline"
 	"repro/internal/prog"
+	"repro/internal/regfile"
 	"repro/internal/workloads"
 )
 
-// maxCycles bounds every run, so a wedged core fails instead of spinning.
-const maxCycles = 1 << 36
+// RegFile is the file scheme gets at baseline-equivalent size n (§VI-A,
+// Table III): n plain registers for the baseline, and the equal-area
+// shadow-cell hybrid for reuse and early release.
+func RegFile(scheme pipeline.Scheme, n int) regfile.BankSizes {
+	if scheme == pipeline.Baseline {
+		return regfile.Uniform(n, 0)
+	}
+	return area.EqualAreaConfig(n, 64)
+}
+
+// Swept applies Figure 10's convention to cfg and returns the class of the
+// swept file: the workload's pressured file (workloads.FPHeavy) gets
+// RegFile(cfg.Scheme, n), and the other file stays ample at 128 registers.
+func Swept(cfg *pipeline.Config, workload string, n int) isa.RegClass {
+	swept, ample, class := &cfg.IntRegs, &cfg.FPRegs, isa.IntReg
+	if workloads.FPHeavy(workload) {
+		swept, ample, class = ample, swept, isa.FPReg
+	}
+	*swept, *ample = RegFile(cfg.Scheme, n), regfile.Uniform(128, 0)
+	return class
+}
 
 // Spec names one run.
 type Spec struct {
 	Program *prog.Program
-	// Config is the core; the runner sets its cycle bound and boot state.
+	// Config is the core; the runner sets its boot state.
 	// MaxInsts bounds a whole run, or the functional walk of a sampled one.
 	Config pipeline.Config
 	// Check requires workloads.CheckReg to hold Want if the program halts.
@@ -158,7 +180,6 @@ type Result struct {
 // Run runs s. A checksum mismatch returns the result with the error.
 func Run(s Spec) (Result, error) {
 	cfg := s.Config
-	cfg.MaxCycles = maxCycles
 	if s.Sample != "" {
 		if s.FastForward > 0 {
 			return Result{}, fmt.Errorf("sample and fast-forward are mutually exclusive")

@@ -5,9 +5,34 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/area"
+	"repro/internal/isa"
 	"repro/internal/pipeline"
+	"repro/internal/regfile"
 	"repro/internal/workloads"
 )
+
+// TestSweptFiles: Swept gives the workload's pressured file RegFile's
+// layout, keeps the other ample, and names the swept class.
+func TestSweptFiles(t *testing.T) {
+	if RegFile(pipeline.Baseline, 64) != regfile.Uniform(64, 0) ||
+		RegFile(pipeline.EarlyRelease, 64) != area.EqualAreaConfig(64, 64) {
+		t.Fatal("RegFile does not pair the baseline with the equal-area hybrid")
+	}
+	for workload, class := range map[string]isa.RegClass{"dgemm": isa.FPReg, "qsortint": isa.IntReg} {
+		cfg := pipeline.DefaultConfig(pipeline.Reuse)
+		if got := Swept(&cfg, workload, 64); got != class {
+			t.Errorf("%s: swept class %v, want %v", workload, got, class)
+		}
+		swept, ample := cfg.IntRegs, cfg.FPRegs
+		if class == isa.FPReg {
+			swept, ample = ample, swept
+		}
+		if swept != RegFile(pipeline.Reuse, 64) || ample != regfile.Uniform(128, 0) {
+			t.Errorf("%s: swept file %v, ample file %v", workload, swept, ample)
+		}
+	}
+}
 
 // TestZipCoversEveryCounter fills every counter through reflection and
 // requires add and sub to carry each one. A counter added to Counters but

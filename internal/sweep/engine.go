@@ -47,9 +47,9 @@ type RunResult struct {
 	Stats         RunStats    `json:"-"`
 }
 
-// Run expands spec and executes it in process: cache hits skip simulation,
-// and everything else is simulated under the worker pool, with a panicking
-// job recorded as failed instead of taking the run down. Retries and
+// Run expands spec and executes it in process: every job is one Attempt
+// under the worker pool, so cache hits skip simulation and a panicking job
+// is recorded as failed instead of taking the run down. Retries and
 // timeouts are service concerns (internal/fabric): a deterministic job that
 // failed once fails again. Run returns once every job has an outcome (or
 // ctx is cancelled); if any job failed, the RunResult is still returned
@@ -69,30 +69,19 @@ func Run(ctx context.Context, spec Spec, opts Options) (*RunResult, error) {
 	errs := make([]error, len(jobs))
 
 	var mu sync.Mutex // guards res.Stats
-	count := func(n *int) {
-		mu.Lock()
-		*n++
-		mu.Unlock()
-	}
 	err = par.ForEachCtx(ctx, len(jobs), opts.Workers, func(i int) error {
-		key := keys[i]
-		if r, ok := opts.Cache.Get(key); ok {
-			res.Results[i] = r
-			count(&res.Stats.CacheHits)
-			return nil
+		r, source, _, jerr := Attempt(jobs[i], keys[i], opts.Cache, opts.Ckpt, spec.SampleWorkers)
+		res.Results[i], errs[i] = r, jerr
+		mu.Lock()
+		switch {
+		case jerr != nil:
+			res.Stats.Failed++
+		case source == "cache":
+			res.Stats.CacheHits++
+		default:
+			res.Stats.Executed++
 		}
-		r, jerr := runJob(jobs[i], opts.Ckpt, spec.SampleWorkers)
-		if jerr != nil {
-			errs[i] = jerr
-			count(&res.Stats.Failed)
-			return nil
-		}
-		if perr := opts.Cache.Put(key, jobs[i], r); perr != nil {
-			// A broken cache must not fail the sweep.
-			fmt.Fprintf(os.Stderr, "sweep: cache put %s: %v\n", key[:12], perr)
-		}
-		res.Results[i] = r
-		count(&res.Stats.Executed)
+		mu.Unlock()
 		return nil
 	})
 	if err != nil {
@@ -109,16 +98,33 @@ func Run(ctx context.Context, spec Spec, opts Options) (*RunResult, error) {
 	return res, nil
 }
 
-// runJob executes one job on the calling goroutine, turning a panic into
-// the job's error.
-func runJob(j Job, store *ckpt.Store, sampleWorkers int) (r JobResult, err error) {
+// Attempt produces job j's result on the calling goroutine. source is
+// "cache" when key is in cache (a nil cache always misses); otherwise it is
+// "run": Execute simulates j and the result is put under key. A panic
+// becomes the attempt's error, and a failed attempt returns no result and
+// caches nothing. Both schedulers (Run here, the internal/fabric worker)
+// attempt jobs only through it, so their results are bit-identical, which
+// the shared cache and the byte-identical results.json rest on.
+//
+//repro:deterministic
+func Attempt(j Job, key string, cache *Cache, store *ckpt.Store, sampleWorkers int) (r JobResult, source string, use Usage, err error) {
 	defer func() {
 		if p := recover(); p != nil {
-			err = fmt.Errorf("job panicked: %v", p)
+			r, source, err = JobResult{}, "", fmt.Errorf("job panicked: %v", p)
 		}
 	}()
-	r, _, err = Execute(j, store, sampleWorkers)
-	return r, err
+	if hit, ok := cache.Get(key); ok {
+		return hit, "cache", Usage{}, nil
+	}
+	r, use, err = Execute(j, store, sampleWorkers)
+	if err != nil {
+		return JobResult{}, "", use, err
+	}
+	if perr := cache.Put(key, j, r); perr != nil {
+		// A broken cache costs future reuse, never this result.
+		fmt.Fprintf(os.Stderr, "sweep: cache put %s: %v\n", key[:12], perr)
+	}
+	return r, "run", use, nil
 }
 
 // MarshalResults renders the results.json artifact. It depends only on the

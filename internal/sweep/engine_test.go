@@ -86,6 +86,24 @@ func TestRunRecordsFailures(t *testing.T) {
 	}
 }
 
+// TestAttemptContainsPanic: a core that panics at construction fails its
+// attempt with the panic as the error and leaves no cache entry. The job
+// is built directly, since Spec.Jobs refuses a 16-register file.
+func TestAttemptContainsPanic(t *testing.T) {
+	cache, err := NewCache(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	j := Job{Workload: "poly_horner", Scheme: "baseline", Scale: 1, Size: 16}
+	r, source, _, err := Attempt(j, j.Key(), cache, nil, 1)
+	if err == nil || !strings.Contains(err.Error(), "panicked") || source != "" || r != (JobResult{}) {
+		t.Fatalf("attempt: result %+v, source %q, err %v; want only a panicked error", r, source, err)
+	}
+	if _, ok := cache.Get(j.Key()); ok {
+		t.Error("a panicked attempt left a cache entry")
+	}
+}
+
 // cancelOnGet is a cache store that cancels a context on its first lookup.
 type cancelOnGet struct {
 	blob.Store

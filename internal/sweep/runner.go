@@ -3,10 +3,8 @@ package sweep
 import (
 	"fmt"
 
-	"repro/internal/area"
 	"repro/internal/ckpt"
 	"repro/internal/pipeline"
-	"repro/internal/regfile"
 	"repro/internal/sim"
 	"repro/internal/workloads"
 )
@@ -52,27 +50,26 @@ type JobResult struct {
 	Sampled *SampleSummary `json:"sampled,omitempty"`
 }
 
-// SampleSummary is the JobResult face of a ckpt.Estimate.
+// SampleSummary is the face of a ckpt.Estimate in a JobResult and in the
+// public regreuse.Result: sample means across the measured detail
+// intervals with the standard error of each mean.
 //
 //repro:schema sweep-sample-summary v1
 type SampleSummary struct {
-	Plan        string  `json:"plan"`
-	Samples     int     `json:"samples"`
+	Plan        string  `json:"plan"`    // "warmup:detail:interval"
+	Samples     int     `json:"samples"` // measured intervals
 	IPCMean     float64 `json:"ipc_mean"`
 	IPCStdErr   float64 `json:"ipc_stderr"`
-	ReuseMean   float64 `json:"reuse_rate_mean,omitempty"`
+	ReuseMean   float64 `json:"reuse_rate_mean,omitempty"` // reuse hits per committed instruction
 	ReuseStdErr float64 `json:"reuse_rate_stderr,omitempty"`
-	TotalInsts  uint64  `json:"total_insts"`
-	DetailInsts uint64  `json:"detail_insts"`
+	TotalInsts  uint64  `json:"total_insts"`  // functionally executed end to end
+	DetailInsts uint64  `json:"detail_insts"` // of those, measured in detail
 	Coverage    float64 `json:"coverage"`
 }
 
-// jobConfig derives the pipeline configuration for a job, mirroring the
-// conventions of the Figure 10/11 sweep: for Size > 0 the workload's
-// pressured register file (workloads.FPHeavy) is swept — uniform for the
-// baseline scheme, the equal-area hybrid of Table III for reuse/early —
-// while the other file stays ample at 128; Size 0 keeps the scheme's
-// default files.
+// jobConfig derives the pipeline configuration for a job: Size > 0 sweeps
+// the workload's pressured file by sim.Swept, the Figure 10/11 convention;
+// Size 0 keeps the scheme's default files.
 func jobConfig(j Job) (pipeline.Config, error) {
 	sch, err := pipeline.ParseScheme(j.Scheme)
 	if err != nil {
@@ -80,18 +77,7 @@ func jobConfig(j Job) (pipeline.Config, error) {
 	}
 	cfg := pipeline.DefaultConfig(sch)
 	if j.Size > 0 {
-		ample := regfile.Uniform(128, 0)
-		var swept regfile.BankSizes
-		if sch == pipeline.Baseline {
-			swept = regfile.Uniform(j.Size, 0)
-		} else {
-			swept = area.EqualAreaConfig(j.Size, 64)
-		}
-		if workloads.FPHeavy(j.Workload) {
-			cfg.FPRegs, cfg.IntRegs = swept, ample
-		} else {
-			cfg.IntRegs, cfg.FPRegs = swept, ample
-		}
+		sim.Swept(&cfg, j.Workload, j.Size)
 	}
 	if j.ReuseDepth > 0 {
 		cfg.ReuseCfg.MaxVersions = uint8(j.ReuseDepth)
@@ -99,6 +85,25 @@ func jobConfig(j Job) (pipeline.Config, error) {
 	cfg.ReuseCfg.SpeculativeReuse = !j.DisableSpeculativeReuse
 	cfg.MaxInsts = j.MaxInsts
 	return cfg, nil
+}
+
+// Summarize is the SampleSummary of est; nil for a run that was not
+// sampled.
+func Summarize(est *ckpt.Estimate) *SampleSummary {
+	if est == nil {
+		return nil
+	}
+	return &SampleSummary{
+		Plan:        est.Plan.String(),
+		Samples:     est.Samples,
+		IPCMean:     est.IPCMean,
+		IPCStdErr:   est.IPCStdErr,
+		ReuseMean:   est.ReuseMean,
+		ReuseStdErr: est.ReuseStdErr,
+		TotalInsts:  est.TotalInsts,
+		DetailInsts: est.DetailInsts,
+		Coverage:    est.CoverageRatio(),
+	}
 }
 
 // Usage reports how one execution used the checkpoint store: Ckpt is
@@ -161,19 +166,7 @@ func Execute(j Job, store *ckpt.Store, sampleWorkers int) (JobResult, Usage, err
 		StallIQ:    out.StallIQ,
 
 		FFInsts: out.FFInsts,
-	}
-	if est := out.Estimate; est != nil {
-		res.Sampled = &SampleSummary{
-			Plan:        est.Plan.String(),
-			Samples:     est.Samples,
-			IPCMean:     est.IPCMean,
-			IPCStdErr:   est.IPCStdErr,
-			ReuseMean:   est.ReuseMean,
-			ReuseStdErr: est.ReuseStdErr,
-			TotalInsts:  est.TotalInsts,
-			DetailInsts: est.DetailInsts,
-			Coverage:    est.CoverageRatio(),
-		}
+		Sampled: Summarize(out.Estimate),
 	}
 	if err != nil {
 		return res, use, fmt.Errorf("%s/%s: %w", j.Workload, j.Scheme, err)

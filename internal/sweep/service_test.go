@@ -246,9 +246,11 @@ func TestServerRejectsBadSpecs(t *testing.T) {
 	for _, body := range []string{
 		`{`,                             // malformed
 		`{"workloads":["poly_horner"]}`, // no schemes
-		`{"workloads":["poly_horner"],"schemes":["bogus"]}`,       // bad scheme
-		`{"workloads":["nope"],"schemes":["reuse"]}`,              // bad workload
-		`{"workloads":["poly_horner"],"schemes":["reuse"],"x":1}`, // unknown field
+		`{"workloads":["poly_horner"],"schemes":["bogus"]}`,                 // bad scheme
+		`{"workloads":["nope"],"schemes":["reuse"]}`,                        // bad workload
+		`{"workloads":["poly_horner"],"schemes":["reuse"],"x":1}`,           // unknown field
+		`{"workloads":["poly_horner"],"schemes":["baseline"],"sizes":[32]}`, // 32 registers
+		`{"workloads":["poly_horner"],"schemes":["reuse"],"sizes":[34]}`,    // 32 in the hybrid
 	} {
 		resp, err := http.Post(ts.URL+"/sweeps", "application/json", strings.NewReader(body))
 		if err != nil {

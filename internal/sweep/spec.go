@@ -12,7 +12,9 @@ import (
 	"fmt"
 
 	"repro/internal/ckpt"
+	"repro/internal/isa"
 	"repro/internal/pipeline"
+	"repro/internal/sim"
 	"repro/internal/workloads"
 )
 
@@ -32,11 +34,11 @@ type Spec struct {
 	Schemes []string `json:"schemes"`
 	// Scale is the workload scale (1 = small/test, 4 = reference; 0 = 4).
 	Scale int `json:"scale,omitempty"`
-	// Sizes are baseline-equivalent register-file sizes. For each size the
-	// workload's pressured file (FPHeavy) is swept — uniform for the
-	// baseline scheme, the equal-area hybrid for reuse/early — while the
-	// other file stays ample, exactly as the Figure 10/11 sweep does.
-	// Empty = [0], meaning the scheme's default register file.
+	// Sizes are baseline-equivalent register-file sizes, each applied by
+	// sim.Swept exactly as the Figure 10/11 sweep does. A swept file needs
+	// more than 32 registers: sizes above 32 for the baseline, above 34
+	// for reuse/early. Empty = [0], meaning the scheme's default register
+	// file.
 	Sizes []int `json:"sizes,omitempty"`
 	// ReuseDepth caps reuse-chain length (0 = the paper's 3).
 	ReuseDepth int `json:"reuse_depth,omitempty"`
@@ -119,9 +121,17 @@ func (s Spec) Jobs() (jobs []Job, keys []string, err error) {
 	if s.ReuseDepth < 0 || s.ReuseDepth > 3 {
 		return nil, nil, fmt.Errorf("sweep: reuse_depth %d out of range 0..3", s.ReuseDepth)
 	}
-	for _, sch := range s.Schemes {
-		if _, err := pipeline.ParseScheme(sch); err != nil {
+	for _, name := range s.Schemes {
+		sch, err := pipeline.ParseScheme(name)
+		if err != nil {
 			return nil, nil, fmt.Errorf("sweep: %w", err)
+		}
+		for _, sz := range s.Sizes {
+			// Either swept file backs 32 logical registers, and the
+			// renamer needs a free register beyond them.
+			if sz > 0 && sim.RegFile(sch, sz).Total() <= isa.NumIntRegs {
+				return nil, nil, fmt.Errorf("sweep: size %d is too small for %s: its file cannot back %d logical registers", sz, name, isa.NumIntRegs)
+			}
 		}
 	}
 	for _, n := range s.Workloads {

@@ -1,6 +1,7 @@
 package sweep
 
 import (
+	"context"
 	"strings"
 	"testing"
 	"time"
@@ -128,5 +129,29 @@ func TestSpecExpandsAtScaleThree(t *testing.T) {
 	}
 	if j := got.jobs[0]; j.Workload != "hashjoin" || j.Scale != 3 {
 		t.Errorf("jobs[0] = %+v, want hashjoin at scale 3", j)
+	}
+}
+
+// TestSpecRejectsUnbackableSizes: a swept file of 32 or fewer registers
+// cannot back the logical registers, so its spec is refused and Run fails
+// before simulating anything; a file of 33 is accepted.
+func TestSpecRejectsUnbackableSizes(t *testing.T) {
+	for _, c := range []struct {
+		scheme string
+		size   int
+		ok     bool
+	}{
+		{"baseline", 32, false}, {"baseline", 33, true},
+		{"reuse", 34, false}, {"reuse", 35, true},
+		{"early", 34, false}, {"early", 35, true},
+	} {
+		_, _, err := Spec{Schemes: []string{c.scheme}, Workloads: []string{"poly_horner"}, Scale: 1, Sizes: []int{c.size}}.Jobs()
+		if (err == nil) != c.ok {
+			t.Errorf("%s at size %d: err = %v, want accepted=%t", c.scheme, c.size, err, c.ok)
+		}
+	}
+	spec := Spec{Schemes: []string{"baseline", "reuse"}, Workloads: []string{"poly_horner"}, Scale: 1, Sizes: []int{32, 64}}
+	if res, err := Run(context.Background(), spec, Options{}); err == nil || res != nil {
+		t.Fatalf("Run with size 32: result %+v, err %v; want no result and the spec error", res, err)
 	}
 }

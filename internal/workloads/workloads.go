@@ -131,11 +131,11 @@ var registry = []struct {
 
 // All returns every workload at reference scale (hundreds of thousands to a
 // few million dynamic instructions each).
-func All() []Workload { return atScale(4) }
+func All() []Workload { return AtScale(4) }
 
 // Small returns every workload at a reduced scale suitable for unit tests
 // (tens of thousands of dynamic instructions each).
-func Small() []Workload { return atScale(1) }
+func Small() []Workload { return AtScale(1) }
 
 // generated memoizes generator output per (registry index, scale): the
 // generators synthesize source text line by line, and re-running them per
@@ -170,9 +170,9 @@ func generate(idx, scale int) Workload {
 	return w
 }
 
-// atScale returns every workload at scale in registry order, in a fresh
+// AtScale returns every workload at scale in registry order, in a fresh
 // slice callers may reorder freely.
-func atScale(scale int) []Workload {
+func AtScale(scale int) []Workload {
 	ws := make([]Workload, len(registry))
 	for i := range registry {
 		ws[i] = generate(i, scale)
@@ -212,7 +212,7 @@ func BySuite(ws []Workload) map[Suite][]Workload {
 // SuiteOf returns the workloads of one suite at the given scale.
 func SuiteOf(s Suite, scale int) []Workload {
 	var out []Workload
-	for _, w := range atScale(scale) {
+	for _, w := range AtScale(scale) {
 		if w.Suite == s {
 			out = append(out, w)
 		}

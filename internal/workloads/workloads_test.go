@@ -115,8 +115,8 @@ func TestByNameMemoized(t *testing.T) {
 	if again.Source != first.Source || again.Want != first.Want {
 		t.Error("memoized ByName returned a different workload")
 	}
-	if w := atScale(scale); w[registryIndex(t, "dgemm")].Source != first.Source {
-		t.Error("atScale and ByName disagree on a memoized workload")
+	if w := AtScale(scale); w[registryIndex(t, "dgemm")].Source != first.Source {
+		t.Error("AtScale and ByName disagree on a memoized workload")
 	}
 }
 

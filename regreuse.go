@@ -34,6 +34,7 @@ import (
 	"repro/internal/regfile"
 	"repro/internal/rename"
 	"repro/internal/sim"
+	"repro/internal/sweep"
 	"repro/internal/workloads"
 )
 
@@ -141,49 +142,30 @@ func (c Config) pipelineConfig() pipeline.Config {
 	return cfg
 }
 
-// Result summarizes one simulation.
+// Result summarizes one simulation. The embedded sim.Counters carries
+// Cycles, Insts, MicroOps and the renaming, predictor, stall and recovery
+// counters, the int and FP files summed.
 //
-// In an interval-sampled run (Config.Sample) Cycles, Insts and every
-// counter from Allocations to ShadowRecoveries are sums over the measured
-// intervals, IPC is the interval-mean estimate, and Halted and Checksum
-// describe the complete functional execution. MPKI stays zero, and so do
-// the full-detail pointers, because no single core runs end to end.
+// In an interval-sampled run (Config.Sample) every counter is a sum over
+// the measured intervals, IPC is the interval-mean estimate, and Halted and
+// Checksum describe the complete functional execution. MPKI stays zero,
+// and so do the full-detail pointers, because no single core runs end to
+// end.
 type Result struct {
 	Workload string
 	Suite    Suite
 	Scheme   Scheme
 
-	Cycles     uint64
-	Insts      uint64
+	sim.Counters
 	IPC        float64
 	MPKI       float64
 	Halted     bool
 	Checksum   uint64
 	ChecksumOK bool
 
-	// Renaming behaviour.
-	Allocations  uint64
-	Reuses       uint64
-	ReusesByVer  [4]uint64
-	ReuseSameLog uint64
-	ReusePredict uint64
-	Repairs      uint64
-	MicroOps     uint64
-
-	// Stall accounting.
-	StallNoReg uint64
-	StallROB   uint64
-	StallIQ    uint64
-
-	// Recovery.
-	PageFaults       uint64
-	Interrupts       uint64
-	ShadowRecoveries uint64
-
 	// FFInsts counts instructions executed at functional speed instead of
 	// in the detailed core (fast-forward prefix or skipped sampled
-	// regions); Cycles/Insts and the counters above cover only the
-	// detailed portion.
+	// regions); the counters cover only the detailed portion.
 	FFInsts uint64
 	// Sampled carries the statistical estimates of an interval-sampled run
 	// (nil for full-fidelity runs).
@@ -197,18 +179,9 @@ type Result struct {
 }
 
 // SampleEstimate reports an interval-sampled run's estimates: sample means
-// across the measured detail intervals with the standard error of each mean.
-type SampleEstimate struct {
-	Plan        string // "warmup:detail:interval"
-	Samples     int    // measured intervals
-	IPCMean     float64
-	IPCStdErr   float64
-	ReuseMean   float64 // reuse hits per committed instruction
-	ReuseStdErr float64
-	TotalInsts  uint64 // functionally executed end to end
-	DetailInsts uint64 // of those, measured in detail
-	Coverage    float64
-}
+// across the measured detail intervals with the standard error of each
+// mean. It is the sweep's per-job summary, so both encode alike in JSON.
+type SampleEstimate = sweep.SampleSummary
 
 // RunWorkload simulates a named workload (scale 1 = small/test, 4 =
 // reference) under cfg.
@@ -217,73 +190,43 @@ func RunWorkload(name string, scale int, cfg Config) (Result, error) {
 	if !ok {
 		return Result{}, fmt.Errorf("regreuse: unknown workload %q (see workloads: %v)", name, workloads.Names())
 	}
-	res, _, err := runW(w, cfg)
-	return res, err
-}
-
-// RunProgram simulates an arbitrary assembled program under cfg.
-func RunProgram(p *prog.Program, cfg Config) (Result, error) {
-	res, _, err := run(sim.Spec{Program: p}, Result{Workload: "custom"}, cfg)
-	return res, err
-}
-
-// runW runs workload w under cfg and checks its checksum.
-func runW(w workloads.Workload, cfg Config) (Result, *pipeline.Core, error) {
 	return run(sim.Spec{Program: w.Program(), Want: w.Want, Check: true},
 		Result{Workload: w.Name, Suite: w.Suite}, cfg)
 }
 
+// RunProgram simulates an arbitrary assembled program under cfg.
+func RunProgram(p *prog.Program, cfg Config) (Result, error) {
+	return run(sim.Spec{Program: p}, Result{Workload: "custom"}, cfg)
+}
+
 // run completes s from cfg, runs it on the internal/sim runner and maps
-// the outcome onto res. It also returns the core of a full or
-// fast-forward run, for the drivers that read more than Result carries.
-func run(s sim.Spec, res Result, cfg Config) (Result, *pipeline.Core, error) {
+// the outcome onto res.
+func run(s sim.Spec, res Result, cfg Config) (Result, error) {
 	s.Config = cfg.pipelineConfig()
 	s.FastForward, s.Warmup = cfg.FastForward, cfg.Warmup
 	s.Sample, s.SampleWorkers = cfg.Sample, cfg.SampleWorkers
 	if cfg.CkptDir != "" && cfg.FastForward > 0 {
 		var err error
 		if s.Ckpt, err = ckpt.NewStore(cfg.CkptDir); err != nil {
-			return Result{}, nil, fmt.Errorf("regreuse: checkpoint store: %w", err)
+			return Result{}, fmt.Errorf("regreuse: checkpoint store: %w", err)
 		}
 	}
 	out, err := sim.Run(s)
 	res.Scheme = cfg.Scheme
-	res.Cycles, res.Insts = out.Cycles, out.Insts
+	res.Counters = out.Counters
 	res.IPC, res.MPKI = out.IPC, out.MPKI
 	res.Halted, res.Checksum, res.ChecksumOK = out.Halted, out.Checksum, out.ChecksumOK
-	res.Allocations = out.Allocations
-	res.Reuses = out.Reuses
-	res.ReusesByVer = out.ReusesByVer
-	res.ReuseSameLog = out.ReuseSameLog
-	res.ReusePredict = out.ReusePredict
-	res.Repairs = out.Repairs
-	res.MicroOps = out.MicroOps
-	res.StallNoReg, res.StallROB, res.StallIQ = out.StallNoReg, out.StallROB, out.StallIQ
-	res.PageFaults, res.Interrupts = out.PageFaults, out.Interrupts
-	res.ShadowRecoveries = out.ShadowRecoveries
 	res.FFInsts = out.FFInsts
+	res.Sampled = sweep.Summarize(out.Estimate)
 	if c := out.Core; c != nil {
 		res.Pipeline = c.Stats()
 		res.RenInt, res.RenFP = c.RenStats(isa.IntReg), c.RenStats(isa.FPReg)
 		res.Hier = c.Hierarchy()
 	}
-	if est := out.Estimate; est != nil {
-		res.Sampled = &SampleEstimate{
-			Plan:        est.Plan.String(),
-			Samples:     est.Samples,
-			IPCMean:     est.IPCMean,
-			IPCStdErr:   est.IPCStdErr,
-			ReuseMean:   est.ReuseMean,
-			ReuseStdErr: est.ReuseStdErr,
-			TotalInsts:  est.TotalInsts,
-			DetailInsts: est.DetailInsts,
-			Coverage:    est.CoverageRatio(),
-		}
-	}
 	if err != nil {
-		return res, out.Core, fmt.Errorf("regreuse: %s: %w", res.Workload, err)
+		return res, fmt.Errorf("regreuse: %s: %w", res.Workload, err)
 	}
-	return res, out.Core, nil
+	return res, nil
 }
 
 // Workloads lists the available workload names.

@@ -112,6 +112,31 @@ func TestAnalyzeWorkload(t *testing.T) {
 	}
 }
 
+// TestMotivationHonorsScale: Figures 1-3 analyze every workload at the
+// requested scale, the same run AnalyzeWorkload makes.
+func TestMotivationHonorsScale(t *testing.T) {
+	if testing.Short() {
+		t.Skip("short mode: skipping all-workload motivation sweep")
+	}
+	rows, err := Motivation(2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(rows) != len(Workloads()) {
+		t.Fatalf("got %d rows, want %d", len(rows), len(Workloads()))
+	}
+	for _, r := range rows {
+		want, err := AnalyzeWorkload(r.Workload, 2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if r.Report != want {
+			t.Errorf("%s: Motivation(2) analyzed %d instructions, AnalyzeWorkload at scale 2 %d",
+				r.Workload, r.Report.TotalInsts, want.TotalInsts)
+		}
+	}
+}
+
 func TestMotivationAndAggregation(t *testing.T) {
 	if testing.Short() {
 		t.Skip("short mode: skipping all-workload motivation sweep")
@@ -218,7 +243,7 @@ func TestOccupancyStudySmall(t *testing.T) {
 	if testing.Short() {
 		t.Skip("short mode: skipping occupancy study sweep")
 	}
-	curves, err := OccupancyStudy(1, SPECfp, 0)
+	curves, err := OccupancyStudy(1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -389,7 +414,7 @@ func TestFacadeSweepParity(t *testing.T) {
 					jr.StallNoReg, jr.StallROB, jr.StallIQ, jr.FFInsts, SampleEstimate{},
 				}
 				if m.wantEstimate {
-					facade.Sampled, job.Sampled = *res.Sampled, SampleEstimate(*jr.Sampled)
+					facade.Sampled, job.Sampled = *res.Sampled, *jr.Sampled
 				}
 				if facade != job {
 					t.Errorf("facade and sweep disagree:\nfacade %+v\nsweep  %+v", facade, job)
