@@ -25,16 +25,16 @@ lint:
 	$(GO) run ./cmd/renamelint ./...
 
 # lintsmoke is the schema-golden no-drift gate: regenerate every
-# //repro:schema golden into a scratch directory and require it to be
+# //repro:schema golden into .bench_build/lintsmoke and require it to be
 # byte-identical to the committed schemas/. A shape change that skipped
 # `renamelint -update-schemas` — or a hand-edited golden — fails here, so
 # the goldens on main can never go stale.
 lintsmoke:
 	@set -e; \
-	rm -rf /tmp/regreuse_lintsmoke_schemas; \
-	$(GO) run ./cmd/renamelint -update-schemas -schema-dir /tmp/regreuse_lintsmoke_schemas ./... > /dev/null; \
-	diff -ru schemas /tmp/regreuse_lintsmoke_schemas; \
-	rm -rf /tmp/regreuse_lintsmoke_schemas
+	d=.bench_build/lintsmoke; rm -rf $$d; mkdir -p $$d; \
+	$(GO) run ./cmd/renamelint -update-schemas -schema-dir $$d/schemas ./... > /dev/null; \
+	diff -ru schemas $$d/schemas; \
+	rm -rf $$d
 	@echo lintsmoke OK
 
 # race covers the root package and commands too; -short skips the full
@@ -62,15 +62,17 @@ ckpt-tests:
 # in-process workers, checked through its fabric_* metrics (submit, poll,
 # results schema, cache-hit re-run, one fast-forward per workload shared
 # through the checkpoint store, interval sampling, then a SIGTERM drain to
-# a zero exit).
+# a zero exit). Everything it writes stays under .bench_build/smoke.
+SMOKE = .bench_build/smoke
+
 smoke:
+	rm -rf $(SMOKE); mkdir -p $(SMOKE)
 	$(GO) run ./cmd/renamelint -json ./... | \
 		$(GO) run ./cmd/ckjson 'schema_version=2' analyzers.0 analyzers.7 \
 			'count=0' findings
 	$(GO) run ./cmd/renamesim -workload poly_horner -pipeview 20 > /dev/null
-	$(GO) run ./cmd/renamesim -workload poly_horner -pipeview 20 -chrome /tmp/regreuse_smoke_trace.json > /dev/null
-	$(GO) run ./cmd/ckjson traceEvents.0.ph displayTimeUnit < /tmp/regreuse_smoke_trace.json
-	rm -f /tmp/regreuse_smoke_trace.json
+	$(GO) run ./cmd/renamesim -workload poly_horner -pipeview 20 -chrome $(SMOKE)/trace.json > /dev/null
+	$(GO) run ./cmd/ckjson traceEvents.0.ph displayTimeUnit < $(SMOKE)/trace.json
 	$(GO) run ./cmd/renamesim -workload poly_horner -json | \
 		$(GO) run ./cmd/ckjson ipc cycles instructions checksum_ok \
 			pipeline.Committed rename_int.Allocations \
@@ -79,35 +81,33 @@ smoke:
 		$(GO) run ./cmd/ckjson sampled.plan sampled.samples sampled.ipc_mean
 	$(GO) run ./cmd/renamesim -workload poly_horner -metrics-interval 500 > /dev/null
 	$(GO) run ./cmd/paper -table 3 > /dev/null
-	$(GO) run ./cmd/paper -table 3 -cpuprofile /tmp/regreuse_smoke_cpu.pprof > /dev/null
-	test -s /tmp/regreuse_smoke_cpu.pprof
-	rm -f /tmp/regreuse_smoke_cpu.pprof
-	$(GO) build -o /tmp/regreuse_smoke_sweepd ./cmd/sweepd
-	$(GO) build -o /tmp/regreuse_smoke_ckjson ./cmd/ckjson
+	$(GO) run ./cmd/paper -table 3 -cpuprofile $(SMOKE)/cpu.pprof > /dev/null
+	test -s $(SMOKE)/cpu.pprof
+	$(GO) build -o $(SMOKE)/sweepd ./cmd/sweepd
+	$(GO) build -o $(SMOKE)/ckjson ./cmd/ckjson
 	@set -e; \
-	rm -rf /tmp/regreuse_smoke_sweeps; \
-	/tmp/regreuse_smoke_sweepd -addr 127.0.0.1:0 -dir /tmp/regreuse_smoke_sweeps \
-		> /tmp/regreuse_smoke_sweepd.log 2>&1 & \
+	$(SMOKE)/sweepd -addr 127.0.0.1:0 -dir $(SMOKE)/sweeps \
+		> $(SMOKE)/sweepd.log 2>&1 & \
 	pid=$$!; trap 'kill $$pid 2>/dev/null' EXIT; \
 	for i in $$(seq 1 100); do \
-		grep -q 'listening on' /tmp/regreuse_smoke_sweepd.log && break; sleep 0.1; \
+		grep -q 'listening on' $(SMOKE)/sweepd.log && break; sleep 0.1; \
 	done; \
-	base=$$(sed -n 's/^sweepd local listening on //p' /tmp/regreuse_smoke_sweepd.log); \
-	test -n "$$base" || { echo "sweepd did not start"; cat /tmp/regreuse_smoke_sweepd.log; exit 1; }; \
+	base=$$(sed -n 's/^sweepd local listening on //p' $(SMOKE)/sweepd.log); \
+	test -n "$$base" || { echo "sweepd did not start"; cat $(SMOKE)/sweepd.log; exit 1; }; \
 	spec='{"name":"smoke","workloads":["poly_horner"],"schemes":["baseline","reuse"],"scale":1,"sizes":[64]}'; \
 	id=$$(curl -sf -X POST "$$base/sweeps" -d "$$spec" | sed -n 's/.*"id": "\([^"]*\)".*/\1/p'); \
 	test -n "$$id" || { echo "sweep submission failed"; exit 1; }; \
 	for i in $$(seq 1 300); do \
 		curl -sf "$$base/sweeps/$$id" | grep -q '"state": "done"' && break; sleep 0.1; \
 	done; \
-	curl -sf "$$base/sweeps/$$id/results" | /tmp/regreuse_smoke_ckjson \
+	curl -sf "$$base/sweeps/$$id/results" | $(SMOKE)/ckjson \
 		schema_version spec.name jobs.0.workload jobs.1.scheme \
 		results.0.cycles results.0.checksum_ok=true results.1.checksum_ok=true; \
 	id2=$$(curl -sf -X POST "$$base/sweeps" -d "$$spec" | sed -n 's/.*"id": "\([^"]*\)".*/\1/p'); \
 	for i in $$(seq 1 300); do \
 		curl -sf "$$base/sweeps/$$id2" | grep -q '"state": "done"' && break; sleep 0.1; \
 	done; \
-	curl -sf "$$base/metrics" | /tmp/regreuse_smoke_ckjson \
+	curl -sf "$$base/metrics" | $(SMOKE)/ckjson \
 		'metrics.#fabric_jobs_executed.value=2' \
 		'metrics.#fabric_jobs_cache_hits.value=2' \
 		'metrics.#fabric_sweeps_completed.value=2'; \
@@ -117,7 +117,7 @@ smoke:
 	for i in $$(seq 1 300); do \
 		curl -sf "$$base/sweeps/$$id3" | grep -q '"state": "done"' && break; sleep 0.1; \
 	done; \
-	curl -sf "$$base/sweeps/$$id3/results" | /tmp/regreuse_smoke_ckjson \
+	curl -sf "$$base/sweeps/$$id3/results" | $(SMOKE)/ckjson \
 		results.0.ff_insts=2000 results.1.ff_insts=2000 \
 		results.0.checksum_ok=true results.1.checksum_ok=true; \
 	smspec='{"name":"smoke-sample","workloads":["poly_horner"],"schemes":["reuse"],"scale":1,"sample":"200:500:5000"}'; \
@@ -125,23 +125,23 @@ smoke:
 	for i in $$(seq 1 300); do \
 		curl -sf "$$base/sweeps/$$id4" | grep -q '"state": "done"' && break; sleep 0.1; \
 	done; \
-	curl -sf "$$base/sweeps/$$id4/results" | /tmp/regreuse_smoke_ckjson \
+	curl -sf "$$base/sweeps/$$id4/results" | $(SMOKE)/ckjson \
 		results.0.sampled.plan results.0.sampled.samples results.0.sampled.ipc_mean; \
-	curl -sf "$$base/metrics" | /tmp/regreuse_smoke_ckjson \
+	curl -sf "$$base/metrics" | $(SMOKE)/ckjson \
 		'metrics.#fabric_ckpt_misses.value=1' \
 		'metrics.#fabric_ckpt_hits.value=1' \
 		'metrics.#fabric_jobs_sampled.value=1'; \
-	kill -TERM $$pid; wait $$pid || { echo "sweepd did not exit cleanly"; cat /tmp/regreuse_smoke_sweepd.log; exit 1; }; \
+	kill -TERM $$pid; wait $$pid || { echo "sweepd did not exit cleanly"; cat $(SMOKE)/sweepd.log; exit 1; }; \
 	trap - EXIT; \
-	rm -rf /tmp/regreuse_smoke_sweeps /tmp/regreuse_smoke_sweepd /tmp/regreuse_smoke_sweepd.log /tmp/regreuse_smoke_ckjson
+	rm -rf $(SMOKE)
 	@echo smoke OK
 
 # benchsmoke is the CI throughput gate: five interleaved rounds of the
 # throughput and figure benchmarks from one test binary, failed by benchjson
 # unless the median of every headline rate clears its floor and every round
 # of the streaming figure collectors stays within its allocs/op ceiling.
-# BENCH_core.json records medians of ~6.2 Minst/s raw detailed, ~57
-# sampled, ~109 streaming analysis and ~348 fast-forward on a shared host
+# BENCH_core.json records medians of ~4.8 Minst/s raw detailed, ~34
+# sampled, ~97 streaming analysis and ~318 fast-forward on a shared host
 # whose speed moves by up to 2x between runs; in its slower spells the
 # same rates read ~3.2, ~30, ~60 and ~187. The sampled, analysis and
 # fast-forward floors sit below half the slower rates, while the detailed
@@ -185,27 +185,30 @@ results-check:
 # (fabric_jobs_cache_hits covers the grid, fabric_jobs_executed unchanged,
 # no new leases). Finally every process is SIGTERMed and must drain to a
 # zero exit — the graceful-shutdown contract of all three sweepd modes.
+# Everything it writes stays under .bench_build/fabricsmoke.
+FABSMOKE = .bench_build/fabricsmoke
+
 fabricsmoke:
-	$(GO) build -o /tmp/regreuse_fabsmoke_sweepd ./cmd/sweepd
-	$(GO) build -o /tmp/regreuse_fabsmoke_ckjson ./cmd/ckjson
+	rm -rf $(FABSMOKE); mkdir -p $(FABSMOKE)
+	$(GO) build -o $(FABSMOKE)/sweepd ./cmd/sweepd
+	$(GO) build -o $(FABSMOKE)/ckjson ./cmd/ckjson
 	@set -e; \
-	rm -rf /tmp/regreuse_fabsmoke; mkdir -p /tmp/regreuse_fabsmoke; \
-	/tmp/regreuse_fabsmoke_sweepd -mode=coordinator -addr 127.0.0.1:0 \
-		-dir /tmp/regreuse_fabsmoke/coord -lease-ttl 5s \
-		> /tmp/regreuse_fabsmoke/coord.log 2>&1 & \
+	$(FABSMOKE)/sweepd -mode=coordinator -addr 127.0.0.1:0 \
+		-dir $(FABSMOKE)/coord -lease-ttl 5s \
+		> $(FABSMOKE)/coord.log 2>&1 & \
 	cpid=$$!; trap 'kill $$cpid $$w1pid $$w2pid 2>/dev/null' EXIT; \
 	for i in $$(seq 1 100); do \
-		grep -q 'listening on' /tmp/regreuse_fabsmoke/coord.log && break; sleep 0.1; \
+		grep -q 'listening on' $(FABSMOKE)/coord.log && break; sleep 0.1; \
 	done; \
-	base=$$(sed -n 's/^sweepd coordinator listening on //p' /tmp/regreuse_fabsmoke/coord.log); \
-	test -n "$$base" || { echo "coordinator did not start"; cat /tmp/regreuse_fabsmoke/coord.log; exit 1; }; \
-	/tmp/regreuse_fabsmoke_sweepd -mode=worker -coordinator "$$base" -id w1 \
-		-dir /tmp/regreuse_fabsmoke/w1 -poll 50ms \
-		> /tmp/regreuse_fabsmoke/w1.log 2>&1 & \
+	base=$$(sed -n 's/^sweepd coordinator listening on //p' $(FABSMOKE)/coord.log); \
+	test -n "$$base" || { echo "coordinator did not start"; cat $(FABSMOKE)/coord.log; exit 1; }; \
+	$(FABSMOKE)/sweepd -mode=worker -coordinator "$$base" -id w1 \
+		-dir $(FABSMOKE)/w1 -poll 50ms \
+		> $(FABSMOKE)/w1.log 2>&1 & \
 	w1pid=$$!; \
-	/tmp/regreuse_fabsmoke_sweepd -mode=worker -coordinator "$$base" -id w2 \
-		-dir /tmp/regreuse_fabsmoke/w2 -poll 50ms \
-		> /tmp/regreuse_fabsmoke/w2.log 2>&1 & \
+	$(FABSMOKE)/sweepd -mode=worker -coordinator "$$base" -id w2 \
+		-dir $(FABSMOKE)/w2 -poll 50ms \
+		> $(FABSMOKE)/w2.log 2>&1 & \
 	w2pid=$$!; \
 	spec='{"name":"fabsmoke","workloads":["poly_horner"],"schemes":["baseline","reuse"],"scale":1,"sizes":[64]}'; \
 	id=$$(curl -sf -X POST "$$base/sweeps" -d "$$spec" | sed -n 's/.*"id": "\([^"]*\)".*/\1/p'); \
@@ -213,24 +216,24 @@ fabricsmoke:
 	for i in $$(seq 1 600); do \
 		curl -sf "$$base/sweeps/$$id" | grep -q '"state": "done"' && break; sleep 0.1; \
 	done; \
-	curl -sf "$$base/sweeps/$$id/results" | /tmp/regreuse_fabsmoke_ckjson \
+	curl -sf "$$base/sweeps/$$id/results" | $(FABSMOKE)/ckjson \
 		schema_version spec.name jobs.0.workload jobs.1.scheme \
 		results.0.cycles results.0.checksum_ok=true results.1.checksum_ok=true; \
 	id2=$$(curl -sf -X POST "$$base/sweeps" -d "$$spec" | sed -n 's/.*"id": "\([^"]*\)".*/\1/p'); \
 	for i in $$(seq 1 600); do \
 		curl -sf "$$base/sweeps/$$id2" | grep -q '"state": "done"' && break; sleep 0.1; \
 	done; \
-	curl -sf "$$base/metrics" | /tmp/regreuse_fabsmoke_ckjson \
+	curl -sf "$$base/metrics" | $(FABSMOKE)/ckjson \
 		'metrics.#fabric_jobs_executed.value=2' \
 		'metrics.#fabric_jobs_cache_hits.value=2' \
 		'metrics.#fabric_leases_granted.value=2' \
 		'metrics.#fabric_sweeps_completed.value=2' \
 		'metrics.#fabric_lease_expiries.value=0'; \
-	kill -TERM $$w1pid; wait $$w1pid || { echo "worker 1 did not exit cleanly"; cat /tmp/regreuse_fabsmoke/w1.log; exit 1; }; \
-	kill -TERM $$w2pid; wait $$w2pid || { echo "worker 2 did not exit cleanly"; cat /tmp/regreuse_fabsmoke/w2.log; exit 1; }; \
-	kill -TERM $$cpid; wait $$cpid || { echo "coordinator did not exit cleanly"; cat /tmp/regreuse_fabsmoke/coord.log; exit 1; }; \
+	kill -TERM $$w1pid; wait $$w1pid || { echo "worker 1 did not exit cleanly"; cat $(FABSMOKE)/w1.log; exit 1; }; \
+	kill -TERM $$w2pid; wait $$w2pid || { echo "worker 2 did not exit cleanly"; cat $(FABSMOKE)/w2.log; exit 1; }; \
+	kill -TERM $$cpid; wait $$cpid || { echo "coordinator did not exit cleanly"; cat $(FABSMOKE)/coord.log; exit 1; }; \
 	trap - EXIT; \
-	rm -rf /tmp/regreuse_fabsmoke /tmp/regreuse_fabsmoke_sweepd /tmp/regreuse_fabsmoke_ckjson
+	rm -rf $(FABSMOKE)
 	@echo fabricsmoke OK
 
 # perfbench-test vets and tests the benchmark in perfbench/. It is a separate

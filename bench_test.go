@@ -489,31 +489,6 @@ func BenchmarkExtEarlyRelease(b *testing.B) {
 	}
 }
 
-// BenchmarkExtMemSpeculation compares conservative disambiguation against
-// Alpha-style store-wait speculation on a store-heavy workload.
-func BenchmarkExtMemSpeculation(b *testing.B) {
-	for _, spec := range []bool{false, true} {
-		name := "conservative"
-		if spec {
-			name = "speculative"
-		}
-		b.Run(name, func(b *testing.B) {
-			var cycles uint64
-			for i := 0; i < b.N; i++ {
-				w, _ := workloads.ByName("qsortint", 1)
-				cfg := pipeline.DefaultConfig(pipeline.Baseline)
-				cfg.MemSpeculation = spec
-				core := pipeline.New(cfg, w.Program())
-				if err := core.Run(); err != nil {
-					b.Fatal(err)
-				}
-				cycles = core.Stats().Cycles
-			}
-			b.ReportMetric(float64(cycles), "cycles")
-		})
-	}
-}
-
 // BenchmarkSampledThroughput measures the production detailed-core rate:
 // interval sampling (ckpt.SampleN) over the reference-scale workload, with
 // detail intervals fanned across GOMAXPROCS workers. The reported Minst/s is

@@ -60,9 +60,6 @@ func NewDir(dir string) (*Dir, error) {
 	return &Dir{dir: dir}, nil
 }
 
-// Path returns the directory the store is rooted at.
-func (d *Dir) Path() string { return d.dir }
-
 // Get implements Store.
 func (d *Dir) Get(name string) ([]byte, bool, error) {
 	if !ValidName(name) {

@@ -50,7 +50,8 @@ func TestDirRejectsUnsafeNames(t *testing.T) {
 }
 
 func TestHandlerAndRemote(t *testing.T) {
-	d, err := NewDir(t.TempDir())
+	dir := t.TempDir()
+	d, err := NewDir(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -87,7 +88,7 @@ func TestHandlerAndRemote(t *testing.T) {
 		t.Fatalf("hooks: hits=%d misses=%d puts=%d", hits, misses, puts)
 	}
 	// The object really landed in the backing directory.
-	if data, err := os.ReadFile(filepath.Join(d.Path(), "deadbeef.ckpt")); err != nil || !bytes.Equal(data, want) {
+	if data, err := os.ReadFile(filepath.Join(dir, "deadbeef.ckpt")); err != nil || !bytes.Equal(data, want) {
 		t.Fatalf("backing file: %v %v", data, err)
 	}
 	// Path traversal is rejected at the HTTP layer.

@@ -1,33 +1,16 @@
 // Package bpred implements the front-end branch predictors of the simulated
-// core: a direction predictor (gshare, bimodal, or an Alpha-21264-style
-// tournament of the two), a branch target buffer, and a return address
-// stack. All predictor state supports checkpoint/restore so the pipeline can
-// recover from squashes (the RAS in particular must be repaired precisely or
-// call-heavy code thrashes).
+// core: a gshare direction predictor, a branch target buffer, and a return
+// address stack. All predictor state supports checkpoint/restore so the
+// pipeline can recover from squashes (the RAS in particular must be repaired
+// precisely or call-heavy code thrashes).
 package bpred
 
 import "repro/internal/isa"
 
-// Kind selects the direction-prediction algorithm.
-type Kind int
-
-const (
-	// Gshare is a global-history-xor-PC predictor (the default).
-	Gshare Kind = iota
-	// Bimodal is a PC-indexed two-bit predictor with no history.
-	Bimodal
-	// Tournament combines gshare and bimodal with a PC-indexed chooser
-	// (Alpha-21264 style).
-	Tournament
-)
-
 // Config sizes the predictors; see pipeline.DefaultConfig for the paper's
 // Table I values.
 type Config struct {
-	// Kind selects the direction predictor.
-	Kind Kind
-	// GshareBits is log2 of the pattern-history-table size (also sizes
-	// the bimodal and chooser tables).
+	// GshareBits is log2 of the pattern-history-table size.
 	GshareBits uint
 	// BTBEntries is the number of branch-target-buffer entries
 	// (direct-mapped, tagged).
@@ -43,10 +26,7 @@ func DefaultConfig() Config {
 
 // Predictor bundles direction, target and return-address prediction.
 type Predictor struct {
-	cfg     Config
 	pht     []uint8 // gshare 2-bit saturating counters
-	bim     []uint8 // bimodal 2-bit counters (Bimodal/Tournament)
-	chooser []uint8 // tournament chooser (>=2 selects gshare)
 	history uint64  // global history register
 	btbTag  []uint64
 	btbTgt  []uint64
@@ -61,24 +41,15 @@ func New(cfg Config) *Predictor {
 		panic("bpred: invalid config")
 	}
 	p := &Predictor{
-		cfg:     cfg,
-		pht:     make([]uint8, 1<<cfg.GshareBits),
-		bim:     make([]uint8, 1<<cfg.GshareBits),
-		chooser: make([]uint8, 1<<cfg.GshareBits),
-		btbTag:  make([]uint64, cfg.BTBEntries),
-		btbTgt:  make([]uint64, cfg.BTBEntries),
-		ras:     make([]uint64, cfg.RASEntries),
+		pht:    make([]uint8, 1<<cfg.GshareBits),
+		btbTag: make([]uint64, cfg.BTBEntries),
+		btbTgt: make([]uint64, cfg.BTBEntries),
+		ras:    make([]uint64, cfg.RASEntries),
 	}
 	for i := range p.pht {
 		p.pht[i] = 1 // weakly not taken
-		p.bim[i] = 1
-		p.chooser[i] = 2 // weakly prefer gshare
 	}
 	return p
-}
-
-func (p *Predictor) bimIndex(pc uint64) uint64 {
-	return (pc >> 2) & uint64(len(p.bim)-1)
 }
 
 func (p *Predictor) phtIndex(pc uint64) uint64 {
@@ -93,13 +64,9 @@ func (p *Predictor) btbIndex(pc uint64) int {
 type Prediction struct {
 	Taken  bool   // predicted direction (always true for unconditional)
 	Target uint64 // predicted target; 0 if unknown (BTB miss)
-	// PhtIdx/BimIdx are the fetch-time table indices; Resolve must train
-	// the same entries. GshareTaken/BimTaken record the component guesses
-	// so the tournament chooser can be trained on disagreement.
-	PhtIdx      uint64
-	BimIdx      uint64
-	GshareTaken bool
-	BimTaken    bool
+	// PhtIdx is the fetch-time pattern-history index; Resolve must train
+	// the same entry.
+	PhtIdx uint64
 	// History snapshot for recovery at resolution time.
 	Snapshot Snapshot
 }
@@ -146,21 +113,7 @@ func (p *Predictor) Predict(pc uint64, in isa.Inst) Prediction {
 		}
 	case d.Cond:
 		pred.PhtIdx = p.phtIndex(pc)
-		pred.BimIdx = p.bimIndex(pc)
-		pred.GshareTaken = p.pht[pred.PhtIdx] >= 2
-		pred.BimTaken = p.bim[pred.BimIdx] >= 2
-		switch p.cfg.Kind {
-		case Bimodal:
-			pred.Taken = pred.BimTaken
-		case Tournament:
-			if p.chooser[pred.BimIdx] >= 2 {
-				pred.Taken = pred.GshareTaken
-			} else {
-				pred.Taken = pred.BimTaken
-			}
-		default:
-			pred.Taken = pred.GshareTaken
-		}
+		pred.Taken = p.pht[pred.PhtIdx] >= 2
 		if pred.Taken {
 			if t, ok := p.btbLookup(pc); ok {
 				pred.Target = t
@@ -193,22 +146,10 @@ func (p *Predictor) btbLookup(pc uint64) (uint64, bool) {
 func (p *Predictor) Resolve(pc uint64, in isa.Inst, pred Prediction, taken bool, target uint64) {
 	d := in.Op.Describe()
 	if d.Cond {
-		train := func(tbl []uint8, idx uint64) {
-			if taken && tbl[idx] < 3 {
-				tbl[idx]++
-			} else if !taken && tbl[idx] > 0 {
-				tbl[idx]--
-			}
-		}
-		train(p.pht, pred.PhtIdx)
-		train(p.bim, pred.BimIdx)
-		if p.cfg.Kind == Tournament && pred.GshareTaken != pred.BimTaken {
-			// Move the chooser toward the component that was right.
-			if pred.GshareTaken == taken && p.chooser[pred.BimIdx] < 3 {
-				p.chooser[pred.BimIdx]++
-			} else if pred.BimTaken == taken && p.chooser[pred.BimIdx] > 0 {
-				p.chooser[pred.BimIdx]--
-			}
+		if ctr := &p.pht[pred.PhtIdx]; taken && *ctr < 3 {
+			*ctr++
+		} else if !taken && *ctr > 0 {
+			*ctr--
 		}
 	}
 	if taken && (d.Cond || d.Indirect) {

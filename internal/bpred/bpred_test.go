@@ -188,76 +188,3 @@ func TestSnapshotIndependence(t *testing.T) {
 		t.Errorf("history = %#x, want %#x", p.history, want)
 	}
 }
-
-// TestBimodalIgnoresHistory: a biased branch in a noisy history context is
-// where bimodal beats an untrained gshare.
-func TestBimodalIgnoresHistory(t *testing.T) {
-	cfg := DefaultConfig()
-	cfg.Kind = Bimodal
-	p := New(cfg)
-	in := condBranch(0x2000)
-	correct := 0
-	for i := 0; i < 100; i++ {
-		// Noise branches churn global history (irrelevant for bimodal).
-		noise := p.Predict(0x9000+uint64(i%7)*4, in)
-		p.Resolve(0x9000+uint64(i%7)*4, in, noise, i%2 == 0, 0x2000)
-		pred := p.Predict(0x1000, in)
-		if i > 4 {
-			if pred.Taken {
-				correct++
-			}
-		}
-		p.Resolve(0x1000, in, pred, true, 0x2000)
-		if !pred.Taken {
-			p.Restore(pred.Snapshot, true, true)
-		}
-	}
-	if correct < 90 {
-		t.Errorf("bimodal on an always-taken branch: %d/95 correct", correct)
-	}
-}
-
-// TestTournamentBeatsComponentsOnMixedCode: a mixed workload with one
-// history-correlated branch and one biased-but-noisy-context branch should
-// favor different components; the tournament must be at least as good as
-// the worse component and close to the better one.
-func TestTournamentChooserLearns(t *testing.T) {
-	run := func(kind Kind) int {
-		cfg := DefaultConfig()
-		cfg.Kind = kind
-		p := New(cfg)
-		in := condBranch(0x2000)
-		correct := 0
-		hist := false
-		for i := 0; i < 400; i++ {
-			// Branch A alternates (perfectly history-predictable).
-			hist = !hist
-			predA := p.Predict(0x1000, in)
-			if i > 50 && predA.Taken == hist {
-				correct++
-			}
-			p.Resolve(0x1000, in, predA, hist, 0x2000)
-			if predA.Taken != hist {
-				p.Restore(predA.Snapshot, true, hist)
-			}
-			// Branch B is always taken.
-			predB := p.Predict(0x5000, in)
-			if i > 50 && predB.Taken {
-				correct++
-			}
-			p.Resolve(0x5000, in, predB, true, 0x2000)
-			if !predB.Taken {
-				p.Restore(predB.Snapshot, true, true)
-			}
-		}
-		return correct
-	}
-	tournament := run(Tournament)
-	bimodal := run(Bimodal)
-	gshare := run(Gshare)
-	t.Logf("correct: tournament=%d gshare=%d bimodal=%d (of 698)", tournament, gshare, bimodal)
-	if tournament < bimodal || tournament+20 < gshare {
-		t.Errorf("tournament (%d) should track the best component (gshare %d, bimodal %d)",
-			tournament, gshare, bimodal)
-	}
-}

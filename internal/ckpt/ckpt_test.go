@@ -132,7 +132,8 @@ func TestStoreRoundTrip(t *testing.T) {
 func TestStoreMisses(t *testing.T) {
 	p := assemble(t, "poly_horner", 1)
 	d := ProgramDigest(p)
-	st, err := NewStore(t.TempDir())
+	dir := t.TempDir()
+	st, err := NewStore(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -161,7 +162,7 @@ func TestStoreMisses(t *testing.T) {
 
 	// Corruption anywhere in the file is a miss, not an error or a wrong
 	// snapshot.
-	path := filepath.Join(st.Dir(), st.Key(d, 500))
+	path := filepath.Join(dir, st.Key(d, 500))
 	data, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)

@@ -118,7 +118,8 @@ type intervalJob struct {
 // with detailed intervals per plan, up to maxInsts functional instructions
 // (0 = to halt). It returns the estimate plus the final architectural
 // snapshot of the complete functional execution, which callers use for
-// checksum validation — sampling never weakens the correctness check.
+// checksum validation — sampling never weakens the correctness check. A
+// program too short for the plan to measure one interval is an error.
 //
 // One functional machine walks the whole program; each period it skips
 // Interval-2*Warmup-Detail instructions with StepN, captures the next Warmup
@@ -234,6 +235,9 @@ func SampleN(p *prog.Program, plan Plan, maxInsts uint64, workers int, run RunDe
 	}
 	if err := flush(); err != nil {
 		return nil, nil, err
+	}
+	if len(ipcs) == 0 {
+		return nil, nil, fmt.Errorf("ckpt: sample plan %s measured no interval in %d instructions", plan, s.InstCount())
 	}
 
 	est.Samples = len(ipcs)

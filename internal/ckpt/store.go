@@ -61,15 +61,6 @@ func NewStore(dir string) (*Store, error) {
 // the backend seam the fabric uses to share checkpoints across machines.
 func NewStoreWith(b blob.Store) *Store { return &Store{b: b} }
 
-// Dir returns the store's directory for directory-backed stores ("" for
-// remote backends).
-func (st *Store) Dir() string {
-	if d, ok := st.b.(*blob.Dir); ok {
-		return d.Path()
-	}
-	return ""
-}
-
 // Key returns the object name serving (digest, instCount).
 func (st *Store) Key(d Digest, instCount uint64) string {
 	return fmt.Sprintf("%s-%d.ckpt", d.Short(), instCount)

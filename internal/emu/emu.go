@@ -163,7 +163,7 @@ func (s *State) Step() (Commit, error) {
 			return Commit{}, s.crash(fmt.Sprintf("misaligned load at %#x", addr))
 		}
 		c.EffAddr = addr
-		v := s.Mem.Read64(addr)
+		v := s.Mem.LoadWord64(addr)
 		if in.Op == isa.LDR {
 			setX(in.Rd, v)
 		} else {
@@ -181,7 +181,7 @@ func (s *State) Step() (Commit, error) {
 		} else {
 			v = math.Float64bits(s.F[in.Rs2])
 		}
-		s.Mem.Write64(addr, v)
+		s.Mem.StoreWord64(addr, v)
 
 	case isa.FADD:
 		s.F[in.Rd] = s.F[in.Rs1] + s.F[in.Rs2]

@@ -110,7 +110,7 @@ func TestMemoryAndData(t *testing.T) {
 		t.Errorf("x4=%d x6=%d, want 33", s.X[4], s.X[6])
 	}
 	out, _ := s.Program().Symbol("out")
-	if got := s.Mem.Read64(out); got != 33 {
+	if got := s.Mem.LoadWord64(out); got != 33 {
 		t.Errorf("mem[out] = %d, want 33", got)
 	}
 }

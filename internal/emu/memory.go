@@ -148,13 +148,6 @@ func (m *Memory) StoreWord64(addr uint64, v uint64) {
 	}
 }
 
-// Read64 loads the 8-byte little-endian word at addr. The address must be
-// 8-byte aligned; callers enforce alignment (the emulator faults first).
-func (m *Memory) Read64(addr uint64) uint64 { return m.LoadWord64(addr) }
-
-// Write64 stores an 8-byte little-endian word at addr.
-func (m *Memory) Write64(addr uint64, v uint64) { m.StoreWord64(addr, v) }
-
 // PageNumber returns the page index containing addr (used by the demand-
 // paging fault model in the timing simulator).
 func (m *Memory) PageNumber(addr uint64) uint64 { return addr >> pageBits }

@@ -9,7 +9,7 @@ import (
 
 func TestMemoryZeroDefault(t *testing.T) {
 	m := NewMemory()
-	if m.Read64(0x1234560) != 0 {
+	if m.LoadWord64(0x1234560) != 0 {
 		t.Error("unwritten memory not zero")
 	}
 	if m.LoadByte(99) != 0 {
@@ -21,8 +21,8 @@ func TestMemoryReadWriteRoundTrip(t *testing.T) {
 	f := func(addr uint64, val uint64) bool {
 		addr &= 0x7FFF_FFF8 // aligned, bounded
 		m := NewMemory()
-		m.Write64(addr, val)
-		return m.Read64(addr) == val
+		m.StoreWord64(addr, val)
+		return m.LoadWord64(addr) == val
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
 		t.Error(err)
@@ -33,8 +33,8 @@ func TestMemoryCrossPageAccess(t *testing.T) {
 	m := NewMemory()
 	// 8-byte value straddling a 4 KB page boundary (byte granularity path).
 	addr := uint64(4096 - 4)
-	m.Write64(addr, 0x1122334455667788)
-	if got := m.Read64(addr); got != 0x1122334455667788 {
+	m.StoreWord64(addr, 0x1122334455667788)
+	if got := m.LoadWord64(addr); got != 0x1122334455667788 {
 		t.Errorf("cross-page read = %#x", got)
 	}
 	if m.LoadByte(4095) != 0x55 || m.LoadByte(4096) != 0x44 {
@@ -48,28 +48,28 @@ func TestMemoryClone(t *testing.T) {
 	addrs := make([]uint64, 50)
 	for i := range addrs {
 		addrs[i] = uint64(r.Intn(1<<20)) &^ 7
-		m.Write64(addrs[i], uint64(i)*3)
+		m.StoreWord64(addrs[i], uint64(i)*3)
 	}
 	c := m.Clone()
 	for i, a := range addrs {
-		if c.Read64(a) != uint64(i)*3 {
+		if c.LoadWord64(a) != uint64(i)*3 {
 			t.Fatalf("clone missing value at %#x", a)
 		}
 	}
 	// Mutating the clone must not affect the original.
-	c.Write64(addrs[0], 999)
-	if m.Read64(addrs[0]) == 999 {
+	c.StoreWord64(addrs[0], 999)
+	if m.LoadWord64(addrs[0]) == 999 {
 		t.Error("clone aliases original")
 	}
 }
 
 func TestZeroValueMemoryUsable(t *testing.T) {
 	var m Memory
-	if m.Read64(64) != 0 {
+	if m.LoadWord64(64) != 0 {
 		t.Error("zero-value read")
 	}
-	m.Write64(64, 42)
-	if m.Read64(64) != 42 {
+	m.StoreWord64(64, 42)
+	if m.LoadWord64(64) != 42 {
 		t.Error("zero-value write")
 	}
 }

@@ -11,6 +11,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/ckpt"
 	"repro/internal/sweep"
 )
 
@@ -171,20 +172,28 @@ func TestWorkerTimeoutFailsSweep(t *testing.T) {
 	}
 }
 
-// TestWorkerContainsPanic: a job whose core panics fails the in-process
-// worker's attempt without a cache entry, and the same worker then runs a
-// sweep to the end. The job is built directly, since Spec.Jobs refuses a
-// 16-register file.
+// panicStore is a blob store whose every call panics.
+type panicStore struct{}
+
+func (panicStore) Get(string) ([]byte, bool, error) { panic("blob store broken") }
+func (panicStore) Put(string, []byte) error         { panic("blob store broken") }
+
+// TestWorkerContainsPanic: a job that panics, here in its fast-forward's
+// checkpoint store, fails the in-process worker's attempt without a cache
+// entry, and the same worker then runs a sweep to the end.
 func TestWorkerContainsPanic(t *testing.T) {
 	c, ts := newLocal(t, t.TempDir(), CoordinatorOptions{})
 	w := c.LocalWorker(WorkerOptions{ID: "l1", Logf: t.Logf})
-	job := sweep.Job{Workload: "poly_horner", Scheme: "baseline", Scale: 1, Size: 16}
+	job := sweep.Job{Workload: "poly_horner", Scheme: "baseline", Scale: 1, FastForward: 1000}
+	ckpts := w.ckpts
+	w.ckpts = ckpt.NewStoreWith(panicStore{})
 	if _, _, _, err := w.attempt(job, 1); err == nil || !strings.Contains(err.Error(), "panicked") {
 		t.Fatalf("attempt err = %v, want the contained panic", err)
 	}
 	if _, ok := c.cache.Get(job.Key()); ok {
 		t.Error("a panicked attempt left a cache entry")
 	}
+	w.ckpts = ckpts
 	ctx, cancel := context.WithCancel(context.Background())
 	done := make(chan struct{})
 	go func() {

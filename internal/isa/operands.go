@@ -176,9 +176,6 @@ type SrcOperand struct {
 	Reg   uint8
 }
 
-// IsBranch reports whether the instruction is a control-flow instruction.
-func (in Inst) IsBranch() bool { return descs[in.Op].Branch }
-
 // Float64FromBits reinterprets an immediate as a float64 (used by FMOVI).
 func Float64FromBits(imm int64) float64 { return math.Float64frombits(uint64(imm)) }
 

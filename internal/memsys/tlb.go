@@ -80,12 +80,5 @@ func (t *TLB) Access(addr uint64) (extra uint64, miss bool) {
 	return t.cfg.WalkLatency, true
 }
 
-// Flush invalidates all entries (taken on exception handler entry).
-func (t *TLB) Flush() {
-	for i := range t.entries {
-		t.entries[i].valid = false
-	}
-}
-
 // PageBytes returns the configured page size.
 func (t *TLB) PageBytes() uint64 { return t.cfg.PageBytes }

@@ -117,7 +117,6 @@ const (
 	CoreCheckpointCreate  // Seq = branch; a renamer snapshot was taken
 	CoreCheckpointRestore // Seq = branch; Arg = shadow-cell recoveries
 	CoreFlush             // exception/interrupt flush; Arg = shadow recoveries
-	CoreMemReplay         // memory-order violation replay at commit
 	numCoreKinds
 )
 
@@ -140,8 +139,6 @@ func (k CoreKind) String() string {
 		return "ckpt-restore"
 	case CoreFlush:
 		return "flush"
-	case CoreMemReplay:
-		return "mem-replay"
 	}
 	return "?"
 }

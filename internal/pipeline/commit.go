@@ -112,7 +112,7 @@ func (c *Core) commitDest(class isa.RegClass, d rename.DestResult) {
 //
 //repro:hotpath
 func (c *Core) commitStore(e *robEntry) {
-	c.mem.Write64(e.effAddr, e.resultVal)
+	c.mem.StoreWord64(e.effAddr, e.resultVal)
 	c.hier.DataAccess(e.pc, e.effAddr, true, c.cycle)
 	// Retire the SQ entry (always the oldest).
 	if c.sqCnt == 0 || c.sqAt(0).seq != e.seq {
@@ -131,15 +131,6 @@ func (c *Core) takeException(e *robEntry) {
 		c.stats.PageFaults++
 		c.pagePresent[c.mem.PageNumber(e.excAddr)] = true
 		c.flushAll(e.pc, c.cfg.PageFaultCycles)
-	case excReplay:
-		// Memory-order violation: flush and re-execute from the load; the
-		// store it raced with has committed by now, so the replayed load
-		// reads the correct value (and its wait bit keeps it conservative).
-		c.stats.MemReplays++
-		if c.o != nil {
-			c.obsCore(obs.CoreMemReplay, e.seq, e.excAddr)
-		}
-		c.flushAll(e.pc, 0)
 	case excMisalign:
 		// Correct-path misaligned accesses do not occur in the workloads;
 		// reaching commit with one is a simulator or program bug.
@@ -244,7 +235,7 @@ func (c *Core) checkOracle(e *robEntry) error {
 		if cm.EffAddr != e.effAddr {
 			return fmt.Errorf("pipeline: oracle divergence at pc=%#x: store addr=%#x, oracle=%#x", e.pc, e.effAddr, cm.EffAddr)
 		}
-		if got, want := c.mem.Read64(e.effAddr), c.oracle.Mem.Read64(e.effAddr); got != want {
+		if got, want := c.mem.LoadWord64(e.effAddr), c.oracle.Mem.LoadWord64(e.effAddr); got != want {
 			return fmt.Errorf("pipeline: oracle divergence at pc=%#x: stored %#x, oracle %#x", e.pc, got, want)
 		}
 	}

@@ -106,18 +106,6 @@ type Config struct {
 	Mem   memsys.Config
 	Bpred bpred.Config
 
-	// MemSpeculation enables Alpha-21264-style memory dependence
-	// speculation: loads may issue past older stores with unresolved
-	// addresses unless their PC's store-wait bit is set; an ordering
-	// violation replays from the load at commit and sets the bit. Off by
-	// default (conservative disambiguation), matching the configuration
-	// used for the recorded experiments.
-	MemSpeculation bool
-	// MemWaitTableSize is the store-wait bit table size (power of two).
-	MemWaitTableSize int
-	// MemWaitClearEvery clears the wait bits every N cycles.
-	MemWaitClearEvery uint64
-
 	// Exceptions/interrupts.
 	DemandPaging    bool   // first touch of a data page faults once
 	PageFaultCycles uint64 // handler cost
@@ -190,9 +178,6 @@ func DefaultConfig(s Scheme) Config {
 
 		Mem:   memsys.DefaultConfig(),
 		Bpred: bpred.DefaultConfig(),
-
-		MemWaitTableSize:  1024,
-		MemWaitClearEvery: 100_000,
 
 		DemandPaging:    true,
 		PageFaultCycles: 300,

@@ -19,10 +19,6 @@ const (
 	excNone excCode = iota
 	excPageFault
 	excMisalign
-	// excReplay marks a load that issued past an older store to the same
-	// address (memory-order violation under MemSpeculation): the pipeline
-	// replays from the load at commit.
-	excReplay
 )
 
 // fetchRec is one instruction in the fetch queue. It carries the micro-op
@@ -99,11 +95,8 @@ type iqSrc struct {
 // dispatch, is where its older stores end: sqEnd-sqPopped of them are still
 // in the SQ, at its head.
 type lqEntry struct {
-	seq    uint64
-	robIdx int
-	done   bool
-	sqEnd  uint32
-	addr   uint64
+	seq   uint64
+	sqEnd uint32
 }
 
 type sqEntry struct {
@@ -191,9 +184,6 @@ type Core struct {
 	lastPresent   uint64 // the page pageAbsent last found present
 	nextInterrupt uint64
 
-	memWait      []bool // store-wait bits (MemSpeculation)
-	memWaitClear uint64
-
 	// Early-release speculation boundary: specBr is a ring (sized like the
 	// ROB, oldest at specBrHead) of the dispatched branches that may still
 	// be unresolved, in program order; advanceSpecBoundary pops resolved
@@ -276,14 +266,6 @@ func New(cfg Config, p *prog.Program) *Core {
 	}
 	if cfg.InterruptEvery > 0 {
 		c.nextInterrupt = cfg.InterruptEvery
-	}
-	if cfg.MemSpeculation {
-		n := cfg.MemWaitTableSize
-		if n <= 0 {
-			n = 1024
-		}
-		c.memWait = make([]bool, n)
-		c.memWaitClear = cfg.MemWaitClearEvery
 	}
 	if cfg.OccupancySampleInterval > 0 {
 		for k := range c.stats.Occupancy {
@@ -465,16 +447,10 @@ func (c *Core) step() {
 	c.stepTail()
 }
 
-// stepTail finishes a cycle: store-wait decay, observer tick, clock advance.
+// stepTail finishes a cycle: observer tick, clock advance.
 //
 //repro:hotpath
 func (c *Core) stepTail() {
-	if c.memWait != nil && c.memWaitClear > 0 && c.cycle >= c.memWaitClear {
-		for i := range c.memWait {
-			c.memWait[i] = false
-		}
-		c.memWaitClear = c.cycle + c.cfg.MemWaitClearEvery
-	}
 	c.endCycle()
 	c.cycle++
 }

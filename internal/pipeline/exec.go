@@ -98,9 +98,6 @@ func (c *Core) execute(e *robEntry) (int, bool) {
 		e.exc = exc
 		e.excAddr = addr
 		e.resultVal = val
-		l := &c.lq[e.lsq]
-		l.done = true
-		l.addr = addr
 		return lat, true
 
 	case e.isStore:
@@ -119,9 +116,6 @@ func (c *Core) execute(e *robEntry) (int, bool) {
 		s.addrKnown = true
 		s.addr = addr
 		s.val = v1
-		if c.memWait != nil && e.exc == excNone {
-			c.checkOrderViolation(e.seq, addr)
-		}
 		return int(e.lat), true
 
 	case e.isBranch:
@@ -158,20 +152,17 @@ func branchOutcome(in isa.Inst, flags prog.UOpFlags, pc, v0, v1 uint64) (bool, u
 }
 
 // loadAccess performs disambiguation and the memory access for a load.
-// Without memory speculation, the load conservatively waits until every
-// older store address is known. With it (Alpha-21264-style), the load may
-// issue past unresolved stores unless its PC's store-wait bit is set; a
-// later ordering violation replays the load from commit.
+// Disambiguation is conservative: the load waits until every older store
+// address is known.
 //
 //repro:hotpath
 func (c *Core) loadAccess(e *robEntry, addr uint64) (lat int, val uint64, exc excCode, ok bool) {
 	if addr%8 != 0 {
 		return 2, 0, excMisalign, true
 	}
-	speculate := c.memWait != nil && !c.memWait[c.memWaitIdx(e.pc)]
-	fwd, blocked := c.olderStores(e, addr, speculate)
+	fwd, blocked := c.olderStores(e, addr)
 	if c.cfg.DebugInvariants {
-		c.checkOlderStores(e, addr, speculate, fwd, blocked)
+		c.checkOlderStores(e, addr, fwd, blocked)
 	}
 	if blocked {
 		return 0, 0, excNone, false
@@ -184,30 +175,24 @@ func (c *Core) loadAccess(e *robEntry, addr uint64) (lat int, val uint64, exc ex
 		return 2, fwd.val, excNone, true
 	}
 	memLat, _ := c.hier.DataAccess(e.pc, addr, false, c.cycle)
-	return 1 + int(memLat), c.mem.Read64(addr), excNone, true
+	return 1 + int(memLat), c.mem.LoadWord64(addr), excNone, true
 }
 
 // olderStores scans the stores older than load e, youngest first, and
-// returns the youngest whose address is addr, which forwards its value.
-// Without speculate, an older store whose address is still unknown blocks
-// the load; with it, the load speculates past such stores. The scan starts
-// at the load's sqEnd, so the stores younger than the load are not visited.
+// returns the youngest whose address is addr, which forwards its value. An
+// older store whose address is still unknown blocks the load. The scan
+// starts at the load's sqEnd, so the stores younger than the load are not
+// visited.
 //
 //repro:hotpath
-func (c *Core) olderStores(e *robEntry, addr uint64, speculate bool) (fwd *sqEntry, blocked bool) {
+func (c *Core) olderStores(e *robEntry, addr uint64) (fwd *sqEntry, blocked bool) {
 	for j := int(c.lq[e.lsq].sqEnd-c.sqPopped) - 1; j >= 0; j-- {
 		s := c.sqAt(j)
 		if !s.addrKnown {
-			if !speculate {
-				return nil, true
-			}
-			continue // speculate past the unresolved store
+			return nil, true
 		}
 		if s.addr == addr && fwd == nil {
 			fwd = s
-			if speculate {
-				break // nothing older can block or forward
-			}
 		}
 	}
 	return fwd, false
@@ -217,7 +202,7 @@ func (c *Core) olderStores(e *robEntry, addr uint64, speculate bool) (fwd *sqEnt
 // DebugInvariants: the whole store queue scanned youngest first, the
 // stores younger than the load skipped by seq. Both must find the same
 // number of older stores and give the same answer.
-func (c *Core) checkOlderStores(e *robEntry, addr uint64, speculate bool, fwd *sqEntry, blocked bool) {
+func (c *Core) checkOlderStores(e *robEntry, addr uint64, fwd *sqEntry, blocked bool) {
 	var ref *sqEntry
 	refBlocked, older := false, 0
 	for j := c.sqCnt - 1; j >= 0; j-- {
@@ -230,7 +215,7 @@ func (c *Core) checkOlderStores(e *robEntry, addr uint64, speculate bool, fwd *s
 			continue
 		}
 		if !s.addrKnown {
-			refBlocked = !speculate
+			refBlocked = true
 			continue
 		}
 		if s.addr == addr && ref == nil {
@@ -249,35 +234,6 @@ func (c *Core) checkOlderStores(e *robEntry, addr uint64, speculate bool, fwd *s
 		}
 		panic(fmt.Sprintf("pipeline: cycle %d: load seq %d sees %d older stores (forwarding store seq %d, blocked %v); the SQ holds %d (seq %d, blocked %v)",
 			c.cycle, e.seq, n, seqOf(fwd), blocked, older, seqOf(ref), refBlocked))
-	}
-}
-
-//repro:hotpath
-func (c *Core) memWaitIdx(pc uint64) int {
-	return int((pc >> 2) % uint64(len(c.memWait)))
-}
-
-// checkOrderViolation fires when a store resolves its address: any younger
-// load that already executed against the same address read stale data. The
-// oldest such load is marked for replay at commit and its store-wait bit is
-// set so future instances issue conservatively.
-//
-//repro:hotpath
-func (c *Core) checkOrderViolation(storeSeq, addr uint64) {
-	for j := 0; j < c.lqCnt; j++ {
-		l := c.lqAt(j)
-		if l.seq <= storeSeq || !l.done || l.addr != addr {
-			continue
-		}
-		e := &c.rob[l.robIdx]
-		if !e.active || e.seq != l.seq || e.exc != excNone {
-			continue
-		}
-		e.exc = excReplay
-		e.excAddr = addr
-		c.memWait[c.memWaitIdx(e.pc)] = true
-		c.stats.MemOrderViolations++
-		return // oldest violator; everything younger replays with it
 	}
 }
 

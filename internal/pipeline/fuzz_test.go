@@ -203,8 +203,7 @@ func TestRandomProgramsDifferential(t *testing.T) {
 		}
 		for _, scheme := range []Scheme{Baseline, Reuse, EarlyRelease} {
 			cfg := DefaultConfig(scheme)
-			cfg.InterruptEvery = 777         // stress flush/recovery paths
-			cfg.MemSpeculation = seed%2 == 0 // alternate disambiguation modes
+			cfg.InterruptEvery = 777 // stress flush/recovery paths
 			tightRegs(&cfg)
 			if err := matchesEmu(p, ref, cfg); err != nil {
 				t.Logf("seed %d %v: %v\nprogram:\n%s", seed, scheme, err, src)
@@ -222,11 +221,11 @@ func TestRandomProgramsDifferential(t *testing.T) {
 // (seed, knobs) picks a genRandomProgram program and a configuration, and
 // the core, under the lockstep oracle and the in-pipeline invariant checks,
 // must reach the emulator's final state. Bits 0-1 of knobs pick the scheme
-// (3 reads as baseline), bit 2 turns on MemSpeculation, bit 3 takes a timer
-// interrupt every 777 cycles, and bit 4 shrinks the register files
-// (tightRegs); the other bits are ignored. The seed corpus under
-// testdata/fuzz/FuzzCoreMatchesEmu covers every scheme, both disambiguation
-// modes, interrupts and tight files.
+// (3 reads as baseline), bit 3 takes a timer interrupt every 777 cycles, and
+// bit 4 shrinks the register files (tightRegs); bit 2 and the bits above 4
+// are ignored. The seed corpus under testdata/fuzz/FuzzCoreMatchesEmu covers
+// every scheme, interrupts and tight files; the files named memspec set the
+// unused bit 2 and run as their other bits say.
 func FuzzCoreMatchesEmu(f *testing.F) {
 	f.Fuzz(func(t *testing.T, seed int64, knobs uint8) {
 		src, p, ref, err := randomProgram(seed)
@@ -234,7 +233,6 @@ func FuzzCoreMatchesEmu(f *testing.F) {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
 		cfg := DefaultConfig(Scheme(knobs & 3 % 3))
-		cfg.MemSpeculation = knobs&4 != 0
 		if knobs&8 != 0 {
 			cfg.InterruptEvery = 777
 		}
@@ -283,7 +281,6 @@ func TestCheckpointResumeEquivalence(t *testing.T) {
 				cfg.DebugInvariants = true
 				cfg.MaxCycles = 40_000_000
 				cfg.InterruptEvery = 777
-				cfg.MemSpeculation = seed%2 == 0
 				tightRegs(&cfg)
 				return cfg
 			}

@@ -9,10 +9,8 @@ import (
 	"testing"
 
 	"repro/internal/asm"
-	"repro/internal/bpred"
 	"repro/internal/isa"
 	"repro/internal/prog"
-	"repro/internal/workloads"
 )
 
 // cyclesFor runs src on a baseline core and returns total cycles.
@@ -240,37 +238,4 @@ func mustAssemble(t *testing.T, src string) *prog.Program {
 		t.Fatal(err)
 	}
 	return p
-}
-
-// TestPredictorKinds runs a branchy workload under each direction-predictor
-// kind: all must be architecturally correct, and the tournament should not
-// mispredict more than the worse component.
-func TestPredictorKinds(t *testing.T) {
-	w, _ := workloads.ByName("adpcm_enc", 1)
-	mispredicts := map[bpred.Kind]uint64{}
-	for _, kind := range []bpred.Kind{bpred.Gshare, bpred.Bimodal, bpred.Tournament} {
-		cfg := DefaultConfig(Baseline)
-		cfg.Bpred.Kind = kind
-		cfg.CheckOracle = true
-		cfg.MaxCycles = 1 << 30
-		c := New(cfg, w.Program())
-		if err := c.Run(); err != nil {
-			t.Fatalf("kind %d: %v", kind, err)
-		}
-		x, _ := c.ArchRegs()
-		if x[workloads.CheckReg] != w.Want {
-			t.Fatalf("kind %d: wrong checksum", kind)
-		}
-		mispredicts[kind] = c.Stats().Mispredicts
-	}
-	t.Logf("mispredicts: gshare=%d bimodal=%d tournament=%d",
-		mispredicts[bpred.Gshare], mispredicts[bpred.Bimodal], mispredicts[bpred.Tournament])
-	worst := mispredicts[bpred.Gshare]
-	if mispredicts[bpred.Bimodal] > worst {
-		worst = mispredicts[bpred.Bimodal]
-	}
-	if mispredicts[bpred.Tournament] > worst+worst/10 {
-		t.Errorf("tournament (%d) much worse than both components (max %d)",
-			mispredicts[bpred.Tournament], worst)
-	}
 }

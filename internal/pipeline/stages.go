@@ -299,7 +299,7 @@ func (c *Core) dispatchFill(rec *fetchRec, srcs [2]iqSrc, destClass isa.RegClass
 	e.src = srcs
 	c.enterIQ(e, ri, false)
 	if isLoad {
-		e.lsq = c.lqPush(lqEntry{seq: e.seq, robIdx: ri, sqEnd: c.sqPopped + uint32(c.sqCnt)})
+		e.lsq = c.lqPush(lqEntry{seq: e.seq, sqEnd: c.sqPopped + uint32(c.sqCnt)})
 	}
 	if isStore {
 		e.lsq = c.sqPush(sqEntry{seq: e.seq})

@@ -33,10 +33,6 @@ type Stats struct {
 	PageFaults uint64
 	Interrupts uint64
 
-	// Memory dependence speculation (MemSpeculation).
-	MemOrderViolations uint64
-	MemReplays         uint64
-
 	// Occupancy histogram for Figure 9: [k][n] = number of samples where
 	// exactly n live registers sat at version >= k (k = 1..3).
 	OccupancySamples uint64

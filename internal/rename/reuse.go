@@ -11,7 +11,7 @@ type ReuseConfig struct {
 	// MaxVersions caps the number of reuses per register lifetime; the
 	// paper's 2-bit counter allows 3 (§IV-A). Lowering it is the N-bit
 	// counter ablation.
-	MaxVersions uint8
+	MaxVersions int
 	// SpeculativeReuse enables reusing a register whose consumer is not
 	// the redefining instruction, guarded by the type predictor (§IV-D).
 	// Disabling it keeps only the guaranteed (redefining) reuse.
@@ -93,7 +93,7 @@ func NewReuse(cfg ReuseConfig, numLog int, rf *regfile.File, pred *TypePredictor
 	if rf.Size() <= numLog {
 		panic(fmt.Sprintf("rename: register file of %d cannot back %d logical registers", rf.Size(), numLog))
 	}
-	if cfg.MaxVersions == 0 || cfg.MaxVersions > regfile.MaxShadow {
+	if cfg.MaxVersions < 1 || cfg.MaxVersions > regfile.MaxShadow {
 		panic("rename: MaxVersions must be 1..3")
 	}
 	r := &ReuseRenamer{

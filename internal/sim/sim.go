@@ -44,6 +44,25 @@ func Swept(cfg *pipeline.Config, workload string, n int) isa.RegClass {
 	return class
 }
 
+// Check is the rule a core configuration must meet, which Run applies
+// before it builds a core and sweep specs before they expand: each register
+// file backs its class's 32 logical registers with at least one register to
+// spare, and the reuse depth, the version cap of the reuse scheme's
+// counter, is 1 to regfile.MaxShadow (a depth of 0 at the public surfaces
+// stands for the paper's 3 and never reaches a Config).
+func Check(cfg pipeline.Config) error {
+	if n := cfg.IntRegs.Total(); n <= isa.NumIntRegs {
+		return fmt.Errorf("an integer register file of %d cannot back %d logical registers", n, isa.NumIntRegs)
+	}
+	if n := cfg.FPRegs.Total(); n <= isa.NumFPRegs {
+		return fmt.Errorf("an FP register file of %d cannot back %d logical registers", n, isa.NumFPRegs)
+	}
+	if d := cfg.ReuseCfg.MaxVersions; d < 1 || d > regfile.MaxShadow {
+		return fmt.Errorf("reuse depth %d out of range 1..%d", d, regfile.MaxShadow)
+	}
+	return nil
+}
+
 // Spec names one run.
 type Spec struct {
 	Program *prog.Program
@@ -177,9 +196,13 @@ type Result struct {
 	Estimate *ckpt.Estimate
 }
 
-// Run runs s. A checksum mismatch returns the result with the error.
+// Run runs s. A configuration Check refuses, and a checksum mismatch, are
+// errors; the mismatch returns the result with it.
 func Run(s Spec) (Result, error) {
 	cfg := s.Config
+	if err := Check(cfg); err != nil {
+		return Result{}, err
+	}
 	if s.Sample != "" {
 		if s.FastForward > 0 {
 			return Result{}, fmt.Errorf("sample and fast-forward are mutually exclusive")

@@ -1,7 +1,6 @@
 package stats
 
 import (
-	"math"
 	"strings"
 	"testing"
 )
@@ -56,22 +55,7 @@ func TestCSVEscaping(t *testing.T) {
 	}
 }
 
-func TestGeoMean(t *testing.T) {
-	if g := GeoMean([]float64{2, 8}); math.Abs(g-4) > 1e-12 {
-		t.Errorf("GeoMean(2,8) = %g", g)
-	}
-	if g := GeoMean(nil); g != 1 {
-		t.Errorf("GeoMean(nil) = %g", g)
-	}
-}
-
 func TestMeanAndPct(t *testing.T) {
-	if m := Mean([]float64{1, 2, 3}); m != 2 {
-		t.Errorf("Mean = %g", m)
-	}
-	if Mean(nil) != 0 {
-		t.Error("Mean(nil)")
-	}
 	if p := Pct(0.125); p != "12.5%" {
 		t.Errorf("Pct = %q", p)
 	}

@@ -46,14 +46,6 @@ func NewCacheStore(store blob.Store) *Cache {
 	return &Cache{store: store}
 }
 
-// Dir returns the cache root for directory-backed caches ("" otherwise).
-func (c *Cache) Dir() string {
-	if d, ok := c.store.(*blob.Dir); ok {
-		return d.Path()
-	}
-	return ""
-}
-
 // objectName is the store name serving a job key.
 func objectName(key string) string { return key + ".json" }
 

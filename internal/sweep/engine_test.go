@@ -86,21 +86,47 @@ func TestRunRecordsFailures(t *testing.T) {
 	}
 }
 
-// TestAttemptContainsPanic: a core that panics at construction fails its
-// attempt with the panic as the error and leaves no cache entry. The job
-// is built directly, since Spec.Jobs refuses a 16-register file.
+// panicStore is a blob store whose every call panics.
+type panicStore struct{}
+
+func (panicStore) Get(string) ([]byte, bool, error) { panic("blob store broken") }
+func (panicStore) Put(string, []byte) error         { panic("blob store broken") }
+
+// TestAttemptContainsPanic: a job that panics inside Execute, here in its
+// fast-forward's checkpoint store, fails its attempt with the panic as the
+// error and leaves no cache entry.
 func TestAttemptContainsPanic(t *testing.T) {
 	cache, err := NewCache(t.TempDir())
 	if err != nil {
 		t.Fatal(err)
 	}
-	j := Job{Workload: "poly_horner", Scheme: "baseline", Scale: 1, Size: 16}
-	r, source, _, err := Attempt(j, j.Key(), cache, nil, 1)
+	j := Job{Workload: "poly_horner", Scheme: "baseline", Scale: 1, FastForward: 1000}
+	r, source, _, err := Attempt(j, j.Key(), cache, ckpt.NewStoreWith(panicStore{}), 1)
 	if err == nil || !strings.Contains(err.Error(), "panicked") || source != "" || r != (JobResult{}) {
 		t.Fatalf("attempt: result %+v, source %q, err %v; want only a panicked error", r, source, err)
 	}
 	if _, ok := cache.Get(j.Key()); ok {
 		t.Error("a panicked attempt left a cache entry")
+	}
+}
+
+// TestExecuteRefusesBadJobs: a job built directly, past Spec.Jobs, with a
+// file that cannot back the logical registers or a reuse depth the shadow
+// cells cannot hold is an error from Execute, not a panic; so is a sampling
+// plan the program is too short to measure once, which names the plan and
+// the instruction count.
+func TestExecuteRefusesBadJobs(t *testing.T) {
+	for _, c := range []struct {
+		job  Job
+		want string
+	}{
+		{Job{Workload: "poly_horner", Scheme: "baseline", Scale: 1, Size: 16}, "cannot back 32 logical registers"},
+		{Job{Workload: "poly_horner", Scheme: "reuse", Scale: 1, ReuseDepth: 4}, "reuse depth 4 out of range"},
+		{Job{Workload: "poly_horner", Scheme: "baseline", Scale: 1, Sample: "20000:5000:100000"}, "sample plan 20000:5000:100000 measured no interval in 75800 instructions"},
+	} {
+		if _, _, err := Execute(c.job, nil, 1); err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("%+v: err = %v, want %q", c.job, err, c.want)
+		}
 	}
 }
 

@@ -69,7 +69,8 @@ type SampleSummary struct {
 
 // jobConfig derives the pipeline configuration for a job: Size > 0 sweeps
 // the workload's pressured file by sim.Swept, the Figure 10/11 convention;
-// Size 0 keeps the scheme's default files.
+// Size 0 keeps the scheme's default files. A configuration sim.Check
+// refuses is an error.
 func jobConfig(j Job) (pipeline.Config, error) {
 	sch, err := pipeline.ParseScheme(j.Scheme)
 	if err != nil {
@@ -79,12 +80,12 @@ func jobConfig(j Job) (pipeline.Config, error) {
 	if j.Size > 0 {
 		sim.Swept(&cfg, j.Workload, j.Size)
 	}
-	if j.ReuseDepth > 0 {
-		cfg.ReuseCfg.MaxVersions = uint8(j.ReuseDepth)
+	if j.ReuseDepth != 0 {
+		cfg.ReuseCfg.MaxVersions = j.ReuseDepth
 	}
 	cfg.ReuseCfg.SpeculativeReuse = !j.DisableSpeculativeReuse
 	cfg.MaxInsts = j.MaxInsts
-	return cfg, nil
+	return cfg, sim.Check(cfg)
 }
 
 // Summarize is the SampleSummary of est; nil for a run that was not

@@ -12,9 +12,7 @@ import (
 	"fmt"
 
 	"repro/internal/ckpt"
-	"repro/internal/isa"
 	"repro/internal/pipeline"
-	"repro/internal/sim"
 	"repro/internal/workloads"
 )
 
@@ -118,20 +116,9 @@ func (s Spec) Jobs() (jobs []Job, keys []string, err error) {
 	if s.Scale < 1 {
 		return nil, nil, fmt.Errorf("sweep: bad scale %d", s.Scale)
 	}
-	if s.ReuseDepth < 0 || s.ReuseDepth > 3 {
-		return nil, nil, fmt.Errorf("sweep: reuse_depth %d out of range 0..3", s.ReuseDepth)
-	}
 	for _, name := range s.Schemes {
-		sch, err := pipeline.ParseScheme(name)
-		if err != nil {
+		if _, err := pipeline.ParseScheme(name); err != nil {
 			return nil, nil, fmt.Errorf("sweep: %w", err)
-		}
-		for _, sz := range s.Sizes {
-			// Either swept file backs 32 logical registers, and the
-			// renamer needs a free register beyond them.
-			if sz > 0 && sim.RegFile(sch, sz).Total() <= isa.NumIntRegs {
-				return nil, nil, fmt.Errorf("sweep: size %d is too small for %s: its file cannot back %d logical registers", sz, name, isa.NumIntRegs)
-			}
 		}
 	}
 	for _, n := range s.Workloads {
@@ -173,6 +160,12 @@ func (s Spec) Jobs() (jobs []Job, keys []string, err error) {
 					FastForward:             s.FastForward,
 					Warmup:                  s.Warmup,
 					Sample:                  s.Sample,
+				}
+				// A size or depth sim.Check refuses fails the spec
+				// before anything runs; the depth is checked before the
+				// baseline normalization below drops it.
+				if _, err := jobConfig(j); err != nil {
+					return nil, nil, fmt.Errorf("sweep: %s/%s size %d: %w", w, sch, sz, err)
 				}
 				if sch == "baseline" {
 					// The reuse knobs are no-ops for the baseline renamer;

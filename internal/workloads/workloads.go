@@ -200,15 +200,6 @@ func Names() []string {
 	return ns
 }
 
-// BySuite groups workloads by suite, preserving registry order.
-func BySuite(ws []Workload) map[Suite][]Workload {
-	m := make(map[Suite][]Workload)
-	for _, w := range ws {
-		m[w.Suite] = append(m[w.Suite], w)
-	}
-	return m
-}
-
 // SuiteOf returns the workloads of one suite at the given scale.
 func SuiteOf(s Suite, scale int) []Workload {
 	var out []Workload

@@ -78,17 +78,17 @@ func TestRegistryLookups(t *testing.T) {
 }
 
 func TestSuiteGrouping(t *testing.T) {
-	bySuite := BySuite(Small())
 	wantMin := map[Suite]int{SPECint: 11, SPECfp: 11, Media: 7, Cognitive: 4}
-	for s, min := range wantMin {
-		if len(bySuite[s]) < min {
-			t.Errorf("suite %s has %d workloads, want >= %d", s, len(bySuite[s]), min)
-		}
-	}
+	total := 0
 	for _, s := range Suites() {
-		if got := SuiteOf(s, 1); len(got) != len(bySuite[s]) {
-			t.Errorf("SuiteOf(%s) = %d workloads, BySuite = %d", s, len(got), len(bySuite[s]))
+		got := SuiteOf(s, 1)
+		if len(got) < wantMin[s] {
+			t.Errorf("suite %s has %d workloads, want >= %d", s, len(got), wantMin[s])
 		}
+		total += len(got)
+	}
+	if total != len(Names()) {
+		t.Errorf("suites hold %d workloads, the registry %d", total, len(Names()))
 	}
 }
 

@@ -125,15 +125,15 @@ type Config struct {
 
 func (c Config) pipelineConfig() pipeline.Config {
 	cfg := pipeline.DefaultConfig(c.Scheme)
-	if c.IntRegs.Total() > 0 {
+	if c.IntRegs != (regfile.BankSizes{}) {
 		cfg.IntRegs = c.IntRegs
 	}
-	if c.FPRegs.Total() > 0 {
+	if c.FPRegs != (regfile.BankSizes{}) {
 		cfg.FPRegs = c.FPRegs
 	}
 	cfg.MaxInsts = c.MaxInsts
-	if c.ReuseDepth > 0 {
-		cfg.ReuseCfg.MaxVersions = uint8(c.ReuseDepth)
+	if c.ReuseDepth != 0 {
+		cfg.ReuseCfg.MaxVersions = c.ReuseDepth
 	}
 	cfg.ReuseCfg.SpeculativeReuse = !c.DisableSpeculativeReuse
 	cfg.InterruptEvery = c.InterruptEvery

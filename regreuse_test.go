@@ -3,11 +3,13 @@ package regreuse
 import (
 	"io"
 	"reflect"
+	"strings"
 	"testing"
 
 	"repro/internal/asm"
 	"repro/internal/obs"
 	"repro/internal/regfile"
+	"repro/internal/sim"
 	"repro/internal/sweep"
 )
 
@@ -38,6 +40,30 @@ func TestRunWorkloadBothSchemes(t *testing.T) {
 func TestRunWorkloadUnknownName(t *testing.T) {
 	if _, err := RunWorkload("nope", 1, Config{}); err == nil {
 		t.Error("expected error for unknown workload")
+	}
+}
+
+// TestRunRefusesBadConfigs: a register file that cannot back the 32
+// logical registers, a reuse depth the shadow cells cannot hold, and a
+// sampling plan the program is too short to measure once are errors on the
+// library path, not a renamer panic or a run of zero cycles.
+func TestRunRefusesBadConfigs(t *testing.T) {
+	for _, c := range []struct {
+		workload string
+		cfg      Config
+		want     string
+	}{
+		{"dgemm", Config{Scheme: Reuse, FPRegs: sim.RegFile(Reuse, 32)}, "FP register file of 30 cannot back 32 logical registers"},
+		{"poly_horner", Config{Scheme: Baseline, IntRegs: regfile.Uniform(-5, 0)}, "integer register file of -5 cannot back 32 logical registers"},
+		{"poly_horner", Config{Scheme: Reuse, ReuseDepth: 4}, "reuse depth 4 out of range 1..3"},
+		{"poly_horner", Config{Scheme: Baseline, Sample: "20000:5000:100000"}, "sample plan 20000:5000:100000 measured no interval in 75800 instructions"},
+	} {
+		if _, err := RunWorkload(c.workload, 1, c.cfg); err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("%s %+v: err = %v, want %q", c.workload, c.cfg, err, c.want)
+		}
+	}
+	if _, err := EnergyComparison("dgemm", 1, 32); err == nil || !strings.Contains(err.Error(), "cannot back 32 logical registers") {
+		t.Errorf("EnergyComparison at 32 registers: err = %v, want the register-file error", err)
 	}
 }
 
