@@ -8,7 +8,7 @@
 
 GO ?= go
 
-.PHONY: test vet lint lintsmoke race smoke benchsmoke results-check fabricsmoke perfbench-test ci ckpt-tests bench
+.PHONY: test vet lint lintsmoke race smoke benchsmoke results-check fabricsmoke perfbench-test ci ckpt-tests bench benchpair
 
 test:
 	$(GO) build ./...
@@ -140,10 +140,10 @@ smoke:
 # throughput and figure benchmarks from one test binary, failed by benchjson
 # unless the median of every headline rate clears its floor and every round
 # of the streaming figure collectors stays within its allocs/op ceiling.
-# BENCH_core.json records medians of ~4.8 Minst/s raw detailed, ~34
-# sampled, ~97 streaming analysis and ~318 fast-forward on a shared host
-# whose speed moves by up to 2x between runs; in its slower spells the
-# same rates read ~3.2, ~30, ~60 and ~187. The sampled, analysis and
+# BENCH_core.json records medians of ~3.2 Minst/s raw detailed, ~32
+# sampled, ~66 streaming analysis and ~205 fast-forward, taken in one of
+# the slower spells of a shared host whose speed moves by up to 2x between
+# runs; in its faster spells the same rates read ~4.8, ~34, ~97 and ~318. The sampled, analysis and
 # fast-forward floors sit below half the slower rates, while the detailed
 # floor sits about 25% under its slower rate and trips first on a
 # slowdown of the core; the median keeps one slow round on a busy host
@@ -264,3 +264,36 @@ bench:
 	done; \
 	$(GO) run ./cmd/benchjson -echo -o BENCH_core.json < $$d/rounds.txt; \
 	rm -rf $$d
+
+# benchpair compares a revision with the working tree in paired rounds.
+# It builds the root test binary twice under .bench_build/benchpair, from
+# `git archive $(REV)` and from the working tree, runs $(ROUNDS) rounds of
+# the $(BENCH) benchmarks, alternating which build runs first, each build
+# from its own tree, and prints per benchmark each side's median and
+# quartiles, the median of the per-round ratios new/base and the rounds the
+# working tree won (`benchjson -pair`). A host that changes speed between
+# runs moves both sides of a round alike, so the ratios show a change that
+# the absolute rates of BENCH_core.json cannot. It reports and gates
+# nothing. Override as `make benchpair REV=HEAD~1
+# BENCH=BenchmarkCacheHitSubmit BENCHTIME=20x`; a `$` in BENCH is written
+# `$$`. On a multi-core host run it under `taskset -c 1`.
+REV ?= HEAD
+ROUNDS ?= 10
+BENCH ?= $(BENCHSMOKE)
+BENCHTIME ?= 1x
+
+benchpair:
+	@set -e; \
+	d=$(CURDIR)/.bench_build/benchpair; rm -rf $$d; mkdir -p $$d/base; \
+	git archive $(REV) | tar -x -C $$d/base; \
+	(cd $$d/base && $(GO) test -c -o $$d/base.test .); \
+	$(GO) test -c -o $$d/new.test .; \
+	for i in $$(seq 1 $(ROUNDS)); do \
+		order="base new"; [ $$((i % 2)) = 1 ] || order="new base"; \
+		for side in $$order; do \
+			dir=$(CURDIR); [ $$side = new ] || dir=$$d/base; \
+			(cd $$dir && $$d/$$side.test -test.run '^$$' -test.bench '$(BENCH)' \
+				-test.benchtime $(BENCHTIME) -test.timeout 30m) >> $$d/$$side.txt; \
+		done; \
+	done; \
+	$(GO) run ./cmd/benchjson -pair $$d/base.txt $$d/new.txt

@@ -23,6 +23,13 @@
 // allocs/op and metrics over its repeats, so each headline rate is a median
 // too and one slow run on a busy host neither fails a floor nor sets the
 // recorded rate; the allocs ceilings hold for every repeat.
+//
+// With -pair BASE NEW it reads two such files instead of stdin, written by
+// alternating rounds of two builds (`make benchpair`), and prints per
+// benchmark each side's median and quartiles, the median of the per-round
+// ratios NEW/BASE and how many rounds NEW won:
+//
+//	benchjson -pair base.txt new.txt
 package main
 
 import (
@@ -33,7 +40,6 @@ import (
 	"os"
 	"os/exec"
 	"runtime"
-	"sort"
 	"strconv"
 	"strings"
 	"time"
@@ -110,7 +116,16 @@ func main() {
 	analysisFloor := flag.Float64("analysis-floor", 0, "fail unless the streaming-analysis benchmark reaches this many Minst/s")
 	ffFloor := flag.Float64("ff-floor", 0, "fail unless the fast-forward benchmark reaches this many Minst/s")
 	allocsSpec := flag.String("allocs", "", "comma-separated Benchmark=Max allocs/op ceilings; fail if a named benchmark is missing, lacks -benchmem data, or exceeds its ceiling")
+	pair := flag.Bool("pair", false, "compare two files of paired rounds, BASE and NEW, named as arguments")
 	flag.Parse()
+
+	if *pair {
+		if err := runPair(os.Stdout, flag.Args()); err != nil {
+			fmt.Fprintln(os.Stderr, "benchjson:", err)
+			os.Exit(1)
+		}
+		return
+	}
 
 	doc := artifact{
 		SchemaVersion: schemaVersion,
@@ -263,12 +278,8 @@ func rateOf(recs []benchRecord, prefix string) (float64, bool) {
 }
 
 // median returns the middle of vs (the mean of the two middle values for
-// an even count), reordering vs. vs must not be empty.
-func median(vs []float64) float64 {
-	sort.Float64s(vs)
-	n := len(vs)
-	return (vs[(n-1)/2] + vs[n/2]) / 2
-}
+// an even count). vs must not be empty.
+func median(vs []float64) float64 { return quantile(vs, 0.5) }
 
 // collapse folds the repeats of each benchmark into one record, in order of
 // first appearance: the median iterations, ns/op, B/op and allocs/op, and

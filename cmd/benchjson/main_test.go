@@ -126,3 +126,73 @@ func TestCheckFloorsGatesMedian(t *testing.T) {
 		t.Fatal("a floor on a benchmark that did not run passed")
 	}
 }
+
+// rec is a benchmark record at ns/op with optional custom metrics, given as
+// unit, value pairs.
+func rec(name string, ns float64, metrics ...any) benchRecord {
+	r := benchRecord{Name: name, NsPerOp: ns}
+	for i := 0; i+1 < len(metrics); i += 2 {
+		if r.Metrics == nil {
+			r.Metrics = map[string]float64{}
+		}
+		r.Metrics[metrics[i].(string)] = metrics[i+1].(float64)
+	}
+	return r
+}
+
+// TestPairStats pins -pair's comparison: round k of one side pairs with
+// round k of the other, in input order and per benchmark, over as many
+// rounds as both sides ran; a rate (…/s) is compared higher-is-better,
+// us/job and ns/op lower-is-better; a tie wins for neither side; and a
+// benchmark one side did not run is left out.
+func TestPairStats(t *testing.T) {
+	base := []benchRecord{
+		rec("BenchmarkFastForward-2", 9, "Minst/s", 100.0),
+		rec("BenchmarkCacheHitSubmit-2", 4000, "us/job", 20.0),
+		rec("BenchmarkFig1SingleUse-2", 50, "specfp-singleuse-%", 30.0),
+		rec("BenchmarkOnlyBase-2", 1),
+		rec("BenchmarkFastForward-2", 9, "Minst/s", 200.0),
+		rec("BenchmarkCacheHitSubmit-2", 4000, "us/job", 20.0),
+		rec("BenchmarkFig1SingleUse-2", 40),
+		rec("BenchmarkFastForward-2", 9, "Minst/s", 100.0),
+		rec("BenchmarkCacheHitSubmit-2", 4000, "us/job", 30.0),
+	}
+	next := []benchRecord{
+		rec("BenchmarkCacheHitSubmit-2", 1, "us/job", 10.0),
+		rec("BenchmarkFastForward-2", 9, "Minst/s", 150.0),
+		rec("BenchmarkFig1SingleUse-2", 60),
+		rec("BenchmarkOnlyNew-2", 1),
+		rec("BenchmarkCacheHitSubmit-2", 1, "us/job", 20.0),
+		rec("BenchmarkFastForward-2", 9, "Minst/s", 100.0),
+		rec("BenchmarkFastForward-2", 9, "Minst/s", 120.0),
+		rec("BenchmarkCacheHitSubmit-2", 1, "us/job", 15.0),
+	}
+	got := pairStats(base, next)
+	want := []pairStat{
+		{Name: "BenchmarkFastForward-2", Unit: "Minst/s", Higher: true, Pairs: 3,
+			Base: [3]float64{100, 100, 150}, New: [3]float64{110, 120, 135}, Ratio: 1.2, Won: 2},
+		{Name: "BenchmarkCacheHitSubmit-2", Unit: "us/job", Pairs: 3,
+			Base: [3]float64{20, 20, 25}, New: [3]float64{12.5, 15, 17.5}, Ratio: 0.5, Won: 2},
+		{Name: "BenchmarkFig1SingleUse-2", Unit: "ns/op", Pairs: 1,
+			Base: [3]float64{50, 50, 50}, New: [3]float64{60, 60, 60}, Ratio: 1.2, Won: 0},
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("pairStats:\n got %+v\nwant %+v", got, want)
+	}
+}
+
+// TestQuantileInterpolates pins the quartiles -pair reports to linear
+// interpolation between the nearest ranks, with the median of an even
+// count the mean of its middle two, and leaves its input in order.
+func TestQuantileInterpolates(t *testing.T) {
+	vs := []float64{4, 1, 3, 2}
+	if got := quartileSet(vs); got != [3]float64{1.75, 2.5, 3.25} {
+		t.Errorf("quartiles of 1..4 = %v, want [1.75 2.5 3.25]", got)
+	}
+	if !reflect.DeepEqual(vs, []float64{4, 1, 3, 2}) {
+		t.Errorf("quantile reordered its input: %v", vs)
+	}
+	if got := quantile([]float64{7}, 0.75); got != 7 {
+		t.Errorf("quantile of one value = %v, want 7", got)
+	}
+}

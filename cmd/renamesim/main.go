@@ -106,6 +106,17 @@ func main() {
 		os.Exit(2)
 	}
 	cfg.Scheme = sch
+	// A size of 0 would build the zero layout, which regreuse.Config reads
+	// as its default file, so no scheme may get one.
+	for _, f := range []struct {
+		name string
+		n    int
+	}{{"intregs", *intRegs}, {"fpregs", *fpRegs}} {
+		if f.n < 1 {
+			fmt.Fprintf(os.Stderr, "-%s %d: a register file needs at least 1 register\n", f.name, f.n)
+			os.Exit(1)
+		}
+	}
 	cfg.IntRegs, cfg.FPRegs = sim.RegFile(sch, *intRegs), sim.RegFile(sch, *fpRegs)
 
 	// A metrics observer feeds both the -json snapshot and the periodic CSV

@@ -65,30 +65,36 @@ type Coordinator struct {
 	// wake closes (and is replaced) whenever jobs are queued; idle
 	// in-process workers wait on it instead of polling.
 	wake chan struct{}
-	// recorded indexes, by job key, the results this process recorded as
-	// "run", "cache" or "resume", so that admission answers a resubmitted
-	// job without re-reading and decoding its object. It holds at most
-	// recordedCap results and is emptied when full; the store stays the
-	// source of truth for every key it does not hold.
-	recorded map[string]sweep.JobResult
+	// recorded indexes, by job key, the rows (result and encodings) of the
+	// results this process recorded as "run", "cache" or "resume", so that
+	// admission answers a resubmitted job without re-reading, decoding or
+	// re-encoding its result. It holds at most recordedCap rows and is
+	// emptied when full; the store stays the source of truth for every key
+	// it does not hold.
+	recorded map[string]*sweep.Row
 }
 
-// recordedCap bounds Coordinator.recorded. A result and its key take about
-// 300 bytes, so a full index costs about 1.2 MB and holds a grid of every
-// kernel, scheme and Table III size (693 jobs) five times over.
+// recordedCap bounds Coordinator.recorded. A row (the result and about
+// 1 KB of its encodings) and its key take about 1.4 KB, so a full index
+// costs under 6 MB and holds a grid of every kernel, scheme and Table III
+// size (693 jobs) five times over.
 const recordedCap = 4096
 
 // sweepState is the in-memory face of one sweep; everything here is
-// reconstructible from spec.json + manifest.jsonl.
+// reconstructible from spec.json + manifest.jsonl. The per-job slices,
+// jobs through holder, exist only while the sweep runs: once it has
+// finished they are dropped, and the sweep is a status record served from
+// its results.json.
 type sweepState struct {
-	id     string
-	spec   sweep.Spec
-	jobs   []sweep.Job
-	keys   []string
-	result []sweep.JobResult
-	done   []bool
-	source []string // "" until done; then "run" | "cache" | "resume" | "failed"
-	errs   []string
+	id       string
+	spec     sweep.Spec
+	jobCount int
+	jobs     []sweep.Job
+	keys     []string
+	rows     []*sweep.Row // nil until the job has a result
+	done     []bool
+	source   []string // "" until done; then "run" | "cache" | "resume" | "failed"
+	errs     []string
 	// attempts counts failed attempts and expired leases per job; a job
 	// whose attempts exceed Retries is recorded as failed.
 	attempts []int
@@ -162,7 +168,7 @@ func NewCoordinator(dir string, opts CoordinatorOptions) (*Coordinator, error) {
 		leases:   map[string]*lease{},
 		workers:  map[string]time.Time{},
 		wake:     make(chan struct{}),
-		recorded: map[string]sweep.JobResult{},
+		recorded: map[string]*sweep.Row{},
 	}
 	if c.now == nil {
 		c.now = time.Now
@@ -263,10 +269,12 @@ func resultsComplete(path string, jobs int) bool {
 
 // admit registers a sweep under id over its expanded grid (jobs and their
 // keys, from spec.Jobs): it replays the manifest (entries become "resume"),
-// satisfies what it can from the results it recorded before or else from
-// the shared store ("cache"), journals those hits as one synced batch,
-// queues the rest, and finalizes immediately when nothing is left. Callers
-// hold no locks; admit takes c.mu itself.
+// satisfies what it can from the rows it recorded before or else from the
+// shared store ("cache"), journals those hits as one synced batch spliced
+// from their rows, queues the rest, and finalizes immediately when nothing
+// is left. A finished sweep (recovery of one whose results.json is whole)
+// becomes its status record at once. Callers hold no locks; admit takes
+// c.mu itself.
 //
 //repro:deterministic
 func (c *Coordinator) admit(id string, spec sweep.Spec, jobs []sweep.Job, keys []string, finished bool) error {
@@ -283,38 +291,30 @@ func (c *Coordinator) admit(id string, spec sweep.Spec, jobs []sweep.Job, keys [
 	if err := blob.WriteFileAtomic(filepath.Join(runDir, specFile), append(data, '\n')); err != nil {
 		return err
 	}
-	s := &sweepState{
-		id:       id,
-		spec:     spec,
-		jobs:     jobs,
-		keys:     keys,
-		result:   make([]sweep.JobResult, len(jobs)),
-		done:     make([]bool, len(jobs)),
-		source:   make([]string, len(jobs)),
-		errs:     make([]string, len(jobs)),
-		attempts: make([]int, len(jobs)),
-		holder:   make([]string, len(jobs)),
-		state:    "running",
-	}
+	s := &sweepState{id: id, spec: spec, jobCount: len(jobs), state: "running"}
 	resumed, whole := loadManifest(filepath.Join(runDir, manifestFile))
 	if finished {
 		// Nothing left to schedule; report the terminal state the artifact
 		// proves. Manifest entries count as resumed for status visibility.
 		s.state = "done"
-		for i := range jobs {
-			if e, ok := resumed[s.keys[i]]; ok {
-				s.result[i] = e.Result
-				s.done[i] = true
-				s.source[i] = "resume"
+		for _, k := range keys {
+			if _, ok := resumed[k]; ok {
 				s.resumed++
-				s.doneCount++
 			}
 		}
+		s.doneCount = s.resumed
 		c.mu.Lock()
 		c.registerLocked(s)
 		c.mu.Unlock()
 		return nil
 	}
+	s.jobs, s.keys = jobs, keys
+	s.rows = make([]*sweep.Row, len(jobs))
+	s.done = make([]bool, len(jobs))
+	s.source = make([]string, len(jobs))
+	s.errs = make([]string, len(jobs))
+	s.attempts = make([]int, len(jobs))
+	s.holder = make([]string, len(jobs))
 	journal, err := openManifest(filepath.Join(runDir, manifestFile), whole)
 	if err != nil {
 		return err
@@ -326,30 +326,48 @@ func (c *Coordinator) admit(id string, spec sweep.Spec, jobs []sweep.Job, keys [
 	c.registerLocked(s)
 	c.met.locked(func(m *Metrics) { m.jobsTotal.Add(uint64(len(jobs))) })
 	var queue []jobRef
-	var hits []manifestEntry
-	for i := range jobs {
-		if e, ok := resumed[s.keys[i]]; ok {
-			c.recordLocked(s, i, "resume", e.Result, "")
-			continue
+	var hits []byte
+	for i, key := range keys {
+		if e, ok := resumed[key]; ok {
+			if row, err := sweep.EncodeRow(jobs[i], e.Result); err == nil {
+				c.recordLocked(s, i, "resume", row, "")
+				continue
+			}
 		}
-		r, ok := c.recorded[s.keys[i]]
+		row, ok := c.recorded[key]
 		if !ok {
-			r, ok = c.cache.Get(s.keys[i])
+			row, ok = c.storedRow(jobs[i], key)
 		}
 		if ok {
-			c.recordLocked(s, i, "cache", r, "")
-			hits = append(hits, manifestEntry{Key: s.keys[i], Source: "cache", Result: r})
+			c.recordLocked(s, i, "cache", row, "")
+			if hits == nil {
+				// Room for a line of this size per job left to admit.
+				hits = make([]byte, 0, (len(keys)-i)*(len(key)+len(row.Line)+32))
+			}
+			hits = appendLine(hits, key, "cache", row)
 			continue
 		}
 		queue = append(queue, jobRef{s: s, index: i})
 	}
 	// The hits are durable before results.json is written and before the
 	// submission is answered.
-	c.journalLocked(s, hits...)
+	c.journalLocked(s, hits)
 	c.queueLocked(queue...)
 	c.maybeFinishLocked(s)
 	c.publishLevelsLocked()
 	return nil
+}
+
+// storedRow reads key's result from the shared store and encodes job j's
+// row for it. A result that cannot be encoded is a miss, like an
+// unreadable one: the job runs again.
+func (c *Coordinator) storedRow(j sweep.Job, key string) (*sweep.Row, bool) {
+	r, ok := c.cache.Get(key)
+	if !ok {
+		return nil, false
+	}
+	row, err := sweep.EncodeRow(j, r)
+	return row, err == nil
 }
 
 // queueLocked appends refs to the pending queue and wakes the idle
@@ -391,18 +409,19 @@ func (c *Coordinator) newID(spec sweep.Spec) string {
 }
 
 // recordLocked marks job i of s done with the given source ("run" | "cache"
-// | "resume" | "failed" — errMsg set only for the last), updates counters
-// and indexes every outcome but "failed" in c.recorded; the caller journals
-// "run" and "cache" outcomes. c.mu must be held.
-func (c *Coordinator) recordLocked(s *sweepState, i int, source string, r sweep.JobResult, errMsg string) {
-	c.recordTimedLocked(s, i, source, r, errMsg, 0)
+// | "resume" | "failed" — errMsg set only for the last, row nil only for
+// it), updates counters and indexes every outcome but "failed" in
+// c.recorded; the caller journals "run" and "cache" outcomes. c.mu must be
+// held.
+func (c *Coordinator) recordLocked(s *sweepState, i int, source string, row *sweep.Row, errMsg string) {
+	c.recordTimedLocked(s, i, source, row, errMsg, 0)
 }
 
 // recordTimedLocked is recordLocked carrying the worker-reported wall clock
 // of an executed attempt (feeds the fabric_job_ms histogram; 0 elsewhere).
 //
 //repro:deterministic
-func (c *Coordinator) recordTimedLocked(s *sweepState, i int, source string, r sweep.JobResult, errMsg string, elapsed time.Duration) {
+func (c *Coordinator) recordTimedLocked(s *sweepState, i int, source string, row *sweep.Row, errMsg string, elapsed time.Duration) {
 	if s.done[i] {
 		return
 	}
@@ -421,78 +440,78 @@ func (c *Coordinator) recordTimedLocked(s *sweepState, i int, source string, r s
 		s.errs[i] = errMsg
 	}
 	if source != "failed" {
-		s.result[i] = r
+		s.rows[i] = row
 		if len(c.recorded) >= recordedCap {
 			clear(c.recorded)
 		}
-		c.recorded[s.keys[i]] = r
+		c.recorded[s.keys[i]] = row
 	}
 	c.met.jobDone(source, elapsed)
 }
 
-// journalLocked appends entries to s's journal as one synced write. A
-// failed append is reported, not fatal: the outcomes stay in memory, and a
-// restart finds what the journal lost in the cache. c.mu must be held.
-func (c *Coordinator) journalLocked(s *sweepState, entries ...manifestEntry) {
+// journalLocked appends lines (appendLine's) to s's journal as one synced
+// write. A failed append is reported, not fatal: the outcomes stay in
+// memory, and a restart finds what the journal lost in the cache. c.mu
+// must be held.
+func (c *Coordinator) journalLocked(s *sweepState, lines []byte) {
 	if s.journal == nil {
 		return
 	}
-	if err := s.journal.add(entries...); err != nil {
+	if err := s.journal.add(lines); err != nil {
 		fmt.Fprintf(os.Stderr, "fabric: manifest append %s: %v\n", s.id, err)
 	}
 }
 
 // maybeFinishLocked finalizes s once every job has an outcome: on full
 // success the results.json artifact is written atomically (byte-identical
-// to a serial run — it is the engine's own serialization over the same
-// deterministic job order), on any failure the sweep is marked failed with
-// the engine's error shape. c.mu must be held.
+// to a serial run — it is the engine's own assembly of the same rows in
+// the same deterministic job order), on any failure the sweep is marked
+// failed with the engine's error shape. Either way s then drops its
+// per-job state and stays only as a status record. c.mu must be held.
 //
 //repro:deterministic
 func (c *Coordinator) maybeFinishLocked(s *sweepState) {
-	if s.state != "running" || s.doneCount < len(s.jobs) {
+	if s.state != "running" || s.doneCount < s.jobCount {
 		return
 	}
 	if s.journal != nil {
 		_ = s.journal.close()
 		s.journal = nil
 	}
+	s.state, s.errMsg = c.finish(s)
+	if s.state == "done" {
+		c.met.locked(func(m *Metrics) { m.sweepsCompleted.Inc() })
+	} else {
+		c.met.locked(func(m *Metrics) { m.sweepsFailed.Inc() })
+	}
+	s.jobs, s.keys, s.rows, s.done, s.source, s.errs, s.attempts, s.holder = nil, nil, nil, nil, nil, nil, nil, nil
+}
+
+// finish writes the results.json of a sweep whose every job succeeded and
+// returns "done", or returns "failed" with the reason: the first failed
+// job, or the failed write.
+//
+//repro:deterministic
+func (c *Coordinator) finish(s *sweepState) (state, errMsg string) {
 	if s.failed > 0 {
 		var first string
-		n := 0
 		for i, msg := range s.errs {
-			if s.source[i] != "failed" {
-				continue
-			}
-			n++
-			if first == "" {
+			if s.source[i] == "failed" {
 				j := s.jobs[i]
 				first = fmt.Sprintf("%s/%s@%d: %s", j.Workload, j.Scheme, j.Size, msg)
+				break
 			}
 		}
-		s.state = "failed"
-		s.errMsg = fmt.Sprintf("sweep: %d of %d jobs failed (first: %s)", n, len(s.jobs), first)
-		c.met.locked(func(m *Metrics) { m.sweepsFailed.Inc() })
-		return
+		return "failed", fmt.Sprintf("sweep: %d of %d jobs failed (first: %s)", s.failed, s.jobCount, first)
 	}
-	res := &sweep.RunResult{
-		SchemaVersion: sweep.SchemaVersion,
-		Spec:          s.spec,
-		Jobs:          s.jobs,
-		Results:       s.result,
-	}
-	data, err := sweep.MarshalResults(res)
+	data, err := sweep.AssembleResults(sweep.SchemaVersion, s.spec, s.rows)
 	if err == nil {
 		err = blob.WriteFileAtomic(filepath.Join(c.runDir(s.id), resultsFile), data)
 	}
 	if err != nil {
-		s.state = "failed"
-		s.errMsg = fmt.Sprintf("write results: %v", err)
-		c.met.locked(func(m *Metrics) { m.sweepsFailed.Inc() })
-		return
+		return "failed", fmt.Sprintf("write results: %v", err)
 	}
-	s.state = "done"
-	c.met.locked(func(m *Metrics) { m.sweepsCompleted.Inc() })
+	return "done", ""
 }
 
 // expireLocked re-queues every lease whose worker stopped heartbeating.
@@ -519,12 +538,12 @@ func (c *Coordinator) expireLocked(now time.Time) {
 		delete(c.leases, l.id)
 		s, i := l.ref.s, l.ref.index
 		c.met.locked(func(m *Metrics) { m.leaseExpiries.Inc() })
-		if s.done[i] {
+		if s.state != "running" || s.done[i] {
 			continue
 		}
 		s.attempts[i]++
 		if s.attempts[i] > c.opts.Retries {
-			c.recordLocked(s, i, "failed", sweep.JobResult{},
+			c.recordLocked(s, i, "failed", nil,
 				fmt.Sprintf("lease expired %d times (last worker %s)", s.attempts[i], l.worker))
 			c.maybeFinishLocked(s)
 			continue
@@ -624,7 +643,7 @@ func (c *Coordinator) handleSubmit(w http.ResponseWriter, r *http.Request) {
 func (c *Coordinator) statusLocked(s *sweepState) SweepStatus {
 	st := SweepStatus{
 		ID: s.id, Name: s.spec.Name, State: s.state, Error: s.errMsg,
-		Jobs: len(s.jobs), Done: s.doneCount,
+		Jobs: s.jobCount, Done: s.doneCount,
 		Executed: s.executed, CacheHits: s.cacheHits, Resumed: s.resumed,
 		Failed: s.failed,
 	}
@@ -684,13 +703,19 @@ func (c *Coordinator) handleResults(w http.ResponseWriter, r *http.Request) {
 	if ok {
 		state = s.state
 		if state == "running" {
+			results := make([]sweep.JobResult, s.jobCount)
+			for i, row := range s.rows {
+				if row != nil {
+					results[i] = row.Result
+				}
+			}
 			partial = &sweep.RunResult{
 				SchemaVersion: sweep.SchemaVersion,
 				Spec:          s.spec,
 				Jobs:          s.jobs,
-				Results:       append([]sweep.JobResult(nil), s.result...),
+				Results:       results,
 			}
-			done, total = s.doneCount, len(s.jobs)
+			done, total = s.doneCount, s.jobCount
 		}
 	}
 	c.mu.Unlock()
@@ -737,7 +762,7 @@ func (c *Coordinator) lease(worker string) (*LeaseResponse, <-chan struct{}) {
 		ref := c.pending[0]
 		c.pending = c.pending[1:]
 		s, i := ref.s, ref.index
-		if s.done[i] || s.state != "running" {
+		if s.state != "running" || s.done[i] {
 			continue
 		}
 		c.leaseSeq++
@@ -772,7 +797,8 @@ func (c *Coordinator) lease(worker string) (*LeaseResponse, <-chan struct{}) {
 }
 
 // complete records the outcome of a lease. Its error names an unknown
-// sweep or job.
+// sweep or job. A completion for a finished sweep, or for a job that
+// already has an outcome, is late and answered "ignored".
 func (c *Coordinator) complete(req CompleteRequest) (CompleteResponse, error) {
 	now := c.now()
 	c.mu.Lock()
@@ -784,7 +810,7 @@ func (c *Coordinator) complete(req CompleteRequest) (CompleteResponse, error) {
 	if !ok {
 		return CompleteResponse{}, fmt.Errorf("unknown sweep %q", req.SweepID)
 	}
-	if req.Index < 0 || req.Index >= len(s.jobs) {
+	if req.Index < 0 || req.Index >= s.jobCount {
 		return CompleteResponse{}, fmt.Errorf("unknown job %s[%d]", req.SweepID, req.Index)
 	}
 	i := req.Index
@@ -794,18 +820,28 @@ func (c *Coordinator) complete(req CompleteRequest) (CompleteResponse, error) {
 		delete(c.leases, req.LeaseID)
 		c.met.locked(func(m *Metrics) { m.leaseMS.Observe(uint64(now.Sub(l.granted).Milliseconds())) })
 	}
+	late := s.state != "running" || s.done[i]
+	errMsg := req.Error
+	var row *sweep.Row
+	if !late && errMsg == "" {
+		var err error
+		if row, err = sweep.EncodeRow(s.jobs[i], req.Result); err != nil {
+			errMsg = fmt.Sprintf("encode result: %v", err)
+		}
+	}
 	status := "ok"
 	switch {
-	case s.done[i]:
+	case late:
 		// A slow worker finished a job that already completed elsewhere
-		// (after its lease expired). Determinism makes the duplicate result
-		// identical, so dropping it is harmless.
+		// (after its lease expired), perhaps of a sweep that has finished
+		// since. Determinism makes the duplicate result identical, so
+		// dropping it is harmless.
 		c.met.locked(func(m *Metrics) { m.lateCompletes.Inc() })
 		status = "ignored"
-	case req.Error != "":
+	case errMsg != "":
 		s.attempts[i]++
 		if s.attempts[i] > c.opts.Retries {
-			c.recordLocked(s, i, "failed", sweep.JobResult{}, req.Error)
+			c.recordLocked(s, i, "failed", nil, errMsg)
 			c.maybeFinishLocked(s)
 		} else {
 			c.queueLocked(jobRef{s: s, index: i})
@@ -816,8 +852,8 @@ func (c *Coordinator) complete(req CompleteRequest) (CompleteResponse, error) {
 		if source != "cache" {
 			source = "run"
 		}
-		c.journalLocked(s, manifestEntry{Key: s.keys[i], Source: source, Result: req.Result})
-		c.recordTimedLocked(s, i, source, req.Result, "", time.Duration(req.ElapsedMillis)*time.Millisecond)
+		c.journalLocked(s, appendLine(nil, s.keys[i], source, row))
+		c.recordTimedLocked(s, i, source, row, "", time.Duration(req.ElapsedMillis)*time.Millisecond)
 		if source == "run" && s.jobs[i].Sample != "" {
 			c.met.locked(func(m *Metrics) { m.jobsSampled.Inc() })
 		}

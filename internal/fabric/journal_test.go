@@ -9,6 +9,8 @@ import (
 	"path/filepath"
 	"sync"
 	"testing"
+
+	"repro/internal/sweep"
 )
 
 // groupSpec is a 4-job grid: enough lines to tear a journal batch in its
@@ -266,4 +268,43 @@ func TestRecoverRewritesIncompleteResults(t *testing.T) {
 			t.Errorf("%s results.json: fabric_jobs_executed = %d, want 0", name, n)
 		}
 	}
+}
+
+// TestJournalLinesMatchEncoder: every journal line, spliced from a row,
+// is the line json.Encoder writes for its manifestEntry. It covers the
+// cold pass's worker completions ("run"), a resubmission's batch of hits
+// ("cache") and, through appendLine directly, a sampled result.
+func TestJournalLinesMatchEncoder(t *testing.T) {
+	dir := t.TempDir()
+	_, ts, cold := warmCoordinator(t, dir)
+	warm := submit(t, ts, groupSpec)
+	check := func(name string, lines []byte) {
+		t.Helper()
+		for n, line := range bytes.SplitAfter(lines, []byte("\n")) {
+			if len(line) == 0 {
+				continue
+			}
+			var e manifestEntry
+			if err := json.Unmarshal(line, &e); err != nil {
+				t.Fatalf("%s line %d: %v", name, n+1, err)
+			}
+			var want bytes.Buffer
+			if err := json.NewEncoder(&want).Encode(e); err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(line, want.Bytes()) {
+				t.Errorf("%s line %d:\n%s\nwant json.Encoder's\n%s", name, n+1, line, want.Bytes())
+			}
+		}
+	}
+	check("cold manifest", readManifest(t, dir, cold))
+	check("warm manifest", readManifest(t, dir, warm))
+
+	r := sweep.JobResult{Cycles: 9, Insts: 4, IPC: 0.4444444444444444, ChecksumOK: true, FFInsts: 100,
+		Sampled: &sweep.SampleSummary{Plan: "2000:5000:100000", Samples: 3, IPCMean: 1e21, IPCStdErr: 5e-324, Coverage: 0.05}}
+	row, err := sweep.EncodeRow(sweep.Job{Workload: "dgemm", Scheme: "reuse", Scale: 4}, r)
+	if err != nil {
+		t.Fatal(err)
+	}
+	check("sampled line", appendLine(nil, groupKeys(t)[0], "run", row))
 }

@@ -19,11 +19,29 @@ const (
 // manifestEntry is one line of a sweep's append-only JSONL journal: a
 // completed job, how its result was obtained, and the result itself.
 // Because results are embedded, resuming never re-reads the cache — a run
-// directory is self-contained.
+// directory is self-contained. appendLine writes the lines; loadManifest
+// reads them back.
 type manifestEntry struct {
 	Key    string          `json:"key"`
 	Source string          `json:"source"` // "run" | "cache"
 	Result sweep.JobResult `json:"result"`
+}
+
+// appendLine appends the journal line of a job's outcome to b: the bytes
+// json.Encoder writes for manifestEntry{key, source, row.Result}, spliced
+// from the row's compact result. A key is hex and a source one of a few
+// fixed words, so neither needs escaping, and journaling a recorded row
+// encodes nothing.
+//
+//repro:deterministic
+func appendLine(b []byte, key, source string, row *sweep.Row) []byte {
+	b = append(b, `{"key":"`...)
+	b = append(b, key...)
+	b = append(b, `","source":"`...)
+	b = append(b, source...)
+	b = append(b, `","result":`...)
+	b = append(b, row.Line...)
+	return append(b, "}\n"...)
 }
 
 // loadManifest reads a manifest tolerantly: a line that is cut short or
@@ -82,23 +100,16 @@ func openManifest(path string, whole int64) (*manifest, error) {
 	return &manifest{f: f}, nil
 }
 
-// add journals entries, one line each in the order given, with one write
-// and one sync. Batching changes only the number of syncs: the bytes are
-// those of one add per entry.
+// add journals lines, whole appendLine lines in the order given, with one
+// write and one sync. Batching changes only the number of syncs: the bytes
+// are those of one add per line.
 //
 //repro:deterministic
-func (m *manifest) add(entries ...manifestEntry) error {
-	if len(entries) == 0 {
+func (m *manifest) add(lines []byte) error {
+	if len(lines) == 0 {
 		return nil
 	}
-	var buf bytes.Buffer
-	enc := json.NewEncoder(&buf)
-	for _, e := range entries {
-		if err := enc.Encode(e); err != nil {
-			return err
-		}
-	}
-	if _, err := m.f.Write(buf.Bytes()); err != nil {
+	if _, err := m.f.Write(lines); err != nil {
 		return err
 	}
 	return syncJournal(m.f)

@@ -130,14 +130,15 @@ func TestRecordedIndexBounded(t *testing.T) {
 	defer c.Close()
 	n := 2*recordedCap + 1
 	s := &sweepState{
-		id:     "bound",
-		jobs:   make([]sweep.Job, n),
-		keys:   make([]string, n),
-		result: make([]sweep.JobResult, n),
-		done:   make([]bool, n),
-		source: make([]string, n),
-		errs:   make([]string, n),
-		state:  "running",
+		id:       "bound",
+		jobCount: n,
+		jobs:     make([]sweep.Job, n),
+		keys:     make([]string, n),
+		rows:     make([]*sweep.Row, n),
+		done:     make([]bool, n),
+		source:   make([]string, n),
+		errs:     make([]string, n),
+		state:    "running",
 	}
 	for i := range s.keys {
 		s.keys[i] = fmt.Sprintf("%064x", i)
@@ -145,11 +146,11 @@ func TestRecordedIndexBounded(t *testing.T) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	for i := range s.keys {
-		c.recordLocked(s, i, "run", sweep.JobResult{Cycles: uint64(i)}, "")
+		c.recordLocked(s, i, "run", &sweep.Row{Result: sweep.JobResult{Cycles: uint64(i)}}, "")
 		if len(c.recorded) > recordedCap {
 			t.Fatalf("%d results recorded hold %d in the index, over its bound %d", i+1, len(c.recorded), recordedCap)
 		}
-		if r, ok := c.recorded[s.keys[i]]; !ok || r.Cycles != uint64(i) {
+		if r, ok := c.recorded[s.keys[i]]; !ok || r.Result.Cycles != uint64(i) {
 			t.Fatalf("the result just recorded for key %d is not indexed", i)
 		}
 	}

@@ -2,7 +2,6 @@ package sweep
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
 	"os"
 	"sync"
@@ -125,16 +124,4 @@ func Attempt(j Job, key string, cache *Cache, store *ckpt.Store, sampleWorkers i
 		fmt.Fprintf(os.Stderr, "sweep: cache put %s: %v\n", key[:12], perr)
 	}
 	return r, "run", use, nil
-}
-
-// MarshalResults renders the results.json artifact. It depends only on the
-// spec and the (deterministic) per-job results, never on scheduling order
-// or on how each result was obtained — which is why a sweepd run's
-// artifact, resumed or not, matches a serial Run's byte for byte.
-func MarshalResults(res *RunResult) ([]byte, error) {
-	data, err := json.MarshalIndent(res, "", "\t")
-	if err != nil {
-		return nil, err
-	}
-	return append(data, '\n'), nil
 }

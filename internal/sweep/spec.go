@@ -9,6 +9,7 @@
 package sweep
 
 import (
+	"crypto/sha256"
 	"fmt"
 
 	"repro/internal/ckpt"
@@ -106,8 +107,9 @@ func (s Spec) normalized() Spec {
 // Jobs validates the spec and expands it deterministically: workload-major,
 // then size, then scheme, each in declaration order. Index arithmetic is
 // stable: job (w, s, c) sits at ((w*len(Sizes))+s)*len(Schemes)+c.
-// keys[i] is jobs[i].Key(): the expansion derives every key once for its
-// duplicate check and hands them back, so callers never derive them again.
+// keys[i] is jobs[i].Key(): the expansion looks each workload's program
+// digest up once, derives every key once for its duplicate check and hands
+// them back, so callers never derive them again.
 func (s Spec) Jobs() (jobs []Job, keys []string, err error) {
 	s = s.normalized()
 	if len(s.Schemes) == 0 {
@@ -121,10 +123,13 @@ func (s Spec) Jobs() (jobs []Job, keys []string, err error) {
 			return nil, nil, fmt.Errorf("sweep: %w", err)
 		}
 	}
-	for _, n := range s.Workloads {
-		if _, ok := workloads.ByName(n, s.Scale); !ok {
+	progs := make([][sha256.Size]byte, len(s.Workloads))
+	for i, n := range s.Workloads {
+		d, ok := programDigest(n, s.Scale)
+		if !ok {
 			return nil, nil, fmt.Errorf("sweep: unknown workload %q", n)
 		}
+		progs[i] = d
 	}
 	for _, sz := range s.Sizes {
 		if sz < 0 {
@@ -146,7 +151,7 @@ func (s Spec) Jobs() (jobs []Job, keys []string, err error) {
 	jobs = make([]Job, 0, n)
 	keys = make([]string, 0, n)
 	seen := make(map[string]int, n)
-	for _, w := range s.Workloads {
+	for wi, w := range s.Workloads {
 		for _, sz := range s.Sizes {
 			for _, sch := range s.Schemes {
 				j := Job{
@@ -174,7 +179,7 @@ func (s Spec) Jobs() (jobs []Job, keys []string, err error) {
 					j.ReuseDepth = 0
 					j.DisableSpeculativeReuse = false
 				}
-				k := j.Key()
+				k := keyAt(j, progs[wi], SchemaVersion)
 				if prev, dup := seen[k]; dup {
 					return nil, nil, fmt.Errorf("sweep: duplicate job %d and %d (%s/%s size %d)", prev, len(jobs), w, sch, sz)
 				}
