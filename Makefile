@@ -17,8 +17,8 @@ test:
 vet:
 	$(GO) vet ./...
 
-# lint runs renamelint (internal/lint): the determinism, detflow, hotpath,
-# tagpair, obsguard, guardedby, snapshot and schemalock analyzers over every
+# lint runs renamelint (internal/lint): the determinism, hotpath, tagpair,
+# obsguard, guardedby, snapshot and schemalock analyzers over every
 # package, commands included. Zero findings is a hard gate; see DESIGN.md
 # §13 and §18 for the directives that scope and suppress it.
 lint:
@@ -68,7 +68,7 @@ SMOKE = .bench_build/smoke
 smoke:
 	rm -rf $(SMOKE); mkdir -p $(SMOKE)
 	$(GO) run ./cmd/renamelint -json ./... | \
-		$(GO) run ./cmd/ckjson 'schema_version=2' analyzers.0 analyzers.7 \
+		$(GO) run ./cmd/ckjson 'schema_version=2' 'analyzers.0=determinism' 'analyzers.6=schemalock' \
 			'count=0' findings
 	$(GO) run ./cmd/renamesim -workload poly_horner -pipeview 20 > /dev/null
 	$(GO) run ./cmd/renamesim -workload poly_horner -pipeview 20 -chrome $(SMOKE)/trace.json > /dev/null

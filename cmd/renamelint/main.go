@@ -6,7 +6,7 @@
 //
 // Usage:
 //
-//	renamelint [-json] [-enable determinism,detflow,hotpath,tagpair,obsguard,guardedby,snapshot,schemalock] [packages]
+//	renamelint [-json] [-enable determinism,hotpath,tagpair,obsguard,guardedby,snapshot,schemalock] [packages]
 //	renamelint -update-schemas [packages]
 //
 // With no package arguments it analyzes ./... The -update-schemas mode
@@ -26,7 +26,9 @@ import (
 )
 
 // schemaVersion gates the -json artifact layout. v2 added per-finding
-// analyzer_version and the four v2 analyzers.
+// analyzer_version. The analyzers field names the analyzers run, in
+// lint.All() order by default: determinism, hotpath, tagpair, obsguard,
+// guardedby, snapshot, schemalock.
 const schemaVersion = 2
 
 type artifact struct {

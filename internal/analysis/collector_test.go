@@ -123,7 +123,6 @@ func (c *Collector) Finalize() Report {
 	}
 	// Figure 1: count each consuming instruction once; prefer the
 	// redefining classification when both apply.
-	//repro:allow determinism per-key counter increments commute
 	for _, ids := range soleOf {
 		redef := false
 		hasDest := false

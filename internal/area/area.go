@@ -117,10 +117,11 @@ func PaperTable3(baselineRegs int) (regfile.BankSizes, bool) {
 func Table3Sizes() []int { return []int{48, 56, 64, 72, 80, 96, 112} }
 
 // EqualAreaConfig derives the hybrid register-file configuration of the same
-// total area as a conventional file of baselineRegs registers, following the
-// paper's §VI-A methodology: fix the shadow-bank sizes from the occupancy
-// study's demand shape (Figure 9 — demand falls off with shadow depth, so
-// banks shrink as k grows), then size the conventional bank so that
+// total area as a conventional file of baselineRegs registers, after the
+// paper's §VI-A method. It fixes the shadow banks at max(4, n/5),
+// max(3, n/8) and max(2, n/12) registers for n = baselineRegs (banks shrink
+// as the shadow depth k grows, the shape of Figure 9's demand, but no
+// occupancy measurement sets them), then sizes the conventional bank so that
 // registers + shadow cells + half the renaming overheads fit the baseline's
 // area budget.
 func EqualAreaConfig(baselineRegs, bits int) regfile.BankSizes {

@@ -90,10 +90,7 @@ func Prepare(store *Store, p *prog.Program, d Digest, skip, warmup uint64) (*Boo
 
 	bs := &BootState{FFInsts: skip}
 	if warmup > 0 && !s.Halted() {
-		bs.Warmup = make([]emu.Commit, 0, warmup)
-		if _, err := s.Run(warmup, func(c emu.Commit) {
-			bs.Warmup = append(bs.Warmup, c)
-		}); err != nil {
+		if bs.Warmup, err = captureWarmup(s, warmup); err != nil {
 			return nil, false, fmt.Errorf("ckpt: warmup replay at inst %d: %w", s.InstCount(), err)
 		}
 	}
@@ -102,6 +99,14 @@ func Prepare(store *Store, p *prog.Program, d Digest, skip, warmup uint64) (*Boo
 		bs.FFInsts = bs.Boot.InstCount
 	}
 	return bs, hit, nil
+}
+
+// captureWarmup runs s for up to n instructions and returns the commit row
+// of each, the warmup trace a BootState carries.
+func captureWarmup(s *emu.State, n uint64) ([]emu.Commit, error) {
+	rows := make([]emu.Commit, 0, n)
+	_, err := s.Run(n, func(c emu.Commit) { rows = append(rows, c) })
+	return rows, err
 }
 
 // machineAt returns a machine at instruction base: booted from the

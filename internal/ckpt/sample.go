@@ -197,10 +197,8 @@ func SampleN(p *prog.Program, plan Plan, maxInsts uint64, workers int, run RunDe
 
 		bs := &BootState{}
 		if plan.Warmup > 0 {
-			bs.Warmup = make([]emu.Commit, 0, plan.Warmup)
-			if _, err := s.Run(minU64(plan.Warmup, maxInsts-s.InstCount()), func(c emu.Commit) {
-				bs.Warmup = append(bs.Warmup, c)
-			}); err != nil {
+			var err error
+			if bs.Warmup, err = captureWarmup(s, minU64(plan.Warmup, maxInsts-s.InstCount())); err != nil {
 				return nil, nil, fmt.Errorf("ckpt: sample warmup: %w", err)
 			}
 			if s.Halted() || s.InstCount() >= maxInsts {

@@ -526,7 +526,6 @@ func (c *Coordinator) finish(s *sweepState) (state, errMsg string) {
 //repro:deterministic
 func (c *Coordinator) expireLocked(now time.Time) {
 	var expired []*lease
-	//repro:allow determinism collect-then-sort: the filtered leases are sorted by id below
 	for _, l := range c.leases {
 		if now.After(l.expiry) {
 			expired = append(expired, l)

@@ -59,7 +59,7 @@ type Analyzer struct {
 
 // All returns the full analyzer suite in stable order.
 func All() []*Analyzer {
-	return []*Analyzer{Determinism, Detflow, Hotpath, TagPair, ObsGuard, GuardedBy, Snapshot, SchemaLock}
+	return []*Analyzer{Determinism, Hotpath, TagPair, ObsGuard, GuardedBy, Snapshot, SchemaLock}
 }
 
 // Pass couples one analyzer with one package for a Run invocation.

@@ -48,7 +48,7 @@ func Max[T Ordered](xs []T) (T, bool) {
 }
 
 // SortedKeys instantiates a generic helper over map keys — deterministic via
-// collect-then-sort, so the determinism and detflow analyzers must accept it.
+// collect-then-sort, so the determinism analyzer must accept it.
 func SortedKeys[V any](m map[string]V) []string {
 	keys := make([]string, 0, len(m))
 	for k := range m {

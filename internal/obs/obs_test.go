@@ -95,6 +95,23 @@ func TestTracerRingEviction(t *testing.T) {
 	}
 }
 
+// TestTracerCountsInFlightEvictions pins Evicted: a ring slot overwritten
+// before its instruction committed or squashed counts once, a finished one
+// not at all.
+func TestTracerCountsInFlightEvictions(t *testing.T) {
+	tr := NewTracer(64)
+	for _, e := range []InstEvent{
+		{Seq: 0, Stage: StageFetch}, {Seq: 1, Stage: StageSquash}, {Seq: 2, Stage: StageCommit},
+		{Seq: 64, Stage: StageFetch}, {Seq: 65, Stage: StageFetch}, {Seq: 66, Stage: StageFetch},
+		{Seq: 64, Stage: StageRename},
+	} {
+		tr.Inst(e)
+	}
+	if got := tr.Evicted(); got != 1 {
+		t.Errorf("Evicted() = %d, want 1 (seq 0 overwritten in flight)", got)
+	}
+}
+
 func TestPipeViewOutput(t *testing.T) {
 	var buf bytes.Buffer
 	pv := NewPipeView(&buf, 1, 2) // skip the first commit, print two

@@ -47,21 +47,7 @@ func (p *PipeView) Printed() uint64 { return p.printed }
 // Inst implements Observer: accumulate stage cycles; render at commit.
 func (p *PipeView) Inst(e InstEvent) {
 	r := &p.ring[e.Seq&p.mask]
-	if r.seen == 0 || r.Seq != e.Seq {
-		*r = TraceRec{Seq: e.Seq, PC: e.PC, Inst: e.Inst}
-	}
-	switch e.Stage {
-	case StageRename:
-		r.Kind = e.Kind
-		r.Reason = e.Reason
-		r.Dest = e.Dest
-		r.Micro = e.Micro
-	case StageCommit:
-		r.Branch = e.Branch
-		r.Taken = e.Taken
-	}
-	r.cycles[e.Stage] = e.Cycle
-	r.seen |= 1 << e.Stage
+	r.record(e)
 	if e.Stage != StageCommit {
 		return
 	}

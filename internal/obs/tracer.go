@@ -35,6 +35,31 @@ func (r *TraceRec) Has(s Stage) bool { return r.seen&(1<<s) != 0 }
 // Cycle returns the cycle the record entered the stage (0 if !Has).
 func (r *TraceRec) Cycle(s Stage) uint64 { return r.cycles[s] }
 
+// record folds one lifecycle event into the ring slot: an event for a new
+// sequence number resets the slot, rename fills the decision fields, commit
+// the branch outcome, and every stage stamps its cycle. It reports whether
+// the reset overwrote an instruction that had neither committed nor
+// squashed.
+func (r *TraceRec) record(e InstEvent) (evicted bool) {
+	if r.seen == 0 || r.Seq != e.Seq {
+		evicted = r.seen != 0 && !r.Has(StageCommit) && !r.Has(StageSquash)
+		*r = TraceRec{Seq: e.Seq, PC: e.PC, Inst: e.Inst}
+	}
+	switch e.Stage {
+	case StageRename:
+		r.Kind = e.Kind
+		r.Reason = e.Reason
+		r.Dest = e.Dest
+		r.Micro = e.Micro
+	case StageCommit:
+		r.Branch = e.Branch
+		r.Taken = e.Taken
+	}
+	r.cycles[e.Stage] = e.Cycle
+	r.seen |= 1 << e.Stage
+	return evicted
+}
+
 // Tracer is the ring-buffer lifecycle tracer: it retains the last `capacity`
 // instructions (by sequence number) and the last `capacity` core events,
 // allocation-free after construction, and exports them as Chrome
@@ -43,7 +68,6 @@ type Tracer struct {
 	ring    []TraceRec
 	mask    uint64
 	maxSeq  uint64 // highest seq observed + 1
-	any     bool
 	evicted uint64 // records overwritten before completing
 
 	core     []CoreEvent
@@ -66,29 +90,12 @@ func NewTracer(capacity int) *Tracer {
 
 // Inst implements Observer.
 func (t *Tracer) Inst(e InstEvent) {
-	r := &t.ring[e.Seq&t.mask]
-	if !t.any || r.Seq != e.Seq || r.seen == 0 {
-		if r.seen != 0 && r.Seq != e.Seq && !r.Has(StageCommit) && !r.Has(StageSquash) {
-			t.evicted++
-		}
-		*r = TraceRec{Seq: e.Seq, PC: e.PC, Inst: e.Inst}
+	if t.ring[e.Seq&t.mask].record(e) {
+		t.evicted++
 	}
-	switch e.Stage {
-	case StageRename:
-		r.Kind = e.Kind
-		r.Reason = e.Reason
-		r.Dest = e.Dest
-		r.Micro = e.Micro
-	case StageCommit:
-		r.Branch = e.Branch
-		r.Taken = e.Taken
-	}
-	r.cycles[e.Stage] = e.Cycle
-	r.seen |= 1 << e.Stage
 	if e.Seq >= t.maxSeq {
 		t.maxSeq = e.Seq + 1
 	}
-	t.any = true
 }
 
 // Core implements Observer: core events go into their own ring (oldest

@@ -179,17 +179,27 @@ func (c *Core) flushAll(resumePC uint64, handlerCycles uint64) {
 	c.clearEvents()
 
 	recoveries := c.renI.RestoreArch() + c.renF.RestoreArch()
-	extra := uint64(0)
-	if recoveries > 0 {
-		extra = uint64((recoveries + c.cfg.RecoverWidth - 1) / c.cfg.RecoverWidth)
-		c.stats.ShadowRecoveries += uint64(recoveries)
-		c.stats.RecoveryCycles += extra
-	}
+	extra := c.chargeRecovery(recoveries)
 	if c.o != nil {
 		c.obsCore(obs.CoreFlush, 0, uint64(recoveries))
 	}
 	c.fetchPC = resumePC
 	c.fetchResumeAt = c.cycle + 1 + handlerCycles + extra
+}
+
+// chargeRecovery applies the §IV-C2 recovery cost to n shadow-cell recover
+// commands: they drain RecoverWidth per cycle, so the redirect waits
+// ceil(n/RecoverWidth) extra cycles. It counts both and returns the cycles.
+//
+//repro:hotpath
+func (c *Core) chargeRecovery(n int) uint64 {
+	if n == 0 {
+		return 0
+	}
+	extra := uint64((n + c.cfg.RecoverWidth - 1) / c.cfg.RecoverWidth)
+	c.stats.ShadowRecoveries += uint64(n)
+	c.stats.RecoveryCycles += extra
+	return extra
 }
 
 // releaseCkpts recycles a retired or squashed branch's renamer snapshots.

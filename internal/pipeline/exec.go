@@ -410,12 +410,7 @@ func (c *Core) squashAfter(branchIdx int, resumePC uint64) {
 
 	// Renamer checkpoints + shadow-cell recovery cost (§IV-C2).
 	recoveries := c.renI.Restore(e.ckptI) + c.renF.Restore(e.ckptF)
-	extra := uint64(0)
-	if recoveries > 0 {
-		extra = uint64((recoveries + c.cfg.RecoverWidth - 1) / c.cfg.RecoverWidth)
-		c.stats.ShadowRecoveries += uint64(recoveries)
-		c.stats.RecoveryCycles += extra
-	}
+	extra := c.chargeRecovery(recoveries)
 	if c.o != nil {
 		c.obsCore(obs.CoreCheckpointRestore, bseq, uint64(recoveries))
 	}

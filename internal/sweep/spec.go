@@ -147,6 +147,20 @@ func (s Spec) Jobs() (jobs []Job, keys []string, err error) {
 	if s.Warmup > 0 && s.FastForward > 0 && s.Warmup > s.FastForward {
 		return nil, nil, fmt.Errorf("sweep: warmup %d exceeds fast_forward %d", s.Warmup, s.FastForward)
 	}
+	// A size or depth sim.Check refuses fails the spec before anything
+	// runs. Its verdict does not depend on the workload (both logical files
+	// hold 32 registers, and the unswept file gets 128), so each (size,
+	// scheme) pair is checked once, through the first workload, in the
+	// order the expansion would meet it. The depth is checked as given,
+	// before the baseline normalization below drops it.
+	for _, sz := range s.Sizes {
+		for _, sch := range s.Schemes {
+			j := Job{Workload: s.Workloads[0], Scheme: sch, Size: sz, ReuseDepth: s.ReuseDepth}
+			if _, err := jobConfig(j); err != nil {
+				return nil, nil, fmt.Errorf("sweep: %s/%s size %d: %w", j.Workload, sch, sz, err)
+			}
+		}
+	}
 	n := len(s.Workloads) * len(s.Sizes) * len(s.Schemes)
 	jobs = make([]Job, 0, n)
 	keys = make([]string, 0, n)
@@ -165,12 +179,6 @@ func (s Spec) Jobs() (jobs []Job, keys []string, err error) {
 					FastForward:             s.FastForward,
 					Warmup:                  s.Warmup,
 					Sample:                  s.Sample,
-				}
-				// A size or depth sim.Check refuses fails the spec
-				// before anything runs; the depth is checked before the
-				// baseline normalization below drops it.
-				if _, err := jobConfig(j); err != nil {
-					return nil, nil, fmt.Errorf("sweep: %s/%s size %d: %w", w, sch, sz, err)
 				}
 				if sch == "baseline" {
 					// The reuse knobs are no-ops for the baseline renamer;

@@ -150,6 +150,25 @@ func TestSpecRejectsUnbackableSizes(t *testing.T) {
 			t.Errorf("%s at size %d: err = %v, want accepted=%t", c.scheme, c.size, err, c.ok)
 		}
 	}
+	// The check runs once per (size, scheme), through the first workload:
+	// an FP-heavy kernel sweeps the FP file and an integer kernel the
+	// integer file, and either order refuses the same sizes.
+	for _, c := range []struct {
+		workloads []string
+		class     string
+	}{
+		{[]string{"dgemm", "qsortint"}, "an FP register file of 32"},
+		{[]string{"qsortint", "dgemm"}, "an integer register file of 32"},
+	} {
+		spec := Spec{Schemes: []string{"baseline", "reuse"}, Workloads: c.workloads, Scale: 1, Sizes: []int{64, 32}}
+		if _, _, err := spec.Jobs(); err == nil || !strings.Contains(err.Error(), c.workloads[0]+"/baseline size 32: "+c.class) {
+			t.Errorf("%v at size 32: err = %v, want the %q refusal", c.workloads, err, c.class)
+		}
+		spec.Sizes = []int{64, 35}
+		if jobs, _, err := spec.Jobs(); err != nil || len(jobs) != 8 {
+			t.Errorf("%v at sizes 64 and 35: %d jobs, err %v; want 8 jobs", c.workloads, len(jobs), err)
+		}
+	}
 	spec := Spec{Schemes: []string{"baseline", "reuse"}, Workloads: []string{"poly_horner"}, Scale: 1, Sizes: []int{32, 64}}
 	if res, err := Run(context.Background(), spec, Options{}); err == nil || res != nil {
 		t.Fatalf("Run with size 32: result %+v, err %v; want no result and the spec error", res, err)
