@@ -33,14 +33,21 @@ func newLocal(t *testing.T, dir string, opts CoordinatorOptions) (*Coordinator, 
 func startLocalWorker(t *testing.T, c *Coordinator, opts WorkerOptions) {
 	t.Helper()
 	opts.Logf = t.Logf
-	w := c.LocalWorker(opts)
+	runLocalWorker(t, c.LocalWorker(opts))
+}
+
+// runLocalWorker runs w until the test ends. The cleanup drains w and then
+// waits for its timed-out attempts, which still write the store, so none
+// outlives the test's temporary directory.
+func runLocalWorker(t *testing.T, w *Worker) {
+	t.Helper()
 	ctx, cancel := context.WithCancel(context.Background())
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
 		_ = w.Run(ctx)
 	}()
-	t.Cleanup(func() { cancel(); <-done })
+	t.Cleanup(func() { cancel(); <-done; w.attempts.Wait() })
 }
 
 // TestLocalWorkersWakeOnSubmit: idle in-process workers wait on the queue,
@@ -194,13 +201,7 @@ func TestWorkerContainsPanic(t *testing.T) {
 		t.Error("a panicked attempt left a cache entry")
 	}
 	w.ckpts = ckpts
-	ctx, cancel := context.WithCancel(context.Background())
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		_ = w.Run(ctx)
-	}()
-	defer func() { cancel(); <-done }()
+	runLocalWorker(t, w)
 	id := submit(t, ts, testSpec)
 	if st := waitFinished(t, ts, id, 20*time.Second); st.State != "done" || st.Executed != 2 {
 		t.Fatalf("status %+v, want done with 2 executed", st)

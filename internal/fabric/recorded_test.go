@@ -9,6 +9,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/ckpt"
 	"repro/internal/sweep"
 )
 
@@ -97,11 +98,16 @@ func TestUnrecordedKeysReadThroughStore(t *testing.T) {
 
 // TestFailedOutcomesNotIndexed: a job recorded as failed never answers a
 // later admission. Its resubmission is queued and fails again, not served
-// as a cache hit.
+// as a cache hit. The job fails by a contained panic in its fast-forward's
+// checkpoint store, which leaves the result store empty. A timed-out
+// attempt would not do: its abandoned goroutine may still put the result,
+// and the resubmission then rightly reads it through the store.
 func TestFailedOutcomesNotIndexed(t *testing.T) {
-	const spec = `{"workloads":["poly_horner"],"schemes":["reuse"],"scale":1}`
+	const spec = `{"workloads":["poly_horner"],"schemes":["reuse"],"scale":1,"fast_forward":1000}`
 	c, ts := newLocal(t, t.TempDir(), CoordinatorOptions{})
-	startLocalWorker(t, c, WorkerOptions{ID: "l1", JobTimeout: time.Nanosecond})
+	w := c.LocalWorker(WorkerOptions{ID: "l1", Logf: t.Logf})
+	w.ckpts = ckpt.NewStoreWith(panicStore{})
+	runLocalWorker(t, w)
 	for pass := 1; pass <= 2; pass++ {
 		id := submit(t, ts, spec)
 		st := waitFinished(t, ts, id, time.Minute)

@@ -9,6 +9,7 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
+	"sync"
 	"time"
 
 	"repro/internal/blob"
@@ -54,6 +55,10 @@ type Worker struct {
 	client *http.Client
 	cache  *sweep.Cache
 	ckpts  *ckpt.Store
+	// attempts counts running attempt goroutines, timed-out ones included,
+	// so an embedder that outlives Run can wait until none still writes
+	// the cache.
+	attempts sync.WaitGroup
 }
 
 // withDefaults fills the options every worker kind shares.
@@ -226,7 +231,9 @@ func (w *Worker) attempt(job sweep.Job, sampleWorkers int) (sweep.JobResult, str
 		err    error
 	}
 	ch := make(chan outcome, 1)
+	w.attempts.Add(1)
 	go func() {
+		defer w.attempts.Done()
 		var o outcome
 		o.res, o.source, o.use, o.err = sweep.Attempt(job, job.Key(), w.cache, w.ckpts, sampleWorkers)
 		ch <- o
