@@ -16,6 +16,7 @@ import (
 
 	"repro/internal/analysis"
 	"repro/internal/area"
+	"repro/internal/asm"
 	"repro/internal/ckpt"
 	"repro/internal/emu"
 	"repro/internal/fabric"
@@ -365,6 +366,29 @@ func benchFastForward(b *testing.B, name string) {
 		insts += sn.InstCount
 	}
 	b.ReportMetric(float64(insts)/b.Elapsed().Seconds()/1e6, "Minst/s")
+}
+
+// BenchmarkAssembleAll measures the assembler on its own: each op assembles
+// the 33 reference-scale (scale-4) kernel sources, generated once before
+// the timer starts. MB/s counts source bytes, nearly all of them .word and
+// .double lines. perfbench's setup_s adds generation and process start to
+// this layer. Ungated.
+func BenchmarkAssembleAll(b *testing.B) {
+	ws := workloads.AtScale(4)
+	var n int64
+	for _, w := range ws {
+		n += int64(len(w.Source))
+	}
+	b.SetBytes(n)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for _, w := range ws {
+			if _, err := asm.Assemble(w.Source); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
 }
 
 // BenchmarkEmulatorThroughput measures the functional emulator's speed.

@@ -1,6 +1,12 @@
-// Package asm implements a two-pass assembler for the ISA in
-// repro/internal/isa. It exists so workloads can be written as readable
-// assembly text rather than hand-built instruction slices.
+// Package asm implements the assembler for the ISA in repro/internal/isa.
+// It exists so workloads can be written as readable assembly text rather
+// than hand-built instruction slices.
+//
+// Text takes two passes and data one. Pass 1 walks the source once: it
+// assigns every label, writes each .word and .double value straight into
+// the data runs at the data cursor (.space and .align only move the
+// cursor), and keeps each text line as a statement. Pass 2 encodes the text
+// statements, whose operands may name labels defined further down.
 //
 // Syntax overview:
 //
@@ -48,22 +54,27 @@ const (
 )
 
 type statement struct {
-	line    int
-	mnem    string
-	args    []string
-	addr    uint64 // assigned in pass 1
-	isData  bool
-	dataLen int
+	line int
+	mnem string
+	args []string
 }
 
 type assembler struct {
-	stmts   []statement
+	sec     section
+	stmts   []statement // the text lines, in source order
 	labels  map[string]uint64
 	textPos uint64
 	dataPos uint64
+	data    []prog.DataSeg // the initialized data runs, in address order
+	// dataErr is the first .word or .double value that does not parse.
+	// Pass 1 goes on past it, and pass 2 reports it in line order among
+	// the text statements' errors.
+	dataErr *Error
 }
 
-// Assemble translates source text into a loaded Program.
+// Assemble translates source text into a loaded Program. An error of pass
+// 1 (a label, a directive or its size) is reported first; otherwise the
+// first error in line order among text statements and data values.
 func Assemble(src string) (*prog.Program, error) {
 	a := &assembler{
 		labels:  make(map[string]uint64),
@@ -90,164 +101,244 @@ func (a *assembler) errf(line int, format string, args ...any) error {
 	return &Error{Line: line, Msg: fmt.Sprintf(format, args...)}
 }
 
+// stripComment cuts s at its first ';' or "//" and trims the white space
+// around what is left.
 func stripComment(s string) string {
-	if i := strings.Index(s, ";"); i >= 0 {
-		s = s[:i]
-	}
-	if i := strings.Index(s, "//"); i >= 0 {
-		s = s[:i]
+	for i := 0; i < len(s); i++ {
+		if c := s[i]; c == ';' || c == '/' && i+1 < len(s) && s[i+1] == '/' {
+			s = s[:i]
+			break
+		}
 	}
 	return strings.TrimSpace(s)
 }
 
+// pass1 walks the source one line at a time.
 func (a *assembler) pass1(src string) error {
-	sec := inText
-	for lineNo, raw := range strings.Split(src, "\n") {
-		line := stripComment(raw)
-		n := lineNo + 1
-		for {
-			colon := strings.Index(line, ":")
-			if colon < 0 {
-				break
-			}
-			label := strings.TrimSpace(line[:colon])
-			if !validLabel(label) {
-				return a.errf(n, "invalid label %q", label)
-			}
-			if _, dup := a.labels[label]; dup {
-				return a.errf(n, "duplicate label %q", label)
-			}
-			if sec == inText {
-				a.labels[label] = a.textPos
-			} else {
-				a.labels[label] = a.dataPos
-			}
-			line = strings.TrimSpace(line[colon+1:])
+	for n := 1; ; n++ {
+		end := strings.IndexByte(src, '\n')
+		if end < 0 {
+			return a.line(n, src)
 		}
-		if line == "" {
-			continue
+		if err := a.line(n, src[:end]); err != nil {
+			return err
 		}
-		fields := strings.SplitN(line, " ", 2)
-		mnem := strings.ToLower(fields[0])
-		var args []string
-		if len(fields) == 2 {
-			args = splitArgs(fields[1])
+		src = src[end+1:]
+	}
+}
+
+// line assigns the labels of source line n, then keeps a text line as a
+// statement for pass 2 and lays out a data line at the data cursor.
+func (a *assembler) line(n int, raw string) error {
+	line := stripComment(raw)
+	for {
+		colon := strings.IndexByte(line, ':')
+		if colon < 0 {
+			break
 		}
-		switch mnem {
-		case ".text":
-			sec = inText
-			continue
-		case ".data":
-			sec = inData
-			continue
-		case ".align":
-			if sec != inData || len(args) != 1 {
-				return a.errf(n, ".align takes one argument and is data-only")
-			}
-			v, err := strconv.ParseUint(args[0], 0, 32)
-			if err != nil || v == 0 || v&(v-1) != 0 {
-				return a.errf(n, "bad alignment %q", args[0])
-			}
-			a.dataPos = (a.dataPos + v - 1) &^ (v - 1)
-			continue
+		label := strings.TrimSpace(line[:colon])
+		if !validLabel(label) {
+			return a.errf(n, "invalid label %q", label)
 		}
-		st := statement{line: n, mnem: mnem, args: args}
-		if sec == inData {
-			st.isData = true
-			ln, err := a.dataSize(&st)
-			if err != nil {
-				return err
-			}
-			st.dataLen = ln
-			st.addr = a.dataPos
-			a.dataPos += uint64(ln)
+		if _, dup := a.labels[label]; dup {
+			return a.errf(n, "duplicate label %q", label)
+		}
+		if a.sec == inText {
+			a.labels[label] = a.textPos
 		} else {
-			if strings.HasPrefix(mnem, ".") {
-				return a.errf(n, "directive %s not allowed in text section", mnem)
-			}
-			st.addr = a.textPos
-			a.textPos += uint64(isa.InstBytes) * uint64(pseudoLen(mnem))
+			a.labels[label] = a.dataPos
 		}
-		a.stmts = append(a.stmts, st)
+		line = strings.TrimSpace(line[colon+1:])
+	}
+	if line == "" {
+		return nil
+	}
+	mnem, ops, _ := strings.Cut(line, " ")
+	mnem = strings.ToLower(mnem)
+	switch {
+	case mnem == ".text":
+		a.sec = inText
+	case mnem == ".data":
+		a.sec = inData
+	case mnem == ".align":
+		args := splitArgs(ops)
+		if a.sec != inData || len(args) != 1 {
+			return a.errf(n, ".align takes one argument and is data-only")
+		}
+		v, err := strconv.ParseUint(args[0], 0, 32)
+		if err != nil || v == 0 || v&(v-1) != 0 {
+			return a.errf(n, "bad alignment %q", args[0])
+		}
+		a.dataPos = (a.dataPos + v - 1) &^ (v - 1)
+	case a.sec == inData:
+		return a.dataLine(n, mnem, ops)
+	case strings.HasPrefix(mnem, "."):
+		return a.errf(n, "directive %s not allowed in text section", mnem)
+	default:
+		a.stmts = append(a.stmts, statement{line: n, mnem: mnem, args: splitArgs(ops)})
+		a.textPos += isa.InstBytes
 	}
 	return nil
 }
 
-func (a *assembler) dataSize(st *statement) (int, error) {
-	switch st.mnem {
+// dataLine lays out one data-section line. .space only moves the data
+// cursor (the bytes it skips read as zero); .word and .double write their
+// values at it.
+func (a *assembler) dataLine(n int, mnem, ops string) error {
+	switch mnem {
 	case ".word", ".double":
-		if len(st.args) == 0 {
-			return 0, a.errf(st.line, "%s needs at least one value", st.mnem)
-		}
-		return 8 * len(st.args), nil
+		return a.values(n, mnem, ops)
 	case ".space":
-		if len(st.args) != 1 {
-			return 0, a.errf(st.line, ".space needs a byte count")
+		args := splitArgs(ops)
+		if len(args) != 1 {
+			return a.errf(n, ".space needs a byte count")
 		}
-		v, err := strconv.ParseUint(st.args[0], 0, 32)
+		v, err := strconv.ParseUint(args[0], 0, 32)
 		if err != nil {
-			return 0, a.errf(st.line, "bad .space size %q", st.args[0])
+			return a.errf(n, "bad .space size %q", args[0])
 		}
-		return int(v), nil
+		a.dataPos += v
+		return nil
 	default:
-		return 0, a.errf(st.line, "unknown data directive %q", st.mnem)
+		return a.errf(n, "unknown data directive %q", mnem)
 	}
 }
 
+// values appends the eight-byte values of a .word or .double line to the
+// data run that ends at the data cursor, or starts a run there after a
+// .space or .align gap. It splits ops as splitArgs does, without building
+// the slice: values are separated by commas outside brackets, trimmed, and
+// an empty last value (a trailing comma) is dropped. A plain decimal word
+// is converted in place; any other form goes to parseIntArg or
+// strconv.ParseFloat. A value that does not parse still takes its eight
+// bytes, and the first becomes a.dataErr.
+func (a *assembler) values(n int, mnem, ops string) error {
+	if k := len(a.data); k == 0 || a.data[k-1].Addr+uint64(len(a.data[k-1].Bytes)) != a.dataPos {
+		a.data = append(a.data, prog.DataSeg{Addr: a.dataPos})
+	}
+	seg := &a.data[len(a.data)-1]
+	from := len(seg.Bytes)
+	word := mnem == ".word"
+	for {
+		if word {
+			if v, end, ok := plainDecimal(ops); ok {
+				seg.Bytes = binary.LittleEndian.AppendUint64(seg.Bytes, v)
+				if end == len(ops) {
+					break
+				}
+				ops = ops[end+1:]
+				continue
+			}
+		}
+		arg, rest, last := nextArg(ops)
+		if last && arg == "" {
+			break
+		}
+		seg.Bytes = binary.LittleEndian.AppendUint64(seg.Bytes, a.parseValue(n, mnem, arg))
+		if last {
+			break
+		}
+		ops = rest
+	}
+	if len(seg.Bytes) == from {
+		return a.errf(n, "%s needs at least one value", mnem)
+	}
+	a.dataPos += uint64(len(seg.Bytes) - from)
+	return nil
+}
+
+// plainDecimal reads a value of the form [-]digits, with spaces around it,
+// from the front of s: at most 19 digits, so it fits a uint64, and no
+// leading zero, which base 0 would read as octal. end is where the value
+// stops, at a comma or at len(s). ok is false for any other form; a
+// negative value comes back in two's complement, as parseIntArg gives it.
+func plainDecimal(s string) (v uint64, end int, ok bool) {
+	i := 0
+	for i < len(s) && s[i] == ' ' {
+		i++
+	}
+	neg := i < len(s) && s[i] == '-'
+	if neg {
+		i++
+	}
+	first := i
+	for i < len(s) && i-first < 19 && '0' <= s[i] && s[i] <= '9' {
+		v = v*10 + uint64(s[i]-'0')
+		i++
+	}
+	if digits := i - first; digits == 0 || digits > 1 && s[first] == '0' {
+		return 0, 0, false
+	}
+	for i < len(s) && s[i] == ' ' {
+		i++
+	}
+	if i < len(s) && s[i] != ',' {
+		return 0, 0, false
+	}
+	if neg {
+		v = -v
+	}
+	return v, i, true
+}
+
+// nextArg splits the first argument off s at a comma outside brackets and
+// trims it. last reports that no such comma remains.
+func nextArg(s string) (arg, rest string, last bool) {
+	depth := 0
+	for i := 0; i < len(s); i++ {
+		switch s[i] {
+		case '[':
+			depth++
+		case ']':
+			depth--
+		case ',':
+			if depth == 0 {
+				return strings.TrimSpace(s[:i]), s[i+1:], false
+			}
+		}
+	}
+	return strings.TrimSpace(s), "", true
+}
+
+// parseValue converts one .word or .double argument to its eight bytes'
+// value. A bad one reads as zero and, if it is the first, becomes
+// a.dataErr.
+func (a *assembler) parseValue(n int, mnem, arg string) uint64 {
+	if mnem == ".word" {
+		if v, err := parseIntArg(arg); err == nil {
+			return uint64(v)
+		}
+	} else if f, err := strconv.ParseFloat(arg, 64); err == nil {
+		return math.Float64bits(f)
+	}
+	if a.dataErr == nil {
+		a.dataErr = &Error{Line: n, Msg: fmt.Sprintf("bad %s value %q", mnem, arg)}
+	}
+	return 0
+}
+
+// pass2 encodes the text statements. Labels are all known by now, so a
+// branch or la may name one defined further down.
 func (a *assembler) pass2() (*prog.Program, error) {
-	var insts []isa.Inst
-	var data []prog.DataSeg
+	insts := make([]isa.Inst, 0, len(a.stmts))
 	for i := range a.stmts {
 		st := &a.stmts[i]
-		if st.isData {
-			var err error
-			if data, err = a.emitData(st, data); err != nil {
-				return nil, err
-			}
-			continue
+		if a.dataErr != nil && a.dataErr.Line < st.line {
+			return nil, a.dataErr
 		}
-		emitted, err := a.emitInst(st)
+		in, err := a.emitInst(st)
 		if err != nil {
 			return nil, err
 		}
-		insts = append(insts, emitted...)
+		insts = append(insts, in)
+	}
+	if a.dataErr != nil {
+		return nil, a.dataErr
 	}
 	if len(insts) == 0 {
 		return nil, fmt.Errorf("asm: no instructions")
 	}
-	return prog.New(insts, data, a.labels)
-}
-
-// emitData appends the bytes st initializes to data. Pass 1 only ever raises
-// dataPos, so statements arrive in ascending address order: one that starts
-// where the last run ends extends it, and a .space or .align gap starts a
-// new run.
-func (a *assembler) emitData(st *statement, data []prog.DataSeg) ([]prog.DataSeg, error) {
-	if st.mnem == ".space" {
-		return data, nil // Uninitialized; memory reads as zero.
-	}
-	if n := len(data); n == 0 || data[n-1].Addr+uint64(len(data[n-1].Bytes)) != st.addr {
-		data = append(data, prog.DataSeg{Addr: st.addr})
-	}
-	seg := &data[len(data)-1]
-	for _, arg := range st.args {
-		var v uint64
-		if st.mnem == ".word" {
-			iv, err := parseIntArg(arg)
-			if err != nil {
-				return nil, a.errf(st.line, "bad .word value %q", arg)
-			}
-			v = uint64(iv)
-		} else {
-			f, err := strconv.ParseFloat(arg, 64)
-			if err != nil {
-				return nil, a.errf(st.line, "bad .double value %q", arg)
-			}
-			v = math.Float64bits(f)
-		}
-		seg.Bytes = binary.LittleEndian.AppendUint64(seg.Bytes, v)
-	}
-	return data, nil
+	return prog.New(insts, a.data, a.labels)
 }
 
 func validLabel(s string) bool {

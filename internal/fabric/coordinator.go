@@ -4,6 +4,7 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net/http"
 	"os"
@@ -185,22 +186,31 @@ func (c *Coordinator) Metrics() *Metrics { return c.met }
 // Store exposes the shared artifact store the coordinator serves.
 func (c *Coordinator) Store() blob.Store { return c.store }
 
-// Close closes every open manifest journal. In-flight workers will fail
-// their completes and the next coordinator process resumes from the synced
+// Close closes every open manifest journal in sweep-id order and returns
+// every failure, each naming its sweep. In-flight workers will fail their
+// completes and the next coordinator process resumes from the synced
 // manifests.
+//
+//repro:deterministic
 func (c *Coordinator) Close() error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	var first error
-	for _, s := range c.sweeps {
+	var ids []string
+	for id, s := range c.sweeps {
 		if s.journal != nil {
-			if err := s.journal.close(); err != nil && first == nil {
-				first = err
-			}
-			s.journal = nil
+			ids = append(ids, id)
 		}
 	}
-	return first
+	sort.Strings(ids)
+	var errs []error
+	for _, id := range ids {
+		s := c.sweeps[id]
+		if err := s.journal.close(); err != nil {
+			errs = append(errs, fmt.Errorf("sweep %s: %w", id, err))
+		}
+		s.journal = nil
+	}
+	return errors.Join(errs...)
 }
 
 func (c *Coordinator) runDir(id string) string {

@@ -7,6 +7,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"sort"
 	"strings"
 	"testing"
 	"time"
@@ -266,5 +267,41 @@ func TestRecoverListsBadSpecsAsFailed(t *testing.T) {
 	}
 	if n := counterValue(t, ts2, "fabric_sweeps_recovered"); n != 1 {
 		t.Errorf("fabric_sweeps_recovered = %d, want 1", n)
+	}
+}
+
+// TestCloseReportsJournalsInIDOrder: Close reports every journal it fails
+// to close, each under its sweep's id and the lower id first, so the error
+// is the same on every run whatever the order of the sweeps map. Each run
+// submits groupSpec twice to a coordinator with no worker, which leaves both
+// sweeps running with open journals, and closes both journal files first.
+func TestCloseReportsJournalsInIDOrder(t *testing.T) {
+	var want string
+	for run := 0; run < 20; run++ {
+		dir := t.TempDir()
+		c, ts := newLocal(t, dir, CoordinatorOptions{})
+		ids := []string{submit(t, ts, groupSpec), submit(t, ts, groupSpec)}
+		sort.Strings(ids)
+		c.mu.Lock()
+		for _, id := range ids {
+			if err := c.sweeps[id].journal.f.Close(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		c.mu.Unlock()
+		err := c.Close()
+		if err == nil {
+			t.Fatal("Close of two closed journals returned nil")
+		}
+		got := strings.ReplaceAll(err.Error(), dir, "<dir>")
+		if run == 0 {
+			lines := strings.Split(got, "\n")
+			if len(lines) != 2 || !strings.HasPrefix(lines[0], "sweep "+ids[0]+": ") || !strings.HasPrefix(lines[1], "sweep "+ids[1]+": ") {
+				t.Fatalf("Close error %q: want one line per sweep, %s first", got, ids[0])
+			}
+			want = got
+		} else if got != want {
+			t.Fatalf("run %d: Close error %q, run 0 gave %q", run, got, want)
+		}
 	}
 }

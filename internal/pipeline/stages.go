@@ -354,6 +354,7 @@ func (c *Core) obsRenamed(rec *fetchRec, seq uint64, res rename.DestResult, dest
 //repro:hotpath
 func (c *Core) dispatchMicro(pc uint64, class isa.RegClass, rep rename.Repair) {
 	e := c.newROBEntry(pc, -1)
+	e.nextPC = pc // the repaired instruction has yet to commit: an interrupt resumes at it
 	e.micro = true
 	e.microShadow = rep.Checkpointed
 	e.hasDest = true

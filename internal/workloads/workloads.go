@@ -253,7 +253,7 @@ func (b *srcBuilder) d(format string, args ...any) {
 // words emits a labelled .word array, eight values a line, each as %d
 // formats it.
 func (b *srcBuilder) words(label string, vals []int64) {
-	emitArray(b, label, "  .word ", 8, vals, func(dst []byte, v int64) []byte {
+	emitArray(b, label, "  .word ", 8, 8, vals, func(dst []byte, v int64) []byte {
 		return strconv.AppendInt(dst, v, 10)
 	})
 }
@@ -261,14 +261,20 @@ func (b *srcBuilder) words(label string, vals []int64) {
 // doubles emits a labelled .double array, four values a line, each as
 // %.17g formats it: enough digits to assemble back to the same bits.
 func (b *srcBuilder) doubles(label string, vals []float64) {
-	emitArray(b, label, "  .double ", 4, vals, func(dst []byte, v float64) []byte {
+	emitArray(b, label, "  .double ", 4, 22, vals, func(dst []byte, v float64) []byte {
 		return strconv.AppendFloat(dst, v, 'g', 17, 64)
 	})
 }
 
 // emitArray emits label: and then vals, perLine to a directive line,
-// separated by ", ". Each value is appended to the line by appendVal.
-func emitArray[T any](b *srcBuilder, label, directive string, perLine int, vals []T, appendVal func([]byte, T) []byte) {
+// separated by ", ". Each value is appended to the line by appendVal. The
+// data builder is first grown by the array's size at width bytes a value,
+// separator included, so it is not regrown and copied as the lines arrive;
+// the widths words and doubles pass are a little above the suite's
+// averages (6.4 and 20.2 bytes).
+func emitArray[T any](b *srcBuilder, label, directive string, perLine, width int, vals []T, appendVal func([]byte, T) []byte) {
+	lines := (len(vals) + perLine - 1) / perLine
+	b.data.Grow(len(label) + 2 + lines*(len(directive)+1) + len(vals)*width)
 	b.d("%s:", label)
 	var line []byte
 	for i := 0; i < len(vals); i += perLine {
