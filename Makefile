@@ -139,7 +139,11 @@ smoke:
 # benchsmoke is the CI throughput gate: five interleaved rounds of the
 # throughput and figure benchmarks from one test binary, failed by benchjson
 # unless the median of every headline rate clears its floor and every round
-# of the streaming figure collectors stays within its allocs/op ceiling.
+# of the streaming figure collectors and of the fast-forward sweep grid
+# stays within its allocs/op ceiling. The grid's ceiling (its 24 jobs took
+# about 80,000 allocations while each core grew its writeback calendar a
+# bucket at a time, and take about 6,000 with the calendar carved from one
+# block) keeps per-job set-up from drifting back to per-cycle growth.
 # BENCH_core.json records medians of ~3.2 Minst/s raw detailed, ~32
 # sampled, ~66 streaming analysis and ~205 fast-forward, taken in one of
 # the slower spells of a shared host whose speed moves by up to 2x between
@@ -148,7 +152,7 @@ smoke:
 # floor sits about 25% under its slower rate and trips first on a
 # slowdown of the core; the median keeps one slow round on a busy host
 # from failing the gate.
-BENCHSMOKE = ^(BenchmarkSimulatorThroughput|BenchmarkFastForward|BenchmarkSampledThroughput|BenchmarkAnalysisThroughput|BenchmarkFig1SingleUse|BenchmarkFig2Consumers|BenchmarkFig3ReuseDepth)$$
+BENCHSMOKE = ^(BenchmarkSimulatorThroughput|BenchmarkFastForward|BenchmarkFastForwardGrid|BenchmarkSampledThroughput|BenchmarkAnalysisThroughput|BenchmarkFig1SingleUse|BenchmarkFig2Consumers|BenchmarkFig3ReuseDepth)$$
 
 benchsmoke:
 	@set -e; \
@@ -159,7 +163,7 @@ benchsmoke:
 			-test.benchtime 1x -test.benchmem >> $$d/rounds.txt; \
 	done; \
 	$(GO) run ./cmd/benchjson -floor 2.4 -sampled-floor 10 -analysis-floor 10 -ff-floor 80 \
-		-allocs 'BenchmarkFig1SingleUse=1000,BenchmarkFig2Consumers=1000,BenchmarkFig3ReuseDepth=1000' \
+		-allocs 'BenchmarkFig1SingleUse=1000,BenchmarkFig2Consumers=1000,BenchmarkFig3ReuseDepth=1000,BenchmarkFastForwardGrid=12000' \
 		< $$d/rounds.txt > /dev/null; \
 	rm -rf $$d
 

@@ -22,6 +22,7 @@ import (
 	"repro/internal/fabric"
 	"repro/internal/pipeline"
 	"repro/internal/regfile"
+	"repro/internal/sweep"
 	"repro/internal/workloads"
 )
 
@@ -314,6 +315,52 @@ func BenchmarkCacheHitSubmit(b *testing.B) {
 		jobs += st.Jobs
 	}
 	b.ReportMetric(float64(b.Elapsed().Microseconds())/float64(jobs), "us/job")
+}
+
+// ffGrid is BenchmarkFastForwardGrid's sweep: perfbench's sweep-service
+// fast-forward grid (skip 100,000 instructions, warm over the last 5,000,
+// simulate 5,000 in detail; every scheme at two sizes) over four kernels
+// at reference scale: a pointer chase, dense FP, a media filter and a
+// cognitive kernel, 24 jobs over four checkpoint sites.
+var ffGrid = sweep.Spec{
+	Name:        "ff-grid",
+	Workloads:   []string{"listwalk", "dgemm", "sobel", "dnn_mlp"},
+	Schemes:     []string{"baseline", "reuse", "early"},
+	Scale:       4,
+	Sizes:       []int{56, 96},
+	FastForward: 100000,
+	Warmup:      5000,
+	MaxInsts:    5000,
+}
+
+// BenchmarkFastForwardGrid measures cold fast-forward sweep jobs in
+// process: each op runs ffGrid on one worker against a fresh checkpoint
+// store, so each site's first job fast-forwards and saves its checkpoint
+// and the other five boot from the state the store kept. ms/job is the
+// op's time over its jobs; allocs/op counts the whole grid, core set-up
+// included, and benchsmoke gates it.
+func BenchmarkFastForwardGrid(b *testing.B) {
+	for _, name := range ffGrid.Workloads {
+		w, _ := workloads.ByName(name, ffGrid.Scale)
+		w.Program()
+	}
+	var jobs int
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		store, err := ckpt.NewStore(b.TempDir())
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.StartTimer()
+		res, err := sweep.Run(context.Background(), ffGrid, sweep.Options{Workers: 1, Ckpt: store})
+		if err != nil {
+			b.Fatal(err)
+		}
+		jobs += res.Stats.Executed
+	}
+	b.ReportMetric(float64(b.Elapsed().Microseconds())/1e3/float64(jobs), "ms/job")
 }
 
 // BenchmarkSimulatorThroughput measures raw simulation speed per scheme

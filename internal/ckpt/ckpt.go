@@ -6,8 +6,9 @@
 // (program digest, instruction count). Because the architectural prefix of a
 // program is identical across every scheme and size configuration, one
 // fast-forward pass serves every sweep point on the same workload: the first
-// job pays the functional execution, every later job loads the file and
-// boots the detailed core mid-program.
+// job pays the functional execution, and every later job boots the detailed
+// core mid-program from the boot state the store kept in memory, or else
+// from the saved file.
 package ckpt
 
 import (
@@ -56,6 +57,8 @@ func Advance(s *emu.State, n uint64) (*emu.Snapshot, error) {
 // architectural snapshot at the boot point, plus the functionally-executed
 // commit trace of the Warmup instructions immediately preceding it, which
 // the core replays into its caches and branch predictor before cycle zero.
+// A BootState a store keeps is shared by concurrent jobs and must not be
+// written.
 type BootState struct {
 	Boot   *emu.Snapshot
 	Warmup []emu.Commit
@@ -64,41 +67,121 @@ type BootState struct {
 	FFInsts uint64
 }
 
+// Served says how PrepareServed came by a boot state.
+type Served uint8
+
+const (
+	// Built: fast-forwarded from reset, and saved to the store if there is
+	// one. This is a checkpoint miss.
+	Built Served = iota
+	// Loaded: booted from the store's saved checkpoint; only the warmup
+	// capture ran. This is a hit.
+	Loaded
+	// Cached: the store held the boot state in memory, so no instruction
+	// ran. This is a hit too.
+	Cached
+)
+
+// String returns "miss", "hit" or "cached".
+func (s Served) String() string {
+	switch s {
+	case Loaded:
+		return "hit"
+	case Cached:
+		return "cached"
+	}
+	return "miss"
+}
+
 // Prepare produces the BootState for starting detailed simulation at
-// instruction skip, warming with the preceding warmup instructions. When a
-// store is supplied, the expensive part — fast-forwarding to skip-warmup —
-// is served from the checkpoint store when possible and saved back on miss;
-// hit reports which. Within a process at most one fast-forward per
-// (program digest, position) runs at a time: later callers for the same
-// site wait for it and then load the checkpoint it saved, so a grid of N
-// concurrent jobs over one workload fast-forwards it once. A nil store
-// always fast-forwards from reset.
+// instruction skip, warming with the preceding warmup instructions. hit
+// reports whether the store served it, from its memory or its saved
+// checkpoint; PrepareServed tells the two apart.
+func Prepare(store *Store, p *prog.Program, d Digest, skip, warmup uint64) (*BootState, bool, error) {
+	bs, how, err := PrepareServed(store, p, d, skip, warmup)
+	return bs, how != Built, err
+}
+
+// PrepareServed is Prepare reporting how the boot state was served. A
+// store keeps the boot state it served last in memory, so a repeated site
+// skips the checkpoint read, decode, warmup capture and snapshot. A kept
+// BootState is shared by every caller that asks for its site, concurrent
+// ones included: callers must treat it as read-only, as pipeline.New does
+// (it clones the memory image).
+//
+// Otherwise the expensive part, fast-forwarding to skip-warmup, is served
+// from the store's checkpoint when possible and saved back on a miss.
+// Within a process at most one fast-forward per (program digest, position)
+// runs at a time: later callers for the same site wait for it and then
+// take the boot state it kept, or load the checkpoint it saved if another
+// site's state has taken its place, so a grid of N concurrent jobs over
+// one workload fast-forwards it once. A nil store keeps nothing and always
+// fast-forwards from reset.
 //
 // If the program halts before skip, the returned BootState has a halted
 // snapshot; the detailed core then has nothing to simulate and callers
 // normally fall back to the functional result.
-func Prepare(store *Store, p *prog.Program, d Digest, skip, warmup uint64) (*BootState, bool, error) {
+func PrepareServed(store *Store, p *prog.Program, d Digest, skip, warmup uint64) (*BootState, Served, error) {
 	if warmup > skip {
 		warmup = skip
 	}
 	base := skip - warmup
-
-	s, hit, err := machineAt(store, p, d, base)
-	if err != nil {
-		return nil, false, err
+	if store == nil {
+		s, err := fastForward(nil, p, d, base)
+		if err != nil {
+			return nil, Built, err
+		}
+		bs, err := bootAt(s, skip, warmup)
+		return bs, Built, err
 	}
 
+	k := bootKey{d, skip, warmup}
+	if bs := store.cachedBoot(k); bs != nil {
+		return bs, Cached, nil
+	}
+	how := Loaded
+	s, err := store.machine(p, d, base)
+	if s == nil && err == nil {
+		// A miss: fast-forward under the site's lock. A caller that waited
+		// for the lock finds what its holder kept, or failing that the
+		// checkpoint it saved, before starting its own fast-forward.
+		mu, _ := siteLocks.LoadOrStore(site{d, base}, new(sync.Mutex))
+		mu.(*sync.Mutex).Lock()
+		defer mu.(*sync.Mutex).Unlock()
+		if bs := store.cachedBoot(k); bs != nil {
+			return bs, Cached, nil
+		}
+		if s, err = store.machine(p, d, base); s == nil && err == nil {
+			how = Built
+			s, err = fastForward(store, p, d, base)
+		}
+	}
+	if err != nil {
+		return nil, Built, err
+	}
+	bs, err := bootAt(s, skip, warmup)
+	if err != nil {
+		return nil, Built, err
+	}
+	store.keepBoot(k, bs)
+	return bs, how, nil
+}
+
+// bootAt captures the warmup instructions s runs from its position and
+// snapshots it at the boot point skip (or where it halted).
+func bootAt(s *emu.State, skip, warmup uint64) (*BootState, error) {
 	bs := &BootState{FFInsts: skip}
 	if warmup > 0 && !s.Halted() {
+		var err error
 		if bs.Warmup, err = captureWarmup(s, warmup); err != nil {
-			return nil, false, fmt.Errorf("ckpt: warmup replay at inst %d: %w", s.InstCount(), err)
+			return nil, fmt.Errorf("ckpt: warmup replay at inst %d: %w", s.InstCount(), err)
 		}
 	}
 	bs.Boot = s.Snapshot()
 	if bs.Boot.InstCount < skip {
 		bs.FFInsts = bs.Boot.InstCount
 	}
-	return bs, hit, nil
+	return bs, nil
 }
 
 // captureWarmup runs s for up to n instructions and returns the commit row
@@ -109,42 +192,19 @@ func captureWarmup(s *emu.State, n uint64) ([]emu.Commit, error) {
 	return rows, err
 }
 
-// machineAt returns a machine at instruction base: booted from the
-// store's checkpoint when it has one (hit), else fast-forwarded from reset
-// and saved. The fast-forward runs under its site's lock, and a caller that
-// waited for the lock checks the store again before starting its own.
-func machineAt(store *Store, p *prog.Program, d Digest, base uint64) (*emu.State, bool, error) {
-	if store == nil {
-		s := emu.New(p)
-		_, err := Advance(s, base)
-		return s, false, err
-	}
-	load := func() (*emu.State, bool, error) {
-		sn, ok, err := store.Load(d, base)
-		if !ok || err != nil {
-			return nil, false, err
-		}
-		return emu.NewFromSnapshot(p, sn), true, nil
-	}
-	if s, ok, err := load(); ok || err != nil {
-		return s, ok, err
-	}
-	mu, _ := siteLocks.LoadOrStore(site{d, base}, new(sync.Mutex))
-	mu.(*sync.Mutex).Lock()
-	defer mu.(*sync.Mutex).Unlock()
-	if s, ok, err := load(); ok || err != nil {
-		return s, ok, err
-	}
+// fastForward runs p from reset to instruction base and, when there is a
+// store and the program has not halted, saves the checkpoint there.
+func fastForward(store *Store, p *prog.Program, d Digest, base uint64) (*emu.State, error) {
 	s := emu.New(p)
 	if _, err := Advance(s, base); err != nil {
-		return nil, false, err
+		return nil, err
 	}
-	if !s.Halted() {
+	if store != nil && !s.Halted() {
 		if err := store.Save(d, s.Snapshot()); err != nil {
-			return nil, false, err
+			return nil, err
 		}
 	}
-	return s, false, nil
+	return s, nil
 }
 
 // site names one checkpoint position of one program.

@@ -3,6 +3,7 @@ package ckpt
 import (
 	"os"
 	"path/filepath"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -237,6 +238,49 @@ func TestPrepare(t *testing.T) {
 	}
 }
 
+// TestPrepareServedKeepsLastSite: a store serves a site from memory while
+// it is the last one it served, and loads the saved checkpoint once another
+// site has taken its place; a second store over the same directory starts
+// with nothing kept and loads the same boot state.
+func TestPrepareServedKeepsLastSite(t *testing.T) {
+	p := assemble(t, "dgemm", 1)
+	d := ProgramDigest(p)
+	dir := t.TempDir()
+	st, err := NewStore(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	serve := func(st *Store, skip uint64, want Served) *BootState {
+		t.Helper()
+		bs, how, err := PrepareServed(st, p, d, skip, 500)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if how != want {
+			t.Fatalf("site %d served %v, want %v", skip, how, want)
+		}
+		return bs
+	}
+
+	built := serve(st, 3000, Built)
+	if serve(st, 3000, Cached) != built {
+		t.Fatal("a cached hit must return the kept boot state")
+	}
+	serve(st, 4000, Built) // takes 3000's place
+	serve(st, 3000, Loaded)
+	serve(st, 3000, Cached)
+	serve(st, 4000, Loaded)
+
+	other, err := NewStore(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	loaded := serve(other, 3000, Loaded)
+	if !loaded.Boot.Equal(built.Boot) || !slices.Equal(loaded.Warmup, built.Warmup) || loaded.FFInsts != built.FFInsts {
+		t.Fatal("the loaded boot state differs from the built one")
+	}
+}
+
 // gatedStore is a blob.Store that holds its first n Gets until all n have
 // arrived, so n concurrent callers all miss before any of them can save,
 // and counts its Puts.
@@ -312,6 +356,96 @@ func TestPrepareSingleFlight(t *testing.T) {
 		if boots[i] == nil || !boots[i].Equal(boots[0]) {
 			t.Fatalf("caller %d booted from a different snapshot", i)
 		}
+	}
+}
+
+// missSignal is a blob.Store that sends the name of each Get that found
+// nothing on missed.
+type missSignal struct {
+	blob.Store
+	missed chan string
+}
+
+func (m missSignal) Get(name string) ([]byte, bool, error) {
+	data, ok, err := m.Store.Get(name)
+	if !ok && err == nil {
+		m.missed <- name
+	}
+	return data, ok, err
+}
+
+// TestPrepareWaiterLoadsSavedCheckpoint: callers that missed a site and
+// waited on its lock while the store came to keep another site's boot
+// state load the checkpoint the lock's holder saved: the first to take the
+// lock loads it and keeps its state, which serves the rest. None
+// fast-forwards again, the site is saved once, and each boots the state a
+// fast-forward from reset builds. The test holds the site's lock itself,
+// as a fast-forward in progress would, and serves the other site before
+// releasing it.
+func TestPrepareWaiterLoadsSavedCheckpoint(t *testing.T) {
+	const skip, warmup, other = 3500, 500, 4500
+	p := assemble(t, "dgemm", 1)
+	d := ProgramDigest(p)
+	dir, err := blob.NewDir(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	const waiters = 4
+	missed := make(chan string, 4*waiters)
+	gated := newGatedStore(missSignal{dir, missed}, waiters)
+	st := NewStoreWith(gated)
+
+	mu, _ := siteLocks.LoadOrStore(site{d, skip - warmup}, new(sync.Mutex))
+	mu.(*sync.Mutex).Lock()
+	var (
+		wg     sync.WaitGroup
+		served [waiters]Served
+		boots  [waiters]*BootState
+	)
+	for i := range waiters {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			bs, how, err := PrepareServed(st, p, d, skip, warmup)
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			served[i], boots[i] = how, bs
+		}()
+	}
+	for range waiters {
+		<-missed
+	}
+	// Every waiter has missed the saved checkpoint and is bound for the
+	// lock. Save the site as its holder would, then serve another site.
+	if _, err := fastForward(st, p, d, skip-warmup); err != nil {
+		t.Fatal(err)
+	}
+	if _, how, err := PrepareServed(st, p, d, other, warmup); err != nil || how != Built {
+		t.Fatalf("other site: %v, %v; want built", how, err)
+	}
+	mu.(*sync.Mutex).Unlock()
+	wg.Wait()
+
+	want, _, err := PrepareServed(nil, p, d, skip, warmup)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var count [Cached + 1]int
+	for _, how := range served {
+		count[how]++
+	}
+	if count[Loaded] != 1 || count[Cached] != waiters-1 {
+		t.Errorf("waiters were served %v, want one loaded from the saved checkpoint and the rest cached", served)
+	}
+	for i, bs := range boots {
+		if bs == nil || !bs.Boot.Equal(want.Boot) || !slices.Equal(bs.Warmup, want.Warmup) || bs.FFInsts != want.FFInsts {
+			t.Fatalf("waiter %d booted from a different state", i)
+		}
+	}
+	if got := gated.puts.Load(); got != 2 {
+		t.Errorf("%d checkpoint puts, want 2: one for each site", got)
 	}
 }
 

@@ -29,6 +29,12 @@ type Metrics struct {
 	jobsRetried  *obs.Counter
 	jobsSampled  *obs.Counter
 
+	// fabric_ckpt_hits counts fast-forward attempts the checkpoint store
+	// served, from a saved checkpoint or from a boot state it kept in
+	// memory; fabric_ckpt_misses those that fast-forwarded from reset.
+	// fabric_ckpt_ff_insts sums the instructions those attempts ran at
+	// functional speed: a miss's skip, a saved checkpoint's warmup, and
+	// nothing for a kept boot state.
 	ckptHits    *obs.Counter
 	ckptMisses  *obs.Counter
 	ckptFFInsts *obs.Counter

@@ -74,7 +74,7 @@ type CompleteRequest struct {
 	ElapsedMillis int64 `json:"elapsed_ms,omitempty"`
 	// Ckpt is "hit" or "miss" when the attempt fast-forwarded through the
 	// checkpoint store; FFInsts counts the instructions it ran at
-	// functional speed.
+	// functional speed (0 when the store kept its boot state in memory).
 	Ckpt    string `json:"ckpt,omitempty"`
 	FFInsts uint64 `json:"ff_insts,omitempty"`
 }

@@ -250,8 +250,24 @@ func (c *Core) windowErr(format string, args ...any) error {
 // initEvents sizes the calendar ring. The size only needs to exceed the
 // longest writeback latency in flight; schedule grows it on demand.
 func (c *Core) initEvents(size int) {
-	c.evRing = make([][]wbEvent, size)
+	c.evRing = c.carveEvents(size)
 	c.evPending = 0
+}
+
+// carveEvents returns a ring of size empty buckets carved from one backing
+// array, each with room for the IssueWidth events one cycle's issue can
+// file, so a core fills its calendar with two allocations instead of one per
+// bucket as the buckets are first written. The buckets' capacities are
+// capped at their share: a bucket that overflows is moved by append to an
+// array of its own and never spills into its neighbour.
+func (c *Core) carveEvents(size int) [][]wbEvent {
+	per := max(c.cfg.IssueWidth, 1)
+	ring := make([][]wbEvent, size)
+	block := make([]wbEvent, size*per)
+	for i := range ring {
+		ring[i] = block[i*per : i*per : (i+1)*per]
+	}
+	return ring
 }
 
 // schedule files ev for the given future cycle. The ring is indexed by
@@ -268,19 +284,20 @@ func (c *Core) schedule(cycle uint64, ev wbEvent) {
 	c.evPending++
 }
 
-// growEvents doubles the ring, remapping pending buckets. A bucket at old
-// index i holds events for the unique pending cycle >= c.cycle congruent to
-// i modulo the old size.
+// growEvents doubles the ring, copying pending buckets in order into a
+// freshly carved one. A bucket at old index i holds events for the unique
+// pending cycle >= c.cycle congruent to i modulo the old size.
 func (c *Core) growEvents() {
 	old := c.evRing
 	oldSize := uint64(len(old))
-	next := make([][]wbEvent, 2*len(old))
+	next := c.carveEvents(2 * len(old))
 	for i := range old {
 		if len(old[i]) == 0 {
 			continue
 		}
 		cyc := c.cycle + (uint64(i)-c.cycle)%oldSize
-		next[cyc&uint64(len(next)-1)] = old[i]
+		j := cyc & uint64(len(next)-1)
+		next[j] = append(next[j], old[i]...)
 	}
 	c.evRing = next
 }

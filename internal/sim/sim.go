@@ -187,7 +187,9 @@ type Result struct {
 	// FFInsts counts instructions run at functional speed: the
 	// fast-forward prefix, or all a sampled run did not measure.
 	FFInsts uint64
-	// Ckpt is "hit" or "miss" for a fast-forward run's checkpoint.
+	// Ckpt is a fast-forward run's ckpt.Served: "miss", "hit" (booted
+	// from the store's saved checkpoint) or "cached" (the store kept the
+	// boot state in memory).
 	Ckpt string
 
 	// Core is set for full and fast-forward runs that reached the core;
@@ -211,14 +213,11 @@ func Run(s Spec) (Result, error) {
 	}
 	var res Result
 	if s.FastForward > 0 {
-		bs, hit, err := ckpt.Prepare(s.Ckpt, s.Program, ckpt.ProgramDigest(s.Program), s.FastForward, s.Warmup)
+		bs, how, err := ckpt.PrepareServed(s.Ckpt, s.Program, ckpt.ProgramDigest(s.Program), s.FastForward, s.Warmup)
 		if err != nil {
 			return Result{}, fmt.Errorf("fast-forward: %w", err)
 		}
-		res.FFInsts, res.Ckpt = bs.FFInsts, "miss"
-		if hit {
-			res.Ckpt = "hit"
-		}
+		res.FFInsts, res.Ckpt = bs.FFInsts, how.String()
 		if bs.Boot.Halted {
 			// Nothing is left for the core; the functional final state
 			// still carries the checksum.

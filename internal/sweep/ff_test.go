@@ -3,6 +3,7 @@ package sweep
 import (
 	"context"
 	"path/filepath"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -10,6 +11,7 @@ import (
 
 	"repro/internal/blob"
 	"repro/internal/ckpt"
+	"repro/internal/workloads"
 )
 
 // gatedStore is a blob.Store that holds its first n Gets until all n have
@@ -179,6 +181,84 @@ func TestSampledSpecThroughEngine(t *testing.T) {
 		a, b := cold.Results[i], warm.Results[i]
 		if a.Sampled == nil || b.Sampled == nil || *a.Sampled != *b.Sampled {
 			t.Fatalf("sampled summary %d differs across cache: %+v vs %+v", i, a.Sampled, b.Sampled)
+		}
+	}
+}
+
+// TestCachedBootSharedSafely: the six jobs of one fast-forward site, every
+// scheme at two sizes, boot concurrently from the one BootState the store
+// keeps for it, a scale-4 hashjoin whose memory image spans many pages.
+// Each reports a hit that ran no instruction. The kept state is left as
+// the jobs found it, equal to a freshly prepared one, and every result
+// equals the same job run with no store, which fast-forwards from reset on
+// its own. Under the race detector this also shows the jobs only read it.
+func TestCachedBootSharedSafely(t *testing.T) {
+	const skip, warmup = 20000, 2000
+	spec := Spec{
+		Name:        "shared-boot",
+		Workloads:   []string{"hashjoin"},
+		Schemes:     []string{"baseline", "reuse", "early"},
+		Scale:       4,
+		Sizes:       []int{56, 96},
+		FastForward: skip,
+		Warmup:      warmup,
+		MaxInsts:    2000,
+	}
+	jobs, _, err := spec.Jobs()
+	if err != nil {
+		t.Fatal(err)
+	}
+	w, _ := workloads.ByName("hashjoin", 4)
+	p := w.Program()
+	d := ckpt.ProgramDigest(p)
+	store, err := ckpt.NewStore(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	kept, how, err := ckpt.PrepareServed(store, p, d, skip, warmup)
+	if err != nil || how != ckpt.Built {
+		t.Fatalf("first prepare: %v, %v; want a built boot state", how, err)
+	}
+	if n := len(kept.Boot.Mem.PageNumbers()); n < 8 {
+		t.Fatalf("boot memory spans %d pages, want a multi-page image", n)
+	}
+
+	results := make([]JobResult, len(jobs))
+	uses := make([]Usage, len(jobs))
+	errs := make([]error, len(jobs))
+	var wg sync.WaitGroup
+	for i, j := range jobs {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			results[i], uses[i], errs[i] = Execute(j, store, 1)
+		}()
+	}
+	wg.Wait()
+
+	fresh, _, err := ckpt.Prepare(nil, p, d, skip, warmup)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !kept.Boot.Equal(fresh.Boot) || !slices.Equal(kept.Warmup, fresh.Warmup) || kept.FFInsts != fresh.FFInsts {
+		t.Fatal("the shared boot state changed while its jobs ran")
+	}
+	if again, how, err := ckpt.PrepareServed(store, p, d, skip, warmup); err != nil || how != ckpt.Cached || again != kept {
+		t.Fatalf("store served %v (%v), want the kept boot state from memory", how, err)
+	}
+	for i, j := range jobs {
+		if errs[i] != nil {
+			t.Fatalf("job %d: %v", i, errs[i])
+		}
+		if uses[i] != (Usage{Ckpt: "hit"}) {
+			t.Errorf("job %d used the store as %+v, want a hit that ran no instruction", i, uses[i])
+		}
+		want, _, err := Execute(j, nil, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if results[i] != want {
+			t.Errorf("job %d (%s at %d) booted from the shared state:\n got %+v\nwant %+v", i, j.Scheme, j.Size, results[i], want)
 		}
 	}
 }

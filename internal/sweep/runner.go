@@ -109,8 +109,9 @@ func Summarize(est *ckpt.Estimate) *SampleSummary {
 
 // Usage reports how one execution used the checkpoint store: Ckpt is
 // "hit" or "miss" for a fast-forward job and "" otherwise, and FFInsts
-// counts the instructions it ran at functional speed (on a hit only the
-// warmup replay ran; the skip itself was free).
+// counts the instructions it ran at functional speed. On a hit served from
+// the store's saved checkpoint only the warmup capture ran; on a hit the
+// store kept in memory none did.
 type Usage struct {
 	Ckpt    string
 	FFInsts uint64
@@ -140,9 +141,12 @@ func Execute(j Job, store *ckpt.Store, sampleWorkers int) (JobResult, Usage, err
 		Sample: j.Sample, SampleWorkers: sampleWorkers,
 	})
 	use := Usage{Ckpt: out.Ckpt, FFInsts: out.FFInsts}
-	if out.Ckpt == "hit" {
-		// Only the warmup replay ran; the skip itself was free.
+	switch out.Ckpt {
+	case "hit":
+		// Only the warmup capture ran; the skip itself was free.
 		use.FFInsts = j.Warmup
+	case "cached":
+		use.Ckpt, use.FFInsts = "hit", 0
 	}
 	res := JobResult{
 		Cycles:     out.Cycles,
